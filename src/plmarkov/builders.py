@@ -8,6 +8,7 @@ need, while canonical forms stay available via ``Complex.canonical``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -21,6 +22,10 @@ def _dense(cx: Complex) -> Complex:
     return cx.relabeled(m)
 
 
+# Complexes are immutable, so each reference simplex and sphere is built
+# once and shared: its cached homology and canonical form then serve
+# every recognition gate that compares against it.
+@functools.lru_cache(maxsize=32)
 def standard_simplex(n: int) -> Complex:
     """The solid n-simplex on labels 0..n."""
     if n < 0:
@@ -28,6 +33,7 @@ def standard_simplex(n: int) -> Complex:
     return Complex([range(n + 1)])
 
 
+@functools.lru_cache(maxsize=32)
 def simplex_sphere(n: int) -> Complex:
     """Boundary of the (n+1)-simplex: the minimal n-sphere."""
     if n < 0:

@@ -14,13 +14,28 @@ complexes so that pipelines are reproducible; the methods of ``Complex``
 preserve the caller's labels and are what the internal machinery uses.
 
 The canonical form is the lexicographically smallest facet-list encoding
-found by a backtracking search over traversal labelings: seeds are drawn
+found by a depth-first search over traversal labelings: seeds are drawn
 from an isomorphism-invariant facet class, seed orderings respect vertex
 color classes computed by iterated neighborhood refinement, and the
 greedy extension branches whenever the refinement cannot break a tie.
-Two complexes receive equal signatures exactly when they are isomorphic:
-any isomorphism maps seeds to seeds and traversals to traversals, so
-both searches minimize over matching candidate sets.
+The canonical labeling is the first leaf, in search order, that reaches
+the smallest encoding.  Two complexes receive equal signatures exactly
+when they are isomorphic: any isomorphism maps seeds to seeds and
+traversals to traversals, so both searches minimize over matching
+candidate sets.
+
+The search prunes with the automorphisms it discovers (McKay-Piperno,
+"Practical graph isomorphism, II", 2014).  A leaf whose encoding equals
+that of the first or the best leaf gives the automorphism
+lab_ref^-1 o lab.  A child is skipped when automorphisms fixing the
+labeled prefix pointwise and the seed facet setwise carry it onto a
+sibling already explored, and a seed facet is skipped when the
+automorphisms found so far carry it onto an earlier seed.  Such an
+automorphism maps the skipped subtree onto the explored one leaf for
+leaf with equal encodings, and every explored leaf precedes every
+skipped one, so the first leaf reaching the minimum is never skipped:
+the canonical form, the canonical mapping and the signature are exactly
+those of the unpruned search.
 """
 
 from __future__ import annotations
@@ -365,18 +380,8 @@ class Complex:
         color = _dense_ranks(key)
         ncolors = len(set(color.values()))
         for _ in range(len(verts)):
-            key = {
-                v: (
-                    color[v],
-                    tuple(
-                        sorted(
-                            (len(f), tuple(sorted(color[u] for u in f)))
-                            for f in at[v]
-                        )
-                    ),
-                )
-                for v in verts
-            }
+            shape = {f: (len(f), tuple(sorted(color[u] for u in f))) for f in self._facets}
+            key = {v: (color[v], tuple(sorted(shape[f] for f in at[v]))) for v in verts}
             color = _dense_ranks(key)
             n2 = len(set(color.values()))
             if n2 == ncolors:
@@ -393,24 +398,92 @@ class Complex:
             return pair
         color = self._refinement_colors()
         facets = self._facets
-        at = self._incidence()
+        verts = self.vertices
+        n = len(verts)
+        index = {f: i for i, f in enumerate(facets)}
+        at = {v: [index[f] for f in fs] for v, fs in self._incidence().items()}
         profiles: Dict[tuple, List[Simplex]] = {}
         for f in facets:
             profiles.setdefault(tuple(sorted(color[v] for v in f)), []).append(f)
-        seed_profile = min(profiles, key=lambda p: (len(profiles[p]), p))
-        best_enc = None
-        best_lab = None
-        for f0 in profiles[seed_profile]:
-            for order in _color_respecting_orderings(f0, color):
-                for lab in _greedy_labelings(self, order, color, at):
-                    enc = tuple(
-                        sorted(tuple(sorted(lab[v] for v in f)) for f in facets)
-                    )
-                    if best_enc is None or enc < best_enc:
-                        best_enc = enc
-                        best_lab = lab
+        seeds = profiles[min(profiles, key=lambda p: (len(profiles[p]), p))]
+        # part[i]: the labels placed so far in facet i, ascending because
+        # labels are handed out in increasing order along a branch
+        part: List[Tuple[int, ...]] = [()] * len(facets)
+        order: List[int] = []
+        lab: Dict[int, int] = {}
+        autos: List[Dict[int, int]] = []
+        # the first leaf and the best leaf so far: (encoding, labelled order)
+        refs: List[Tuple[tuple, Tuple[int, ...]]] = []
+
+        def leaf() -> None:
+            enc = tuple(sorted(part))
+            if not refs:
+                refs.extend([(enc, tuple(order))] * 2)
+                return
+            for ref_enc, ref_order in refs:
+                if enc == ref_enc:
+                    # lab_ref^-1 o lab carries facets onto facets
+                    sigma = dict(zip(order, ref_order))
+                    if any(v != w for v, w in sigma.items()):
+                        autos.append(sigma)
+                    return
+            if enc < refs[1][0]:
+                refs[1] = (enc, tuple(order))
+
+        def ties() -> List[int]:
+            """Unlabelled vertices minimizing (no labelled neighbour?,
+            sorted labelled parts of its facets, colour), ascending."""
+            best_key = None
+            best_vs: List[int] = []
+            for v in verts:
+                if v in lab:
+                    continue
+                prof = tuple(sorted(part[i] for i in at[v] if part[i]))
+                key = (0 if prof else 1, prof, color[v])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_vs = [v]
+                elif key == best_key:
+                    best_vs.append(v)
+            return best_vs
+
+        def visit(f0: Simplex, slots: List[List[int]]) -> None:
+            k = len(order)
+            if k == n:
+                leaf()
+                return
+            if k < len(slots):
+                children = [v for v in slots[k] if v not in lab]
+            else:
+                children = ties()
+
+            def act(g: Dict[int, int]):
+                if all(g[v] == v for v in order) and all(g[v] in f0 for v in f0):
+                    return g.items()
+                return ()
+
+            for c in _orbit_representatives(children, autos, act):
+                lab[c] = k
+                order.append(c)
+                for i in at[c]:
+                    part[i] += (k,)
+                visit(f0, slots)
+                for i in at[c]:
+                    part[i] = part[i][:-1]
+                order.pop()
+                del lab[c]
+
+        def act_on_seeds(g: Dict[int, int]):
+            return ((f, frozenset(g[v] for v in f)) for f in seeds)
+
+        for f0 in _orbit_representatives(seeds, autos, act_on_seeds):
+            classes: Dict[int, List[int]] = {}
+            for v in sorted(f0):
+                classes.setdefault(color[v], []).append(v)
+            visit(f0, [classes[c] for c in sorted(classes) for _ in classes[c]])
+        best_enc, best_order = refs[1]
         canon = Complex._from_trusted(frozenset(f) for f in best_enc)
-        pair = (canon, dict(best_lab))
+        pair = (canon, {v: i for i, v in enumerate(best_order)})
         self._cache["canonical"] = pair
         return pair
 
@@ -456,66 +529,34 @@ def _dense_ranks(key: Dict[int, tuple]) -> Dict[int, int]:
     return {v: ranks[key[v]] for v in key}
 
 
-def _color_respecting_orderings(
-    facet: Simplex, color: Dict[int, int]
-) -> Iterator[Tuple[int, ...]]:
-    """Orderings of a facet's vertices, ascending by color class, all
-    permutations inside each class."""
-    groups: Dict[int, List[int]] = {}
-    for v in facet:
-        groups.setdefault(color[v], []).append(v)
-    parts = [sorted(groups[c]) for c in sorted(groups)]
-    for perm_combo in itertools.product(
-        *[itertools.permutations(p) for p in parts]
-    ):
-        yield tuple(itertools.chain.from_iterable(perm_combo))
+def _orbit_representatives(children: Sequence, autos: List[Dict[int, int]], act) -> Iterator:
+    """Yield the children in turn, skipping each one that lies in the
+    orbit of a child yielded before.  Orbits are those of the group
+    generated by the automorphisms recorded so far, each acting through
+    ``act(g)``: the pairs (x, g(x)), or none when g is not to be used.
+    A caller adds automorphisms while it explores a yielded child."""
+    root: dict = {}
 
+    def find(x):
+        while root.get(x, x) != x:
+            x = root[x]
+        return x
 
-def _greedy_labelings(
-    cx: Complex,
-    seed_order: Tuple[int, ...],
-    color: Dict[int, int],
-    at: Dict[int, Tuple[Simplex, ...]],
-) -> Iterator[Dict[int, int]]:
-    """Extend a seed ordering to full labelings, branching on ties.
-
-    The next label always goes to an unlabeled vertex minimizing
-    (no labeled neighbor?, sorted labeled-part profile of its facets,
-    color).  Vertices that remain tied under that key are genuinely
-    interchangeable at this point, so each is tried.
-    """
-    n = len(cx.vertices)
-    lab: Dict[int, int] = {v: i for i, v in enumerate(seed_order)}
-
-    def extend(lab: Dict[int, int]) -> Iterator[Dict[int, int]]:
-        if len(lab) == n:
-            yield lab
-            return
-        best_key = None
-        best_vs: List[int] = []
-        for v in cx.vertices:
-            if v in lab:
+    used = 0
+    tried: List = []
+    for c in children:
+        if tried:
+            for g in autos[used:]:
+                for x, y in act(g):
+                    rx, ry = find(x), find(y)
+                    if rx != ry:
+                        root[rx] = ry
+            used = len(autos)
+            rc = find(c)
+            if any(find(t) == rc for t in tried):
                 continue
-            prof = tuple(
-                sorted(
-                    tuple(sorted(lab[u] for u in f if u in lab))
-                    for f in at[v]
-                    if any(u in lab for u in f)
-                )
-            )
-            k = (0 if prof else 1, prof, color[v])
-            if best_key is None or k < best_key:
-                best_key = k
-                best_vs = [v]
-            elif k == best_key:
-                best_vs.append(v)
-        nxt = len(lab)
-        for v in best_vs:
-            child = dict(lab)
-            child[v] = nxt
-            yield from extend(child)
-
-    yield from extend(lab)
+        yield c
+        tried.append(c)
 
 
 def fingerprint(cx: Complex) -> tuple:
@@ -707,9 +748,10 @@ def to_json_obj(cx: Complex) -> dict:
 
 
 def from_json_obj(obj) -> Complex:
-    if not isinstance(obj, dict) or "facets" not in obj:
-        raise InvalidComplexError('expected an object with a "facets" key')
-    return validate(obj["facets"])
+    facets = obj.get("facets") if isinstance(obj, dict) else None
+    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+        raise InvalidComplexError('expected an object with a "facets" list of lists')
+    return validate(facets)
 
 
 def loads(text: str) -> Complex:

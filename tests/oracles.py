@@ -200,6 +200,123 @@ def weld_candidates_linear(cx: Complex) -> list:
     return out
 
 
+def canonical_pair_unpruned(cx: Complex):
+    """The canonical form and the old-label -> canonical-label map by the
+    unpruned search: every seed facet, every colour-respecting ordering
+    of it, and every greedy extension are labelled in full, and the first
+    leaf reaching the smallest facet-list encoding wins."""
+    if not cx.facets:
+        return cx, {}
+    color = refinement_colors_per_incidence(cx)
+    facets = cx.facets
+    at = cx._incidence()
+    profiles = {}
+    for f in facets:
+        profiles.setdefault(tuple(sorted(color[v] for v in f)), []).append(f)
+    seed_profile = min(profiles, key=lambda p: (len(profiles[p]), p))
+    best_enc = None
+    best_lab = None
+    for f0 in profiles[seed_profile]:
+        for order in _color_respecting_orderings(f0, color):
+            for lab in _greedy_labelings(cx, order, color, at):
+                enc = tuple(
+                    sorted(tuple(sorted(lab[v] for v in f)) for f in facets)
+                )
+                if best_enc is None or enc < best_enc:
+                    best_enc = enc
+                    best_lab = lab
+    canon = Complex._from_trusted(frozenset(f) for f in best_enc)
+    return canon, dict(best_lab)
+
+
+def refinement_colors_per_incidence(cx: Complex) -> dict:
+    """Iterated neighborhood refinement with every facet's colour profile
+    sorted anew for each vertex it contains."""
+    verts = cx.vertices
+    at = cx._incidence()
+
+    def dense_ranks(key):
+        ranks = {k: i for i, k in enumerate(sorted(set(key.values())))}
+        return {v: ranks[key[v]] for v in key}
+
+    color = dense_ranks({v: tuple(sorted(len(f) for f in at[v])) for v in verts})
+    ncolors = len(set(color.values()))
+    for _ in range(len(verts)):
+        key = {
+            v: (
+                color[v],
+                tuple(
+                    sorted(
+                        (len(f), tuple(sorted(color[u] for u in f)))
+                        for f in at[v]
+                    )
+                ),
+            )
+            for v in verts
+        }
+        color = dense_ranks(key)
+        n2 = len(set(color.values()))
+        if n2 == ncolors:
+            break
+        ncolors = n2
+    return color
+
+
+def _color_respecting_orderings(facet, color):
+    """Orderings of a facet's vertices, ascending by color class, all
+    permutations inside each class."""
+    groups = {}
+    for v in facet:
+        groups.setdefault(color[v], []).append(v)
+    parts = [sorted(groups[c]) for c in sorted(groups)]
+    for perm_combo in itertools.product(
+        *[itertools.permutations(p) for p in parts]
+    ):
+        yield tuple(itertools.chain.from_iterable(perm_combo))
+
+
+def _greedy_labelings(cx, seed_order, color, at):
+    """Extend a seed ordering to full labelings, branching on ties.
+
+    The next label always goes to an unlabeled vertex minimizing
+    (no labeled neighbor?, sorted labeled-part profile of its facets,
+    color).  Vertices that remain tied under that key are genuinely
+    interchangeable at this point, so each is tried.
+    """
+    n = len(cx.vertices)
+    lab = {v: i for i, v in enumerate(seed_order)}
+
+    def extend(lab):
+        if len(lab) == n:
+            yield lab
+            return
+        best_key = None
+        best_vs = []
+        for v in cx.vertices:
+            if v in lab:
+                continue
+            prof = tuple(
+                sorted(
+                    tuple(sorted(lab[u] for u in f if u in lab))
+                    for f in at[v]
+                    if any(u in lab for u in f)
+                )
+            )
+            k = (0 if prof else 1, prof, color[v])
+            if best_key is None or k < best_key:
+                best_key = k
+                best_vs = [v]
+            elif k == best_key:
+                best_vs.append(v)
+        nxt = len(lab)
+        for v in best_vs:
+            child = dict(lab)
+            child[v] = nxt
+            yield from extend(child)
+
+    yield from extend(lab)
+
+
 def subcomplex_classes_exhaustive(cx: Complex, max_faces: int = 10) -> int:
     """Number of isomorphism classes of nonempty subcomplexes, by
     enumerating every downward-closed nonempty face subset."""

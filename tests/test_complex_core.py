@@ -1,16 +1,21 @@
+import hashlib
 import itertools
 import json
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from plmarkov.builders import sphere_product
 from plmarkov.complex_core import (
     Complex,
     InvalidComplexError,
     barycentric_subdivision,
     boundary_complex,
+    derived_subdivision_raw,
     from_text,
     from_json_obj,
+    isomorphism,
     join,
     link,
     loads,
@@ -20,7 +25,12 @@ from plmarkov.complex_core import (
     validate,
 )
 
-from oracles import iso_exhaustive, orientable_exhaustive
+from oracles import (
+    canonical_pair_unpruned,
+    iso_exhaustive,
+    orientable_exhaustive,
+    refinement_colors_per_incidence,
+)
 
 
 def full_simplex(n):
@@ -278,6 +288,115 @@ def test_signature_matches_exhaustive_iso_on_self(cx):
     assert iso_exhaustive(cx, canon)
 
 
+def _relabeled_randomly(cx, rng):
+    verts = list(cx.vertices)
+    images = rng.sample(range(5 * len(verts)), len(verts))
+    return cx.relabeled(dict(zip(verts, images)))
+
+
+def assert_matches_unpruned_search(cx):
+    canon, mapping = canonical_pair_unpruned(cx)
+    assert cx._refinement_colors() == refinement_colors_per_incidence(cx)
+    assert cx.canonical().facets == canon.facets
+    # insertion order too: the map lists vertices in canonical-label order
+    assert list(cx.canonical_mapping().items()) == list(mapping.items())
+
+
+# boundary of the cyclic 4-polytope on 7 vertices (Gale evenness)
+CYCLIC_7_4 = [
+    [0, 1, 2, 3], [0, 1, 2, 6], [0, 1, 3, 4], [0, 1, 4, 5], [0, 1, 5, 6],
+    [0, 2, 3, 6], [0, 3, 4, 6], [0, 4, 5, 6], [1, 2, 3, 4], [1, 2, 4, 5],
+    [1, 2, 5, 6], [2, 3, 4, 5], [2, 3, 5, 6], [3, 4, 5, 6],
+]
+
+
+ORACLE_CASES = {
+    **{"S%d" % n: (lambda n=n: simplex_sphere(n)) for n in range(1, 6)},
+    "S1xS1": lambda: sphere_product(1, 1),
+    "S1xS2": lambda: sphere_product(1, 2),
+    "sd S2": lambda: derived_subdivision_raw(simplex_sphere(2)),
+    # Under a pruning that ignores the seed facet, or that takes the
+    # automorphism from the wrong reference leaf, these two give another
+    # canonical form than the unpruned search.
+    "C(7,4) permuted": lambda: validate(CYCLIC_7_4).relabeled(
+        dict(enumerate((0, 1, 3, 5, 2, 6, 4)))
+    ),
+    "octahedron strip": lambda: validate(
+        [[0, 2, 4], [0, 3, 4], [0, 3, 5], [1, 2, 4], [1, 2, 5], [1, 3, 5]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_canonical_form_matches_unpruned_search(name):
+    cx = ORACLE_CASES[name]()
+    assert_matches_unpruned_search(cx)
+    rng = random.Random(name)
+    for _ in range(2):
+        assert_matches_unpruned_search(_relabeled_randomly(cx, rng))
+
+
+@given(small_complexes(), st.randoms(use_true_random=False))
+def test_canonical_form_matches_unpruned_search_on_small_complexes(cx, rng):
+    assert_matches_unpruned_search(cx)
+    assert_matches_unpruned_search(_relabeled_randomly(cx, rng))
+
+
+def test_signatures_of_symmetric_complexes_are_pinned():
+    # Both strings were captured from the unpruned search, which labels
+    # 8 * 7! = 40,320 leaves on the boundary of the 7-simplex.
+    assert simplex_sphere(7).iso_signature() == (
+        "7:9,36,84,126,126,84,36,9:0 1 2 3 4 5 6 7|0 1 2 3 4 5 6 8"
+        "|0 1 2 3 4 5 7 8|0 1 2 3 4 6 7 8|0 1 2 3 5 6 7 8"
+        "|0 1 2 4 5 6 7 8|0 1 3 4 5 6 7 8|0 2 3 4 5 6 7 8"
+        "|1 2 3 4 5 6 7 8"
+    )
+    sig = barycentric_subdivision(simplex_sphere(3)).iso_signature()
+    assert sig.startswith("3:30,150,240,120:0 1 2 3|0 1 2 4|0 1 3 5|")
+    assert hashlib.sha256(sig.encode()).hexdigest() == (
+        "c1761a6eac854b7dc3996ab9067773ebf73d1470a310b2667a3a5e9d248db121"
+    )
+
+
+@st.composite
+def complex_pairs(draw):
+    """Pairs of small complexes: a relabelled copy, two graphs with the
+    same numbers of vertices and edges (equal f-vectors, often not
+    isomorphic), or two independent draws."""
+    kind = draw(st.sampled_from(["relabeled", "graphs", "independent"]))
+    if kind == "relabeled":
+        a = draw(small_complexes())
+        return a, _relabeled_randomly(a, draw(st.randoms(use_true_random=False)))
+    if kind == "independent":
+        return draw(small_complexes()), draw(small_complexes())
+    n = draw(st.integers(min_value=3, max_value=7))
+    edges = list(itertools.combinations(range(n), 2))
+    k = draw(st.integers(min_value=1, max_value=len(edges)))
+    points = [[v] for v in range(n)]
+    a, b = (
+        Complex.generated_by(
+            points + draw(st.lists(st.sampled_from(edges), min_size=k, max_size=k, unique=True))
+        )
+        for _ in range(2)
+    )
+    return a, b
+
+
+K33 = Complex([[i, j] for i in range(3) for j in range(3, 6)])
+PRISM = Complex([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [0, 3], [1, 4], [2, 5]])
+
+
+@given(complex_pairs())
+@example((K33, PRISM))
+@example((validate([[i, (i + 1) % 6] for i in range(6)]),
+          validate([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]])))
+def test_signatures_agree_exactly_with_isomorphism(pair):
+    a, b = pair
+    same = a.iso_signature() == b.iso_signature()
+    assert same == (isomorphism(a, b) is not None)
+    assert same == iso_exhaustive(a, b)
+
+
 @given(small_complexes())
 def test_subdivision_preserves_euler(cx):
     sd = barycentric_subdivision(cx)
@@ -335,6 +454,15 @@ def test_json_round_trip():
     cx = validate(MOEBIUS)
     obj = to_json_obj(cx)
     assert from_json_obj(json.loads(json.dumps(obj))) == cx
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"facets": 3}', '{"facets": [3]}', '{"facets": [[0, 1], 2]}', '{"facets": null}', "{}"],
+)
+def test_loads_rejects_malformed_json_with_a_named_error(text):
+    with pytest.raises(InvalidComplexError):
+        loads(text)
 
 
 def test_loads_sniffs_format():

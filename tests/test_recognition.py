@@ -194,3 +194,30 @@ class TestReportDeterminism:
         blob = classify_links(standard_simplex(2)).to_json()
         assert blob["closed"] is False
         assert blob["boundary_vertices"] == [0, 1, 2]
+
+
+def test_reference_complexes_compute_homology_once(monkeypatch):
+    # The sphere and ball gates compare against simplex_sphere(d) and
+    # standard_simplex(d); the builders hand back one shared complex per
+    # dimension, so its cached homology profile serves every later gate.
+    from plmarkov import invariants, recognition, stellar_moves
+
+    computed = []
+
+    def counting_homology(cx, real=invariants.homology):
+        if not cx.is_empty and "homology" not in cx._cache:
+            computed.append(cx.facets)
+        return real(cx)
+
+    for module in (recognition, stellar_moves):
+        monkeypatch.setattr(module, "homology", counting_homology)
+    simplex_sphere.cache_clear()
+    standard_simplex.cache_clear()
+    inputs = [sphere_product(1, 2), simplex_sphere(4), TORUS_9]
+    inputs = [cx.relabeled({v: v + 100 for v in cx.vertices}) for cx in inputs]
+    for _ in range(3):
+        for cx in inputs:
+            assert is_closed_manifold(cx, budget=20000).is_yes
+    refs = {simplex_sphere(d).facets for d in range(1, 5)}
+    per_ref = [computed.count(r) for r in refs if r in computed]
+    assert per_ref and all(k == 1 for k in per_ref)

@@ -31,11 +31,11 @@ lab_ref^-1 o lab.  A child is skipped when automorphisms fixing the
 labeled prefix pointwise and the seed facet setwise carry it onto a
 sibling already explored, and a seed facet is skipped when the
 automorphisms found so far carry it onto an earlier seed.  Such an
-automorphism maps the skipped subtree onto the explored one leaf for
-leaf with equal encodings, and every explored leaf precedes every
-skipped one, so the first leaf reaching the minimum is never skipped:
-the canonical form, the canonical mapping and the signature are exactly
-those of the unpruned search.
+automorphism maps the skipped subtree onto the subtree of an earlier
+sibling, leaf for leaf with equal encodings, so every skipped leaf has
+an equal twin earlier in search order and the first leaf reaching the
+minimum is never skipped: the canonical form, the canonical mapping and
+the signature are exactly those of the unpruned search.
 """
 
 from __future__ import annotations

@@ -315,9 +315,9 @@ ORACLE_CASES = {
     "S1xS1": lambda: sphere_product(1, 1),
     "S1xS2": lambda: sphere_product(1, 2),
     "sd S2": lambda: derived_subdivision_raw(simplex_sphere(2)),
-    # Under a pruning that ignores the seed facet, or that takes the
-    # automorphism from the wrong reference leaf, these two give another
-    # canonical form than the unpruned search.
+    # A pruning that ignores the seed facet, or that takes automorphisms
+    # from the wrong reference leaf, changes the canonical form or the
+    # canonical mapping of these two.
     "C(7,4) permuted": lambda: validate(CYCLIC_7_4).relabeled(
         dict(enumerate((0, 1, 3, 5, 2, 6, 4)))
     ),
@@ -344,7 +344,7 @@ def test_canonical_form_matches_unpruned_search_on_small_complexes(cx, rng):
 
 def test_signatures_of_symmetric_complexes_are_pinned():
     # Both strings were captured from the unpruned search, which labels
-    # 8 * 7! = 40,320 leaves on the boundary of the 7-simplex.
+    # 9 * 8! = 362,880 leaves on simplex_sphere(7).
     assert simplex_sphere(7).iso_signature() == (
         "7:9,36,84,126,126,84,36,9:0 1 2 3 4 5 6 7|0 1 2 3 4 5 6 8"
         "|0 1 2 3 4 5 7 8|0 1 2 3 4 6 7 8|0 1 2 3 5 6 7 8"

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from plmarkov import verdict as vd
+from plmarkov import invariants, recognition, stellar_moves, verdict as vd
 from plmarkov.builders import (
     cone,
     connected_sum,
@@ -200,8 +200,6 @@ def test_reference_complexes_compute_homology_once(monkeypatch):
     # The sphere and ball gates compare against simplex_sphere(d) and
     # standard_simplex(d); the builders hand back one shared complex per
     # dimension, so its cached homology profile serves every later gate.
-    from plmarkov import invariants, recognition, stellar_moves
-
     computed = []
 
     def counting_homology(cx, real=invariants.homology):

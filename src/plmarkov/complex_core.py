@@ -502,7 +502,14 @@ class Complex:
                 self._cache["sig"] = "-1::"
             else:
                 canon = self.canonical()
-                fvec = ",".join(str(x) for x in canon.f_vector())
+                # the f-vector of the input, which is isomorphic to canon;
+                # counting faces this way builds no sorted face table
+                faces: List[set] = [set() for _ in range(self.dim + 1)]
+                for f in self._facets:
+                    fl = sorted(f)
+                    for k in range(1, len(fl) + 1):
+                        faces[k - 1].update(itertools.combinations(fl, k))
+                fvec = ",".join(str(len(s)) for s in faces)
                 body = "|".join(
                     " ".join(str(v) for v in sorted(f)) for f in canon.facets
                 )

@@ -12,6 +12,8 @@ traces and results.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import string
 from dataclasses import dataclass, field
@@ -155,9 +157,12 @@ class AbelianGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
+@functools.lru_cache(maxsize=8)
 def abelianization(p: FinitePresentation) -> AbelianGroup:
     """Quotient by all commutators, via the normal form of the exponent
-    matrix (relators x generators)."""
+    matrix (relators x generators).  Memoized: presentations and the
+    result are immutable, and one report abelianizes the same large
+    edge-path presentation several times."""
     if p.num_generators == 0:
         return AbelianGroup(0)
     rows = []
@@ -194,17 +199,6 @@ def _substitute(word: Word, gen: int, image: Word) -> Word:
     return free_reduce(out)
 
 
-def _drop_generator(relators: List[Word], gen: int, num: int) -> Tuple[List[Word], int]:
-    """Renumber generators after deleting ``gen`` (which no relator uses)."""
-
-    def renum(x: int) -> int:
-        a = abs(x)
-        a2 = a - 1 if a > gen else a
-        return a2 if x > 0 else -a2
-
-    return [tuple(renum(x) for x in r) for r in relators], num - 1
-
-
 def tietze_simplify(
     p: FinitePresentation, budget: int = 10000
 ) -> Tuple[FinitePresentation, List[str]]:
@@ -216,12 +210,23 @@ def tietze_simplify(
     another whose content overlaps more than half of it.  The budget
     counts applied moves.  The abelianization is recomputed and compared
     at the end as a safety net.
+
+    Generators keep their original labels until the loop ends and are
+    renumbered once, in the output.  Renumbering keeps signs and the
+    order of |x|, so it is strictly increasing on letters: it keeps the
+    (length, word) order of relators, the least rotation of each, and
+    the least generator occurring once.  Every move is therefore the one
+    that renumbering after each elimination would choose, and a trace
+    line names the generator by that current index.  An elimination
+    rewrites only the relators that contain the generator; the others
+    are cyclically reduced already and would come back unchanged.
     """
     before = abelianization(p)
     relators = [cyclic_reduce(r) for r in p.relators]
-    num = p.num_generators
+    eliminated: List[int] = []  # original labels, ascending
     trace: List[str] = []
     spent = 0
+    keys: Dict[Word, Word] = {}
 
     def dedupe() -> None:
         seen = set()
@@ -229,13 +234,12 @@ def tietze_simplify(
         for r in sorted(relators, key=lambda r: (len(r), r)):
             if not r:
                 continue
-            key = min(
-                min(r[i:] + r[:i] for i in range(len(r))),
-                min(
-                    inverse_word(r)[i:] + inverse_word(r)[:i]
-                    for i in range(len(r))
-                ),
-            )
+            key = keys.get(r)
+            if key is None:
+                # least rotation of r or of its inverse
+                key = keys[r] = min(
+                    w[i:] + w[:i] for w in (r, inverse_word(r)) for i in range(len(r))
+                )
             if key in seen:
                 continue
             seen.add(key)
@@ -245,9 +249,9 @@ def tietze_simplify(
     dedupe()
     while spent < budget:
         # 1) a generator occurring exactly once in some relator can be
-        #    solved for and removed
+        #    solved for and removed; dedupe left the relators sorted
         move = None
-        for r in sorted(relators, key=lambda r: (len(r), r)):
+        for r in relators:
             counts: Dict[int, int] = {}
             for x in r:
                 counts[abs(x)] = counts.get(abs(x), 0) + 1
@@ -268,11 +272,13 @@ def tietze_simplify(
                 image = free_reduce(v + u)
             relators.remove(r)
             relators[:] = [
-                cyclic_reduce(_substitute(w, g, image)) for w in relators
+                cyclic_reduce(_substitute(w, g, image)) if g in w or -g in w else w
+                for w in relators
             ]
-            relators[:], num = _drop_generator(relators, g, num)
+            index = g - bisect.bisect_left(eliminated, g)
+            bisect.insort(eliminated, g)
             dedupe()
-            trace.append(f"eliminate generator {g} using relator of length {len(r)}")
+            trace.append(f"eliminate generator {index} using relator of length {len(r)}")
             spent += 1
             continue
         # 2) overlap shortening: rewrite r2 with r1 when over half of r1
@@ -315,7 +321,14 @@ def tietze_simplify(
             continue
         break
 
-    out = FinitePresentation(num, tuple(sorted(relators, key=lambda r: (len(r), r))))
+    gone = set(eliminated)
+    alive = [g for g in range(1, p.num_generators + 1) if g not in gone]
+    rank = {g: i for i, g in enumerate(alive, 1)}
+    # renumbering keeps the sorted order dedupe left
+    out = FinitePresentation(
+        len(rank),
+        tuple(tuple(rank[x] if x > 0 else -rank[-x] for x in r) for r in relators),
+    )
     after = abelianization(out)
     assert homology_style(after) == homology_style(before), (
         "simplification changed the abelianization"

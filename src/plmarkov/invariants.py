@@ -12,6 +12,7 @@ rule never changes the result.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -191,21 +192,19 @@ def boundary_matrix(cx: Complex, k: int) -> List[List[int]]:
     return mat
 
 
-def _check_chain_complex(cx: Complex):
-    # d(d(x)) = 0 for one witness degree; cheap and catches sign bugs
-    if cx.dim < 2:
-        return
-    k = 2
-    dk = boundary_matrix(cx, k)
-    dk1 = boundary_matrix(cx, k - 1)
-    cols = len(dk[0]) if dk else 0
-    for j in range(min(cols, 5)):
-        col = [dk[i][j] for i in range(len(dk))]
-        out = [
-            sum(dk1[r][i] * col[i] for i in range(len(col)))
-            for r in range(len(dk1))
-        ]
-        assert all(x == 0 for x in out), "boundary of boundary is not zero"
+def _sparse_rows(mat: List[List[int]]) -> List[List[Tuple[int, int]]]:
+    return [[(j, row[j]) for j in itertools.compress(range(len(row)), row)] for row in mat]
+
+
+def _check_boundary_of_boundary(lower, upper) -> None:
+    """Assert that the product of two consecutive boundary matrices,
+    each given by its sparse rows, is zero in every entry."""
+    for row in lower:
+        acc: Dict[int, int] = {}
+        for i, a in row:
+            for j, b in upper[i]:
+                acc[j] = acc.get(j, 0) + a * b
+        assert not any(acc.values()), "boundary of boundary is not zero"
 
 
 # -- homology ----------------------------------------------------------
@@ -260,8 +259,10 @@ def homology(cx: Complex) -> HomologyProfile:
     """Unreduced integral simplicial homology in every degree.
 
     H_k = Z^betti + sum of Z/d for the invariant factors d > 1 of the
-    (k+1)-boundary.  Torsion in the Euler characteristic cancels, which
-    is asserted as a cross-check.  The profile is cached on the complex,
+    (k+1)-boundary.  On complexes of at most 200 facets every product of
+    consecutive boundary matrices is checked to be zero, which catches
+    sign bugs.  Torsion in the Euler characteristic cancels, which is
+    asserted as a cross-check.  The profile is cached on the complex,
     so the computation and both checks run on the first call only.
     """
     if cx.is_empty:
@@ -269,13 +270,19 @@ def homology(cx: Complex) -> HomologyProfile:
     cached = cx._cache.get("homology")
     if cached is not None:
         return cached
-    if __debug__ and len(cx.facets) <= 200:
-        _check_chain_complex(cx)
+    check = __debug__ and len(cx.facets) <= 200
     fvec = cx.f_vector()
     top = cx.dim
     snf: Dict[int, List[int]] = {}
+    lower = None
     for k in range(1, top + 1):
-        snf[k] = smith_diagonal(boundary_matrix(cx, k))
+        mat = boundary_matrix(cx, k)
+        if check:
+            upper = _sparse_rows(mat)
+            if lower is not None:
+                _check_boundary_of_boundary(lower, upper)
+            lower = upper
+        snf[k] = smith_diagonal(mat)
     snf[0] = []
     snf[top + 1] = []
     groups = []

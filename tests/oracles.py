@@ -4,8 +4,11 @@ on tiny inputs."""
 
 import itertools
 from fractions import Fraction
+from typing import Dict, List, Tuple
 
 from plmarkov.complex_core import Complex
+from plmarkov.groups import (FinitePresentation, Word, _substitute, abelianization,
+                             cyclic_reduce, free_reduce, homology_style, inverse_word)
 
 
 def iso_exhaustive(a: Complex, b: Complex, max_vertices: int = 8) -> bool:
@@ -425,3 +428,139 @@ def mod2_triangle_boundary(cx: Complex, cycle_edges) -> bool:
         target |= 1 << index[tuple(sorted(e))]
     reduced, _ = reduce(target)
     return reduced == 0
+
+
+# -- Tietze simplification --------------------------------------------
+
+
+def _drop_generator(relators: List[Word], gen: int, num: int) -> Tuple[List[Word], int]:
+    """Renumber generators after deleting ``gen`` (which no relator uses)."""
+
+    def renum(x: int) -> int:
+        a = abs(x)
+        a2 = a - 1 if a > gen else a
+        return a2 if x > 0 else -a2
+
+    return [tuple(renum(x) for x in r) for r in relators], num - 1
+
+
+def tietze_simplify_reference(
+    p: FinitePresentation, budget: int = 10000
+) -> Tuple[FinitePresentation, List[str]]:
+    """The Tietze loop that renumbers generators after every elimination
+    and rewrites every relator on every move.  ``groups.tietze_simplify``
+    must return the same presentation and trace.
+
+    Deterministic greedy simplification.
+
+    Moves, in scan priority: discard empty and duplicate relators;
+    cyclically reduce; eliminate a generator that occurs exactly once in
+    some relator (shortest relator first); shorten a relator using
+    another whose content overlaps more than half of it.  The budget
+    counts applied moves.  The abelianization is recomputed and compared
+    at the end as a safety net.
+    """
+    before = abelianization(p)
+    relators = [cyclic_reduce(r) for r in p.relators]
+    num = p.num_generators
+    trace: List[str] = []
+    spent = 0
+
+    def dedupe() -> None:
+        seen = set()
+        out = []
+        for r in sorted(relators, key=lambda r: (len(r), r)):
+            if not r:
+                continue
+            key = min(
+                min(r[i:] + r[:i] for i in range(len(r))),
+                min(
+                    inverse_word(r)[i:] + inverse_word(r)[:i]
+                    for i in range(len(r))
+                ),
+            )
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(r)
+        relators[:] = out
+
+    dedupe()
+    while spent < budget:
+        # 1) a generator occurring exactly once in some relator can be
+        #    solved for and removed
+        move = None
+        for r in sorted(relators, key=lambda r: (len(r), r)):
+            counts: Dict[int, int] = {}
+            for x in r:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            for g in sorted(counts):
+                if counts[g] == 1:
+                    move = (r, g)
+                    break
+            if move:
+                break
+        if move:
+            r, g = move
+            i = next(j for j, x in enumerate(r) if abs(x) == g)
+            # r = u g v  =>  g = u^-1 v^-1 ; r = u g^-1 v => g = v u
+            u, x, v = r[:i], r[i], r[i + 1 :]
+            if x > 0:
+                image = free_reduce(inverse_word(u) + inverse_word(v))
+            else:
+                image = free_reduce(v + u)
+            relators.remove(r)
+            relators[:] = [
+                cyclic_reduce(_substitute(w, g, image)) for w in relators
+            ]
+            relators[:], num = _drop_generator(relators, g, num)
+            dedupe()
+            trace.append(f"eliminate generator {g} using relator of length {len(r)}")
+            spent += 1
+            continue
+        # 2) overlap shortening: rewrite r2 with r1 when over half of r1
+        #    appears inside r2
+        move = None
+        srt = sorted(relators, key=lambda r: (len(r), r))
+        for r1 in srt:
+            if len(r1) < 2:
+                continue
+            variants = set()
+            for w in (r1, inverse_word(r1)):
+                for i in range(len(w)):
+                    variants.add(w[i:] + w[:i])
+            half = len(r1) // 2 + 1
+            for r2 in srt:
+                if r2 == r1 or len(r2) < half:
+                    continue
+                for var in sorted(variants):
+                    piece, rest = var[:half], var[half:]
+                    for j in range(len(r2) - half + 1):
+                        if r2[j : j + half] == piece:
+                            new = free_reduce(
+                                r2[:j] + inverse_word(rest) + r2[j + half :]
+                            )
+                            if len(new) < len(r2):
+                                move = (r2, cyclic_reduce(new))
+                                break
+                    if move:
+                        break
+                if move:
+                    break
+            if move:
+                break
+        if move:
+            old, new = move
+            relators[relators.index(old)] = new
+            dedupe()
+            trace.append(f"shorten relator {len(old)} -> {len(new)}")
+            spent += 1
+            continue
+        break
+
+    out = FinitePresentation(num, tuple(sorted(relators, key=lambda r: (len(r), r))))
+    after = abelianization(out)
+    assert homology_style(after) == homology_style(before), (
+        "simplification changed the abelianization"
+    )
+    return out, trace

@@ -273,6 +273,11 @@ def small_complexes(draw):
     return Complex.generated_by(facets)
 
 
+@given(small_complexes())
+def test_signature_carries_the_f_vector(cx):
+    assert cx.iso_signature().split(":")[1] == ",".join(map(str, cx.f_vector()))
+
+
 @given(small_complexes(), st.randoms(use_true_random=False))
 def test_signature_invariant_under_relabeling(cx, rng):
     verts = list(cx.vertices)

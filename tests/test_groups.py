@@ -19,7 +19,10 @@ from plmarkov.groups import (
     tietze_simplify,
 )
 from plmarkov.invariants import homology
+from plmarkov.markov import realize_boundary
 from plmarkov import verdict as vd
+
+from oracles import tietze_simplify_reference
 
 
 # -- words -------------------------------------------------------------
@@ -134,6 +137,33 @@ def test_simplify_preserves_abelianization():
         p1, _ = tietze_simplify(p0)
         a0, a1 = abelianization(p0), abelianization(p1)
         assert (a0.rank, a0.torsion) == (a1.rank, a1.torsion)
+
+
+@st.composite
+def small_presentations(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    letters = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = st.lists(letters, max_size=9) if n else st.just([])
+    relators = draw(st.lists(words, max_size=6))
+    return FinitePresentation(n, tuple(tuple(r) for r in relators))
+
+
+@given(small_presentations(), st.sampled_from([1, 2, 3, 10000]))
+def test_simplify_matches_reference_loop(p, budget):
+    # budgets 1-3 stop the loop early; the partial result is renumbered too
+    assert tietze_simplify(p, budget) == tietze_simplify_reference(p, budget)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: torus_9(),
+    lambda: projective_plane_6(),
+    lambda: realize_boundary(parse_presentation("g|g"), 4),
+], ids=["torus_9", "projective_plane_6", "M(g|g)"])
+def test_simplify_matches_reference_loop_on_edge_path_presentations(build):
+    p = edge_path_presentation(build())
+    got = tietze_simplify(p)
+    assert got == tietze_simplify_reference(p)
+    assert got[1]
 
 
 # -- permutation images and triviality ---------------------------------

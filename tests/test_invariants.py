@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from plmarkov import invariants
 from plmarkov.complex_core import validate, barycentric_subdivision
 from plmarkov.invariants import (
     HomologyGroup,
@@ -116,6 +117,23 @@ def test_boundary_squares_to_zero():
         for i in range(len(d2))
     ]
     assert all(v == 0 for row in prod for v in row)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_homology_checks_every_column_of_every_boundary(monkeypatch, k):
+    # one sign flipped in the sixth column of the k-th boundary matrix
+    true_boundary = invariants.boundary_matrix
+
+    def flipped(cx, d):
+        mat = true_boundary(cx, d)
+        if d == k:
+            i = next(i for i, row in enumerate(mat) if row[5])
+            mat[i][5] = -mat[i][5]
+        return mat
+
+    monkeypatch.setattr(invariants, "boundary_matrix", flipped)
+    with pytest.raises(AssertionError, match="boundary of boundary"):
+        homology(simplex_sphere(4))
 
 
 # -- homology ----------------------------------------------------------

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plmarkov import groups
 from plmarkov.builders import (reference_manifold, simplex_sphere,
                                sphere_product, standard_simplex)
 from plmarkov.complex_core import Complex
 from plmarkov.groups import (abelianization, edge_path_presentation,
                              homology_style, parse_presentation)
-from plmarkov.invariants import betti_numbers, homology
+from plmarkov.invariants import betti_numbers, homology, smith_diagonal
 from plmarkov.markov import (DepthError, HandlePlan, dovetail,
                              enumerate_spheres, enumerate_subcomplexes,
                              handlebody_boundary, plan_from_presentation,
@@ -273,6 +274,18 @@ class TestReductionReport:
         assert rep["n"] == 4
         assert rep["presentation"] == "|"
         assert rep["invariants_M"]["euler_characteristic"] == 2
+
+    def test_edge_path_presentation_is_abelianized_once(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return smith_diagonal(rows)
+
+        abelianization.cache_clear()
+        monkeypatch.setattr(groups, "smith_diagonal", counting)
+        reduction_report(pres("g|g"), 4)
+        assert len(calls) == 1
 
     def test_worker_count_does_not_change_bytes(self):
         one = reduction_report(pres("g|g"), 4, workers=1)

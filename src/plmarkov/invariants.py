@@ -283,6 +283,7 @@ def homology(cx: Complex) -> HomologyProfile:
                 _check_boundary_of_boundary(lower, upper)
             lower = upper
         snf[k] = smith_diagonal(mat)
+        del mat  # the dense matrix is large: free it before building the next
     snf[0] = []
     snf[top + 1] = []
     groups = []

@@ -447,11 +447,9 @@ def _drop_generator(relators: List[Word], gen: int, num: int) -> Tuple[List[Word
 def tietze_simplify_reference(
     p: FinitePresentation, budget: int = 10000
 ) -> Tuple[FinitePresentation, List[str]]:
-    """The Tietze loop that renumbers generators after every elimination
-    and rewrites every relator on every move.  ``groups.tietze_simplify``
-    must return the same presentation and trace.
-
-    Deterministic greedy simplification.
+    """Reference for ``groups.tietze_simplify``: the same deterministic
+    greedy simplification, renumbering the generators after every
+    elimination and rewriting every relator on every move.
 
     Moves, in scan priority: discard empty and duplicate relators;
     cyclically reduce; eliminate a generator that occurs exactly once in

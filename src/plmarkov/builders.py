@@ -179,8 +179,7 @@ def connected_sum(a: Complex, b: Complex) -> Complex:
     ascending labels to ascending labels, with the first two images
     swapped when both sides are oriented and the plain map would align
     rather than oppose the seam orientations; for non-orientable input
-    the plain map is used.  Distinct facets can never collide here: two
-    facets on one vertex set would already have been one.
+    the plain map is used.
     """
     if a.dim != b.dim:
         raise InvalidComplexError("summands must have equal dimension")
@@ -188,8 +187,6 @@ def connected_sum(a: Complex, b: Complex) -> Complex:
         raise InvalidComplexError("connected sum needs closed pseudomanifolds")
     fa = min(a.facets, key=lambda f: tuple(sorted(f)))
     fb = min(b.facets, key=lambda f: tuple(sorted(f)))
-    a2 = Complex._from_trusted(set(a.facets) - {fa})
-    b2 = Complex._from_trusted(set(b.facets) - {fb})
     ta, tb = sorted(fa), sorted(fb)
     swap = False
     ori_a, ori_b = a.orientation(), b.orientation()
@@ -199,19 +196,14 @@ def connected_sum(a: Complex, b: Complex) -> Complex:
     images = list(ta)
     if swap:
         images[0], images[1] = images[1], images[0]
-    identify = dict(zip(tb, images))
-    nxt = max(a.vertices[-1], b.vertices[-1]) + 1
-    mapping = dict(identify)
-    for v in b2.vertices:
-        if v not in mapping:
-            mapping[v] = nxt
-            nxt += 1
-    b3 = b2.relabeled(mapping)
-    merged = set(a2.facets) | set(b3.facets)
-    assert len(merged) == len(a2.facets) + len(b3.facets)
-    return _dense(Complex._from_trusted(merged))
+    return glue(Complex._from_trusted(set(a.facets) - {fa}),
+                Complex._from_trusted(set(b.facets) - {fb}),
+                dict(zip(tb, images)))
 
 
+# shared like the reference spheres, so each report's comparison target
+# keeps its homology across reports
+@functools.lru_cache(maxsize=32)
 def reference_manifold(l: int, n: int) -> Complex:
     """Connected sum of l copies of the product of a 2-sphere and an
     (n-2)-sphere; l = 0 gives the minimal n-sphere."""

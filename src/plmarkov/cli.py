@@ -213,9 +213,7 @@ def search_equiv(file_a, file_b, budget, emit_cert):
 @click.option("--budget", required=True, type=click.IntRange(min=1))
 @click.option("--search-budget", type=click.IntRange(min=0), default=0,
               help="stellar search budget for certification (0 = skip)")
-@click.option("--workers", type=click.IntRange(min=1), default=1,
-              help="worker threads for invariant computations")
-def markov_cmd(pres, dim, budget, search_budget, workers):
+def markov_cmd(pres, dim, budget, search_budget):
     """Realize a presentation as a manifold and compare it against the
     reference connected sum."""
     try:
@@ -223,8 +221,7 @@ def markov_cmd(pres, dim, budget, search_budget, workers):
     except ValueError as e:
         raise click.ClickException(str(e))
     report = mk.reduction_report(p, dim, {"pi1": budget,
-                                          "search": search_budget},
-                                 workers=workers)
+                                          "search": search_budget})
     click.echo(mk.report_to_text(report), nl=False)
 
 

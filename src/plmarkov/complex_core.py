@@ -448,30 +448,47 @@ class Complex:
             return best_vs
 
         def visit(f0: Simplex, slots: List[List[int]]) -> None:
-            k = len(order)
-            if k == n:
-                leaf()
-                return
-            if k < len(slots):
-                children = [v for v in slots[k] if v not in lab]
-            else:
-                children = ties()
+            """Depth-first over the labellings that start in f0.  The
+            children still to try at each depth sit on an explicit
+            stack, so the depth is not bounded by the recursion limit;
+            leaving a depth unlabels the vertex above it."""
 
             def act(g: Dict[int, int]):
+                # read when the next child is drawn: order is then the
+                # prefix above that child
                 if all(g[v] == v for v in order) and all(g[v] in f0 for v in f0):
                     return g.items()
                 return ()
 
-            for c in _orbit_representatives(children, autos, act):
+            def pending() -> Iterator[int]:
+                k = len(order)
+                if k < len(slots):
+                    children = [v for v in slots[k] if v not in lab]
+                else:
+                    children = ties()
+                return _orbit_representatives(children, autos, act)
+
+            stack = [pending()]
+            while stack:
+                c = next(stack[-1], None)
+                if c is None:
+                    stack.pop()
+                    if order:
+                        c = order.pop()
+                        del lab[c]
+                        for i in at[c]:
+                            part[i] = part[i][:-1]
+                    continue
+                k = len(order)
                 lab[c] = k
                 order.append(c)
                 for i in at[c]:
                     part[i] += (k,)
-                visit(f0, slots)
-                for i in at[c]:
-                    part[i] = part[i][:-1]
-                order.pop()
-                del lab[c]
+                if k + 1 == n:
+                    leaf()
+                    stack.append(iter(()))
+                else:
+                    stack.append(pending())
 
         def act_on_seeds(g: Dict[int, int]):
             return ((f, frozenset(g[v] for v in f)) for f in seeds)

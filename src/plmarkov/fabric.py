@@ -16,7 +16,7 @@ column crossing instead of an impossible in-product lane change.
 
 from .builders import ordered_product_with_chart, simplex_sphere
 from .complex_core import Complex
-from .surgery import Tube, chunk, plain_cap
+from .surgery import chunk, staircase_cap
 
 
 def star_ball(sphere, v):
@@ -104,16 +104,17 @@ def trivial_loop_prefab(n):
     secs = [{s: chart[(t, s)] for s in ball.vertices} for t in range(3)]
     lk_secs = [{s: chart[(t, s)] for s in lk.vertices} for t in range(3)]
     mantle = set(solid.boundary().facets)
-    edges = []
+    bands = []
     for i in range(3):
         lo, hi = lk_secs[i], lk_secs[(i + 1) % 3]
         if chunk(lo, hi, lk.facets) <= mantle:
-            edges.append((lo, hi, 1))
+            bands.append((lo, hi))
         else:
             assert chunk(hi, lo, lk.facets) <= mantle
-            edges.append((lo, hi, -1))
-    cap, apex = plain_cap(Tube(tuple(edges), frozenset()), lk,
-                          max(solid.vertices) + 1)
+            bands.append((hi, lo))
+    fresh = max(solid.vertices) + 1
+    apex = {s: fresh + r for r, s in enumerate(sorted(lk.vertices))}
+    cap = staircase_cap(bands, lk, apex)
     prefab = Complex(set(solid.facets) | cap)
     donor = max(cap, key=lambda f: (len(f - set(solid.vertices)),
                                     tuple(sorted(f))))
@@ -128,15 +129,7 @@ def plant_trivial_loop(host, n, avoid=frozenset()):
     """
     prefab, secs, ball, donor = trivial_loop_prefab(n)
     target = _avoiding_facet(host, frozenset(avoid))
-    off = max(host.vertices) + 1
-    pair = dict(zip(sorted(donor), sorted(target)))
-    lift = {v: pair.get(v, v + off) for v in prefab.vertices}
-    out = set(host.facets) - {target}
-    for f in prefab.facets:
-        if f == donor:
-            continue
-        out.add(frozenset(lift[v] for v in f))
-    planted = Complex(out)
+    planted, lift = marked_csum(host, target, prefab, donor)
     secs2 = [{s: lift[col[s]] for s in col} for col in secs]
     return planted, secs2, ball
 

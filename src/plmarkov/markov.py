@@ -22,7 +22,6 @@ triangulations and subcomplexes up to isomorphism.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -322,8 +321,7 @@ def _first_homology_mismatch(hm, ht) -> Optional[str]:
 
 
 def reduction_report(p: FinitePresentation, n: int,
-                     budgets: Optional[Dict[str, int]] = None,
-                     workers: int = 1) -> dict:
+                     budgets: Optional[Dict[str, int]] = None) -> dict:
     """Compare the realized manifold against the reference sum.
 
     Builds M = realize_boundary(p, n) and the reference manifold with
@@ -332,26 +330,18 @@ def reduction_report(p: FinitePresentation, n: int,
     and only then issues a verdict: distinguished when an invariant
     separates the two, equivalent-certified when a stellar-move
     certificate is found within the search budget, consistent-unknown
-    otherwise.  The worker count only schedules the invariant jobs;
-    the report never depends on it.
+    otherwise.
     """
     b = {"pi1": 100000, "search": 0}
     b.update(budgets or {})
     m = realize_boundary(p, n)
     t = reference_manifold(len(p.relators), n)
 
-    def pi1_entry():
-        pres = edge_path_presentation(m)
-        rank, torsion = homology_style(abelianization(pres))
-        v = semi_decide_trivial(pres, budget=b["pi1"])
-        return {"abelianization": {"rank": rank, "torsion": list(torsion)},
-                "trivial": v.to_json()}
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        fut_m = pool.submit(homology, m)
-        fut_t = pool.submit(homology, t)
-        fut_p = pool.submit(pi1_entry)
-        hm, ht, pi1 = fut_m.result(), fut_t.result(), fut_p.result()
+    hm, ht = homology(m), homology(t)
+    pres = edge_path_presentation(m)
+    rank, torsion = homology_style(abelianization(pres))
+    pi1 = {"abelianization": {"rank": rank, "torsion": list(torsion)},
+           "trivial": semi_decide_trivial(pres, budget=b["pi1"]).to_json()}
 
     inv_m = {"euler_characteristic": m.euler_characteristic(),
              "f_vector": list(m.f_vector()), "homology": hm.to_json()}

@@ -12,14 +12,12 @@ vertex) or a ball (boundary vertex).  Isomorphic links share one
 verdict through a cache keyed by a cheap fingerprint and confirmed by
 explicit isomorphism, so structured complexes with many repeated link
 shapes settle quickly.  Per-vertex budgets depend only on the input,
-never on scheduling, so reports are reproducible byte for byte at any
-worker count.
+so reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -209,16 +207,12 @@ def _classify_link(lk: Complex, budget: int) -> Tuple[str, str, str]:
     return ("", vd.UNKNOWN, "budget-exhausted")
 
 
-def classify_links(
-    cx: Complex, budget: int = 1000000, workers: int = 1
-) -> RecognitionReport:
-    """Classify every vertex link; the report is independent of the
-    worker count.
+def classify_links(cx: Complex, budget: int = 1000000) -> RecognitionReport:
+    """Classify every vertex link.
 
-    The budget is divided evenly over the vertices up front.  Workers
-    only change wall-clock behavior: entries are assembled in vertex
-    order and cached verdicts are exact, so the emitted report is byte
-    identical for any ``workers``.
+    The budget is divided evenly over the vertices up front.  Each
+    isomorphism class of links is classified once, on the link of its
+    smallest vertex, and entries are assembled in vertex order.
     """
     if not cx.is_pure():
         return RecognitionReport(
@@ -227,13 +221,7 @@ def classify_links(
     verts = cx.vertices
     share = max(budget // max(len(verts), 1), 1)
     assign, reps = _link_classes(cx)
-    # one classification per class, always on the same representative,
-    # so worker scheduling cannot change any verdict
-    if workers <= 1 or len(reps) == 1:
-        results = [_classify_link(rep, share) for rep in reps]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda rep: _classify_link(rep, share), reps))
+    results = [_classify_link(rep, share) for rep in reps]
     entries = []
     for v in verts:
         role, status, reason = results[assign[v]]
@@ -249,15 +237,13 @@ def classify_links(
     return RecognitionReport(cx.dim, cx.f_vector(), status, reason, tuple(entries))
 
 
-def is_pl_manifold(
-    cx: Complex, budget: int = 1000000, workers: int = 1
-) -> vd.Verdict:
+def is_pl_manifold(cx: Complex, budget: int = 1000000) -> vd.Verdict:
     """Does every vertex link reduce to a sphere or a ball?
 
     yes means cx is a combinatorial manifold (with boundary when any
     link is a ball); the witness is the per-vertex report.
     """
-    report = classify_links(cx, budget, workers)
+    report = classify_links(cx, budget)
     if report.status == vd.YES:
         return vd.yes(witness=report)
     if report.status == vd.NO:
@@ -265,15 +251,13 @@ def is_pl_manifold(
     return vd.unknown(report.reason, detail=report.to_json())
 
 
-def is_closed_manifold(
-    cx: Complex, budget: int = 1000000, workers: int = 1
-) -> vd.Verdict:
+def is_closed_manifold(cx: Complex, budget: int = 1000000) -> vd.Verdict:
     """Combinatorial manifold with every vertex interior."""
     if not cx.is_pure():
         return vd.no("not-pure")
     if not cx.is_closed_pseudomanifold():
         return vd.no("not-closed-pseudomanifold")
-    ver = is_pl_manifold(cx, budget, workers)
+    ver = is_pl_manifold(cx, budget)
     if not ver.is_yes:
         return ver
     report = ver.witness

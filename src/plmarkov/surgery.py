@@ -56,6 +56,11 @@ def chunk(lo, hi, fiber_facets):
     return out
 
 
+def _oriented(edges):
+    """Each tube edge's two charts in staircase order."""
+    return [(lo, hi) if flag > 0 else (hi, lo) for lo, hi, flag in edges]
+
+
 class Tube:
     """Solid tube of ambient cells plus its per-edge section charts."""
 
@@ -156,13 +161,8 @@ def resolve_tube(m, sections, ball):
 
 def lateral_cells(tube, lk):
     out = set()
-    for lo, hi, flag in tube.edges:
-        lo_r = {s: lo[s] for s in lk.vertices}
-        hi_r = {s: hi[s] for s in lk.vertices}
-        if flag > 0:
-            out |= chunk(lo_r, hi_r, lk.facets)
-        else:
-            out |= chunk(hi_r, lo_r, lk.facets)
+    for a, b in _oriented(tube.edges):
+        out |= chunk(a, b, lk.facets)
     return out
 
 
@@ -175,8 +175,7 @@ def verify_tube(m, tube, ball, center):
     if frozenset(nc.boundary().facets) != frozenset(lat):
         raise ValueError("tube boundary is not the expected torus")
     nverts = set(nc.vertices)
-    bd_faces = _face_set(Complex(lat))
-    interior = _face_set(nc) - bd_faces
+    interior = nc.face_set - Complex(lat).face_set
     for f in m.facets:
         if f in tube.cells:
             continue
@@ -188,15 +187,6 @@ def verify_tube(m, tube, ball, center):
                         f"outside facet {sorted(f)} meets the tube interior"
                     )
     return lat
-
-
-def _face_set(cx):
-    out = set()
-    for f in cx.facets:
-        for k in range(1, len(f) + 1):
-            for sub in itertools.combinations(sorted(f), k):
-                out.add(frozenset(sub))
-    return out
 
 
 def _touches_interior(ball, seen, current, fresh):
@@ -213,13 +203,18 @@ def _touches_interior(ball, seen, current, fresh):
     return False
 
 
-def plain_cap(tube, lk, fresh0):
-    """Staircase cap over a fresh apex sphere; pairings must all be
-    coherent (identity transitions), flags may vary freely."""
-    apex = {s: fresh0 + r for r, s in enumerate(sorted(lk.vertices))}
+def staircase_cap(bands, lk, apex):
+    """Cells closing a plain torus over an apex sphere.
+
+    bands holds each band's two charts (a, b), ordered so that the
+    band's cells run a staircase from a to b; consecutive bands must
+    pair their charts by the identity, whatever their directions.  apex
+    maps link labels to the apex sphere.  Over every link facet, taken
+    in ascending label order, a cell takes a prefix from a, a middle run
+    from b and the rest from apex, consecutive runs sharing one label.
+    """
     cells = set()
-    for lo, hi, flag in tube.edges:
-        a, b = (lo, hi) if flag > 0 else (hi, lo)
+    for a, b in bands:
         for f in lk.facets:
             order = sorted(f)
             d = len(order)
@@ -231,7 +226,7 @@ def plain_cap(tube, lk, fresh0):
                         + [apex[s] for s in order[k:]]
                     )
                     cells.add(frozenset(cell))
-    return cells, apex
+    return cells
 
 
 def _is_plain(tube):
@@ -247,10 +242,10 @@ def _is_plain(tube):
 def _chart_bands(tube, lk):
     """Compose the edge pairings around the ring.
 
-    Returns one (chart_lo, chart_hi, order, flag) per band, where the
-    charts are identity-paired column maps over the model link labels
-    and order is the band's staircase order as seen through them, plus
-    the total monodromy of the composition.
+    Returns one (a, b, order) per band, where the charts a, b are
+    identity-paired column maps over the model link labels, oriented in
+    staircase order, and order is the band's staircase order as seen
+    through them, plus the total monodromy of the composition.
     """
     los = [{s: lo[s] for s in lk.vertices} for lo, hi, flag in tube.edges]
     his = [{s: hi[s] for s in lk.vertices} for lo, hi, flag in tube.edges]
@@ -265,7 +260,8 @@ def _chart_bands(tube, lk):
         chi_b = {s: hi[gam[s]] for s in lk.vertices}
         inv_gam = {v: s for s, v in gam.items()}
         order = [inv_gam[s] for s in sorted(lk.vertices)]
-        bands.append((chi_a, chi_b, order, flag))
+        a, b = (chi_a, chi_b) if flag > 0 else (chi_b, chi_a)
+        bands.append((a, b, order))
         gam = {s: inv_nxt[hi[gam[s]]] for s in lk.vertices}
     return bands, gam
 
@@ -314,8 +310,7 @@ def _untwist_moves(x0, bands, lk):
     """Scripted certificate re-staircasing every band to sorted order."""
     surface = x0
     moves = []
-    for chi_a, chi_b, order, flag in bands:
-        a, b = (chi_a, chi_b) if flag > 0 else (chi_b, chi_a)
+    for a, b, order in bands:
         o = list(order)
         target = sorted(o)
         rank = {v: t for t, v in enumerate(target)}
@@ -327,11 +322,8 @@ def _untwist_moves(x0, bands, lk):
                     o[j], o[j + 1] = o[j + 1], o[j]
                     break
     want = set()
-    for chi_a, chi_b, order, flag in bands:
-        if flag > 0:
-            want |= chunk(chi_a, chi_b, lk.facets)
-        else:
-            want |= chunk(chi_b, chi_a, lk.facets)
+    for a, b, order in bands:
+        want |= chunk(a, b, lk.facets)
     if frozenset(surface.facets) != frozenset(want):
         raise ValueError("scripted moves missed the plain torus")
     return moves
@@ -372,7 +364,7 @@ def shell_cap(tube, lk, alloc, budget=200000):
     cap = set()
     surface = x0
     amb = {v: v for v in x0.vertices}
-    current = _face_set(x0)
+    current = x0.face_set
     seen = set(current)
 
     def relayer():
@@ -389,7 +381,7 @@ def shell_cap(tube, lk, alloc, budget=200000):
     def refresh_current():
         return {
             frozenset(amb[v] for v in f)
-            for f in _face_set(surface)
+            for f in surface.face_set
         }
 
     for mv in cert_moves:
@@ -443,20 +435,9 @@ def shell_cap(tube, lk, alloc, budget=200000):
         # the scripted moves end at the chart-plain torus; close it with
         # the staircase cap over a fresh apex sphere
         apex = {s: alloc() for s in sorted(lk.vertices)}
-        for chi_a, chi_b, _, flag in bands:
-            a, b = (chi_a, chi_b) if flag > 0 else (chi_b, chi_a)
-            for f in lk.facets:
-                run = sorted(f)
-                d = len(run)
-                for j in range(d):
-                    for k in range(j, d):
-                        cell = (
-                            [amb[a[s]] for s in run[: j + 1]]
-                            + [amb[b[s]] for s in run[j : k + 1]]
-                            + [apex[s] for s in run[k:]]
-                        )
-                        cap.add(frozenset(cell))
-        return cap
+        ends = [({s: amb[a[s]] for s in a}, {s: amb[b[s]] for s in b})
+                for a, b, _ in bands]
+        return cap | staircase_cap(ends, lk, apex)
 
     # final relabeling onto the reference torus
     iso = (
@@ -470,20 +451,9 @@ def shell_cap(tube, lk, alloc, budget=200000):
     secs = [{s: chart[(i, s)] for s in lk.vertices} for i in range(n)]
     ref_tube = resolve_tube(target, secs, Complex(lk.facets))
     apex = {s: alloc() for s in sorted(lk.vertices)}
-    for lo, hi, flag in ref_tube.edges:
-        a, b = (lo, hi) if flag > 0 else (hi, lo)
-        for f in lk.facets:
-            order = sorted(f)
-            d = len(order)
-            for j in range(d):
-                for k in range(j, d):
-                    cell = (
-                        [back[a[s]] for s in order[: j + 1]]
-                        + [back[b[s]] for s in order[j : k + 1]]
-                        + [apex[s] for s in order[k:]]
-                    )
-                    cap.add(frozenset(cell))
-    return cap
+    ends = [({s: back[a[s]] for s in a}, {s: back[b[s]] for s in b})
+            for a, b in _oriented(ref_tube.edges)]
+    return cap | staircase_cap(ends, lk, apex)
 
 
 def do_surgery(m, sections, ball, center, budget=200000):
@@ -503,8 +473,8 @@ def do_surgery(m, sections, ball, center, budget=200000):
         return used[0]
 
     if _is_plain(tube):
-        cells, apex = plain_cap(tube, lk, alloc())
-        used[0] = max(apex.values())
+        apex = {s: alloc() for s in sorted(lk.vertices)}
+        cells = staircase_cap(_oriented(tube.edges), lk, apex)
     else:
         cells = shell_cap(tube, lk, alloc, budget=budget)
     return Complex((frozenset(m.facets) - tube.cells) | cells)

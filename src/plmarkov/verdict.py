@@ -104,12 +104,5 @@ class Budget:
     def remaining(self) -> int:
         return self.limit - self.used
 
-    def split(self, parts: int) -> list["Budget"]:
-        """Divide what remains evenly into independent sub-budgets."""
-        if parts <= 0:
-            raise ValueError("parts must be positive")
-        share = self.remaining // parts
-        return [Budget(share) for _ in range(parts)]
-
     def __repr__(self):
         return f"Budget(used={self.used}, limit={self.limit})"

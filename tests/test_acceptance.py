@@ -5,6 +5,7 @@ limits are asserted inside the tests; shared session fixtures keep the
 expensive constructions to one build each.
 """
 
+import hashlib
 import random
 import time
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ import pytest
 from plmarkov.builders import (reference_manifold, simplex_sphere,
                                sphere_product, standard_simplex)
 from plmarkov.complex_core import (Complex, barycentric_subdivision,
-                                   fingerprint, isomorphism)
+                                   fingerprint, isomorphism, to_text)
 from plmarkov.groups import (abelianization, edge_path_presentation,
                              homology_style, parse_presentation)
 from plmarkov.invariants import betti_numbers, homology
@@ -81,8 +82,8 @@ def markov_manifolds():
 
 @pytest.fixture(scope="session")
 def closed_check(standard_complexes, markov_manifolds):
-    """Worker-1 verdicts and classification reports for the whole
-    recognition corpus, with the wall time they took."""
+    """Verdicts and classification reports for the whole recognition
+    corpus, with the wall time they took."""
     yes = {"simplex-boundary": simplex_sphere(3)}
     for k in ("torus", "s1-x-s3", "s2-x-s2", "ref-2-4"):
         yes[k] = standard_complexes[k]
@@ -96,7 +97,7 @@ def closed_check(standard_complexes, markov_manifolds):
     blobs = {}
     for name, cx in {**yes, **no}.items():
         verdicts[name] = is_closed_manifold(cx, budget=BUDGET)
-        blobs[name] = classify_links(cx, BUDGET, workers=1).to_text()
+        blobs[name] = classify_links(cx, BUDGET).to_text()
     elapsed = time.monotonic() - t0
     return SimpleNamespace(yes=yes, no=no, verdicts=verdicts,
                            blobs=blobs, elapsed=elapsed)
@@ -251,8 +252,13 @@ def test_criterion_7_enumeration():
 
 
 def test_criterion_8_determinism(closed_check, markov_reports):
+    # the reruns start cold: fresh copies of the inputs, and no reference
+    # complex or abelianization carried over from the first run
+    for cached in (simplex_sphere, standard_simplex, reference_manifold,
+                   abelianization):
+        cached.cache_clear()
     for name, cx in {**closed_check.yes, **closed_check.no}.items():
-        redo = classify_links(cx, BUDGET, workers=8).to_text()
+        redo = classify_links(Complex(cx.facets), BUDGET).to_text()
         assert redo == closed_check.blobs[name], name
 
     a = simplex_sphere(2)
@@ -262,6 +268,23 @@ def test_criterion_8_determinism(closed_check, markov_reports):
     assert first == second
 
     for text in PRESENTATIONS:
-        redo = report_to_text(
-            reduction_report(parse_presentation(text), 4, workers=8))
+        redo = report_to_text(reduction_report(parse_presentation(text), 4))
         assert redo == markov_reports.texts[text], text
+
+
+# sha256 of to_text(realize_boundary(P, 4)): every surgery cap and
+# every summand's labels enter these bytes
+REALIZED_SHA256 = {
+    "|": "c931f73e4f2f9ebe08f8b18c164e6f3975c3c7870ef61be9cf1ec384bda21860",
+    "g|g": "0dfea68be344697e7318865eec2b4d26738299b965dee5f71f713efd95256417",
+    "g|gg": "9b54a925eae24485530ae13cb6c9c759645a8c72121f669044c7fc33af0b562b",
+    "a,b|a,b": "e281a72835869afd67e2fd4fdc15de5b3be3583d612b3bf1bbf715a0426c2a3c",
+    "a,b|ab,b": "4c3069a0bcca00089c7009601a1dcf0a26441b7de02637e2ec5fd272419ed947",
+    "a,b|abAB": "b7c0ef0f85b53ea811ae836df7f8866d3e2686acdc23290d9cd8dd71db3997b7",
+}
+
+
+@pytest.mark.parametrize("text", PRESENTATIONS)
+def test_realized_manifolds_are_pinned(markov_manifolds, text):
+    blob = to_text(markov_manifolds[text]).encode()
+    assert hashlib.sha256(blob).hexdigest() == REALIZED_SHA256[text]

@@ -1,7 +1,9 @@
 import hashlib
+import inspect
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -258,6 +260,22 @@ def test_canonical_uses_dense_labels():
     canon = cx.canonical()
     assert canon.vertices == (0, 1, 2)
     assert canon.iso_signature() == cx.iso_signature()
+
+
+def test_canonical_of_a_long_cycle_stays_off_the_call_stack():
+    # the labelling search goes one level deeper per labelled vertex, so
+    # a recursive search would need hundreds of frames here
+    cycle = Complex([[i, (i + 1) % 300] for i in range(300)])
+    shifted = cycle.relabeled({v: 1000 - v for v in cycle.vertices})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        canon = cycle.canonical()
+        assert shifted.canonical() == canon
+    finally:
+        sys.setrecursionlimit(limit)
+    assert canon.vertices == tuple(range(300))
+    assert sorted(cycle.canonical_mapping().values()) == list(range(300))
 
 
 @st.composite

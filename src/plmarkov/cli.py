@@ -186,7 +186,11 @@ def check(file, what, budget):
         v = is_closed_manifold(cx, budget=budget)
     else:
         from . import verdict as vd
-        v = vd.yes() if cx.is_orientable() else vd.no("odd-cycle-of-facets")
+        try:
+            orientable = cx.is_orientable()
+        except cc.InvalidComplexError as e:
+            raise click.ClickException(str(e))
+        v = vd.yes() if orientable else vd.no("odd-cycle-of-facets")
     _echo_json({"what": what, "verdict": v.to_json()})
 
 
@@ -220,8 +224,11 @@ def markov_cmd(pres, dim, budget, search_budget):
         p = parse_presentation(pres)
     except ValueError as e:
         raise click.ClickException(str(e))
-    report = mk.reduction_report(p, dim, {"pi1": budget,
-                                          "search": search_budget})
+    try:
+        report = mk.reduction_report(p, dim, {"pi1": budget,
+                                              "search": search_budget})
+    except mk.DepthError as e:
+        raise click.ClickException(str(e))
     click.echo(mk.report_to_text(report), nl=False)
 
 

@@ -3,9 +3,12 @@
 A complex is stored by its facets (inclusion-maximal simplices); every
 face is a nonempty subset of a facet and is materialized on demand.
 ``Complex`` objects are immutable: all operations return new instances
-and cache derived data (faces, the vertex-to-facets incidence, ridge
-degrees, canonical form, and the homology profile computed by
-``invariants.homology``) on first use.
+and cache derived data on first use, each table built in one place:
+the f-vector (counted without the sorted face table, which only the
+callers that need ordered faces build), the vertex-to-facets
+incidence, the ridge-to-facets index behind ridge degrees, strong
+connectivity and orientation, the canonical form, and the homology
+profile computed by ``invariants.homology``.
 
 Label conventions.  Vertices are arbitrary ints.  Operations exposed at
 module level (``validate``, ``star``, ``link``, ``boundary_complex``,
@@ -77,16 +80,19 @@ class Complex:
             if f in seen:
                 raise InvalidComplexError(f"duplicate facet {sorted(f)}")
             seen.add(f)
-        # A facet strictly contained in another is not maximal.
-        by_size = sorted(raw, key=len, reverse=True)
-        kept: List[Simplex] = []
-        for f in by_size:
-            for g in kept:
+        # A facet strictly contained in another is not maximal.  Every
+        # superset of f lies in the incidence list of each vertex of f,
+        # and the lists grow in size-descending order, so the first hit
+        # is the first superset in that order.
+        at: Dict[int, List[Simplex]] = {}
+        for f in sorted(raw, key=len, reverse=True):
+            for g in min((at.get(v, ()) for v in f), key=len):
                 if f < g:
                     raise InvalidComplexError(
                         f"facet {sorted(f)} is contained in facet {sorted(g)}"
                     )
-            kept.append(f)
+            for v in f:
+                at.setdefault(v, []).append(f)
         self._facets: Tuple[Simplex, ...] = tuple(sorted(raw, key=_facet_sort_key))
         self._cache: dict = {}
 
@@ -161,8 +167,15 @@ class Complex:
         return any(s <= f for f in self._facets_through(s))
 
     def f_vector(self) -> Tuple[int, ...]:
-        table = self.faces_by_dim()
-        return tuple(len(table.get(k, ())) for k in range(self.dim + 1))
+        """Face counts per dimension; builds no sorted face table."""
+        if "f_vector" not in self._cache:
+            faces: List[set] = [set() for _ in range(self.dim + 1)]
+            for f in self._facets:
+                fl = sorted(f)
+                for k in range(1, len(fl) + 1):
+                    faces[k - 1].update(itertools.combinations(fl, k))
+            self._cache["f_vector"] = tuple(len(s) for s in faces)
+        return self._cache["f_vector"]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
@@ -214,19 +227,23 @@ class Complex:
         facets = {f - s for f in cof if f != s}
         return Complex._from_trusted(facets) if facets else Complex._from_trusted(())
 
-    def ridge_degrees(self) -> Dict[Simplex, int]:
-        """Number of facets containing each codimension-1 face (pure only)."""
-        if "ridge_degrees" not in self._cache:
-            if not self.is_pure():
-                raise InvalidComplexError("ridge degrees need a pure complex")
-            deg: Dict[Simplex, int] = {}
+    def _ridges(self) -> Dict[Simplex, List[Simplex]]:
+        """Ridge -> the facets containing it, in facet order (pure only)."""
+        if "ridges" not in self._cache:
+            at: Dict[Simplex, List[Simplex]] = {}
             for f in self._facets:
                 for v in f:
                     r = f - {v}
                     if r:
-                        deg[r] = deg.get(r, 0) + 1
-            self._cache["ridge_degrees"] = deg
-        return self._cache["ridge_degrees"]
+                        at.setdefault(r, []).append(f)
+            self._cache["ridges"] = at
+        return self._cache["ridges"]
+
+    def ridge_degrees(self) -> Dict[Simplex, int]:
+        """Number of facets containing each codimension-1 face (pure only)."""
+        if not self.is_pure():
+            raise InvalidComplexError("ridge degrees need a pure complex")
+        return {r: len(fs) for r, fs in self._ridges().items()}
 
     def boundary(self) -> "Complex":
         """Subcomplex generated by ridges lying in exactly one facet."""
@@ -261,22 +278,16 @@ class Complex:
             return True
         if not self.is_pure():
             return False
-        ridge_to_facets: Dict[Simplex, List[int]] = {}
-        for i, f in enumerate(self._facets):
-            for v in f:
-                r = f - {v}
-                if r:
-                    ridge_to_facets.setdefault(r, []).append(i)
-        seen = {0}
-        stack = [0]
+        ridges = self._ridges()
+        seen = {self._facets[0]}
+        stack = [self._facets[0]]
         while stack:
-            i = stack.pop()
-            for v in self._facets[i]:
-                r = self._facets[i] - {v}
-                for j in ridge_to_facets.get(r, ()):
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
+            f = stack.pop()
+            for v in f:
+                for g in ridges.get(f - {v}, ()):
+                    if g not in seen:
+                        seen.add(g)
+                        stack.append(g)
         return len(seen) == len(self._facets)
 
     def is_connected(self) -> bool:
@@ -323,16 +334,9 @@ class Complex:
         deg = self.ridge_degrees()
         if any(d > 2 for d in deg.values()):
             raise InvalidComplexError("orientation needs ridge degrees <= 2")
-        facets = self._facets
-        index = {f: i for i, f in enumerate(facets)}
-        ridge_to_facets: Dict[Simplex, List[Simplex]] = {}
-        for f in facets:
-            for v in f:
-                r = f - {v}
-                if r:
-                    ridge_to_facets.setdefault(r, []).append(f)
+        ridges = self._ridges()
         sign: Dict[Simplex, int] = {}
-        for root in facets:
+        for root in self._facets:
             if root in sign:
                 continue
             sign[root] = 1
@@ -343,7 +347,7 @@ class Complex:
                 for i, v in enumerate(fl):
                     r = f - {v}
                     side = sign[f] * (-1) ** i
-                    for g in ridge_to_facets.get(r, ()):
+                    for g in ridges.get(r, ()):
                         if g == f:
                             continue
                         gl = sorted(g)
@@ -519,14 +523,8 @@ class Complex:
                 self._cache["sig"] = "-1::"
             else:
                 canon = self.canonical()
-                # the f-vector of the input, which is isomorphic to canon;
-                # counting faces this way builds no sorted face table
-                faces: List[set] = [set() for _ in range(self.dim + 1)]
-                for f in self._facets:
-                    fl = sorted(f)
-                    for k in range(1, len(fl) + 1):
-                        faces[k - 1].update(itertools.combinations(fl, k))
-                fvec = ",".join(str(len(s)) for s in faces)
+                # the f-vector of the input, which is isomorphic to canon
+                fvec = ",".join(map(str, self.f_vector()))
                 body = "|".join(
                     " ".join(str(v) for v in sorted(f)) for f in canon.facets
                 )
@@ -631,7 +629,6 @@ def isomorphism(a: Complex, b: Complex) -> Optional[Dict[int, int]]:
     ):
         return None
     at_a = a._incidence()
-    b_faces = b.face_set
     b_facets = set(b.facets)
     # most-constrained first: rare color classes early, then adjacency
     order = sorted(a.vertices, key=lambda v: (len(hist_a[ca[v]]), ca[v], v))
@@ -721,8 +718,7 @@ def derived_subdivision_raw(cx: Complex) -> Complex:
     the label of its position in the (dim, sorted tuple) face order."""
     if cx.is_empty:
         return cx
-    all_faces = sorted(cx.faces(), key=_facet_sort_key)
-    face_id = {f: i for i, f in enumerate(all_faces)}
+    face_id = {f: i for i, f in enumerate(cx.faces())}
     out: List[Simplex] = []
 
     def chains(top: Simplex) -> Iterator[Tuple[Simplex, ...]]:

@@ -476,7 +476,7 @@ def enumerate_subcomplexes(k: Complex) -> Iterator[str]:
     Walks every downward-closed subset of the face poset, so it is
     exponential in the number of faces and meant for small complexes.
     """
-    faces = sorted(k.faces(), key=lambda f: (len(f), sorted(f)))
+    faces = k.faces()
     nf = len(faces)
     index = {f: i for i, f in enumerate(faces)}
     below = []

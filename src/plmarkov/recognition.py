@@ -225,7 +225,8 @@ def classify_links(cx: Complex, budget: int = 1000000) -> RecognitionReport:
     entries = []
     for v in verts:
         role, status, reason = results[assign[v]]
-        entries.append(LinkEntry(v, cx.link([v]).f_vector(), role, status, reason))
+        # isomorphic links share an f-vector: report the representative's
+        entries.append(LinkEntry(v, reps[assign[v]].f_vector(), role, status, reason))
     bad = [e for e in entries if e.status == vd.NO]
     open_ = [e for e in entries if e.status == vd.UNKNOWN]
     if bad:

@@ -120,18 +120,6 @@ class StellarMove:
             raise ValueError(f"unknown move kind {self.kind!r}")
 
 
-def apply_move(cx: Complex, move: StellarMove) -> Complex:
-    if move.kind == "S":
-        return stellar_subdivide(cx, move.simplex)
-    return stellar_weld(cx, move.vertex, move.simplex)
-
-
-def invert_move(move: StellarMove) -> StellarMove:
-    if move.kind == "S":
-        return StellarMove("W", move.simplex, move.vertex)
-    return StellarMove("S", move.simplex, move.vertex)
-
-
 # -- move enumeration --------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from plmarkov.complex_core import Complex
+from plmarkov.complex_core import Complex, InvalidComplexError, Simplex, as_simplex
 from plmarkov.groups import (FinitePresentation, Word, _substitute, abelianization,
                              cyclic_reduce, free_reduce, homology_style, inverse_word)
 
@@ -562,3 +562,104 @@ def tietze_simplify_reference(
         "simplification changed the abelianization"
     )
     return out, trace
+
+
+def check_maximal_pairwise(facets) -> None:
+    """The old construction check: duplicates first, then every facet
+    against every larger facet kept so far, in size-descending order."""
+    raw = [as_simplex(f) for f in facets]
+    seen = set()
+    for f in raw:
+        if f in seen:
+            raise InvalidComplexError(f"duplicate facet {sorted(f)}")
+        seen.add(f)
+    # A facet strictly contained in another is not maximal.
+    by_size = sorted(raw, key=len, reverse=True)
+    kept: List[Simplex] = []
+    for f in by_size:
+        for g in kept:
+            if f < g:
+                raise InvalidComplexError(
+                    f"facet {sorted(f)} is contained in facet {sorted(g)}"
+                )
+        kept.append(f)
+
+
+def ridge_degrees_own_map(cx: Complex) -> Dict[Simplex, int]:
+    """The old ``ridge_degrees``, counting into its own map."""
+    if not cx.is_pure():
+        raise InvalidComplexError("ridge degrees need a pure complex")
+    deg: Dict[Simplex, int] = {}
+    for f in cx.facets:
+        for v in f:
+            r = f - {v}
+            if r:
+                deg[r] = deg.get(r, 0) + 1
+    return deg
+
+
+def is_strongly_connected_own_map(cx: Complex) -> bool:
+    """The old ``is_strongly_connected``, with its own ridge map."""
+    if not cx.facets:
+        return True
+    if not cx.is_pure():
+        return False
+    ridge_to_facets: Dict[Simplex, List[int]] = {}
+    for i, f in enumerate(cx.facets):
+        for v in f:
+            r = f - {v}
+            if r:
+                ridge_to_facets.setdefault(r, []).append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for v in cx.facets[i]:
+            r = cx.facets[i] - {v}
+            for j in ridge_to_facets.get(r, ()):
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return len(seen) == len(cx.facets)
+
+
+def orientation_own_map(cx: Complex):
+    """The old ``orientation``, with its own ridge map."""
+    if not cx.is_pure():
+        raise InvalidComplexError("orientation needs a pure complex")
+    deg = cx.ridge_degrees()
+    if any(d > 2 for d in deg.values()):
+        raise InvalidComplexError("orientation needs ridge degrees <= 2")
+    facets = cx.facets
+    ridge_to_facets: Dict[Simplex, List[Simplex]] = {}
+    for f in facets:
+        for v in f:
+            r = f - {v}
+            if r:
+                ridge_to_facets.setdefault(r, []).append(f)
+    sign: Dict[Simplex, int] = {}
+    for root in facets:
+        if root in sign:
+            continue
+        sign[root] = 1
+        stack = [root]
+        while stack:
+            f = stack.pop()
+            fl = sorted(f)
+            for i, v in enumerate(fl):
+                r = f - {v}
+                side = sign[f] * (-1) ** i
+                for g in ridge_to_facets.get(r, ()):
+                    if g == f:
+                        continue
+                    gl = sorted(g)
+                    j = gl.index(next(iter(g - r)))
+                    # the shared ridge must inherit opposite signs
+                    needed = -side * (-1) ** j
+                    if g in sign:
+                        if sign[g] != needed:
+                            return None
+                    else:
+                        sign[g] = needed
+                        stack.append(g)
+    return sign

@@ -115,6 +115,20 @@ class TestCheck:
                                  "--what", "orientable", "--budget", "1"])
         assert json.loads(r.output)["verdict"]["status"] == "yes"
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 2\n2 3\n", "Error: orientation needs a pure complex\n"),
+        ("0 1\n0 2\n0 3\n", "Error: orientation needs ridge degrees <= 2\n"),
+    ], ids=["not-pure", "branching"])
+    def test_orientable_on_bad_input_is_a_named_error(self, runner, tmp_path,
+                                                      text, message):
+        path = tmp_path / "bad.cx"
+        path.write_text(text)
+        r = runner.invoke(main, ["check", str(path),
+                                 "--what", "orientable", "--budget", "1"])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == message
+
     def test_budget_flag_required(self, runner, sphere_file):
         r = runner.invoke(main, ["check", sphere_file, "--what", "closed"])
         assert r.exit_code == 2
@@ -155,6 +169,14 @@ class TestMarkovVerb:
         assert rep["equivalence_verdict"]["verdict"] == "consistent-unknown"
         assert rep["invariants_M"]["euler_characteristic"] == 2
         assert rep["budgets"] == {"pi1": 1000, "search": 0}
+
+    def test_depth_error_is_a_named_error(self, runner):
+        r = runner.invoke(main, ["markov", "--pres", "a,b|aaa",
+                                 "--dim", "4", "--budget", "10"])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output.startswith("Error: insufficient parallel copies")
+        assert "required depth 3" in r.output
 
     def test_dim_floor(self, runner):
         r = runner.invoke(main, ["markov", "--pres", "|",

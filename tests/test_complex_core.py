@@ -8,13 +8,14 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from plmarkov.builders import sphere_product
+from plmarkov.builders import reference_manifold, sphere_product
 from plmarkov.complex_core import (
     Complex,
     InvalidComplexError,
     barycentric_subdivision,
     boundary_complex,
     derived_subdivision_raw,
+    fingerprint,
     from_text,
     from_json_obj,
     isomorphism,
@@ -29,9 +30,13 @@ from plmarkov.complex_core import (
 
 from oracles import (
     canonical_pair_unpruned,
+    check_maximal_pairwise,
+    is_strongly_connected_own_map,
     iso_exhaustive,
     orientable_exhaustive,
+    orientation_own_map,
     refinement_colors_per_incidence,
+    ridge_degrees_own_map,
 )
 
 
@@ -492,3 +497,99 @@ def test_loads_sniffs_format():
     cx = simplex_sphere(1)
     assert loads(to_text(cx)) == cx
     assert loads(json.dumps(to_json_obj(cx))) == cx
+
+
+# -- derived tables against the old code -------------------------------
+
+@st.composite
+def facet_lists(draw):
+    """Raw facet lists, some with duplicate or contained facets."""
+    facets = draw(st.lists(
+        st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=8,
+    ))
+    for _ in range(draw(st.integers(0, 2))):
+        f = draw(st.sampled_from(facets))
+        # a permuted copy (duplicate) or a proper nonempty part (contained)
+        part = draw(st.lists(st.sampled_from(f), min_size=1, max_size=len(f), unique=True))
+        facets.insert(draw(st.integers(0, len(facets))), part)
+    return facets
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except InvalidComplexError as e:
+        return ("error", str(e))
+
+
+@given(facet_lists())
+@example([[0, 1, 2], [1, 2], [0, 1, 2, 3]])
+@example([[4, 5], [0, 1, 2], [1, 2, 3], [1, 2], [2, 3]])
+@example([[0, 1], [1, 0], [0]])
+def test_construction_errors_match_pairwise_check(facets):
+    got = _outcome(Complex, facets)
+    want = _outcome(check_maximal_pairwise, facets)
+    assert got[0] == want[0]
+    if got[0] == "error":
+        assert got[1] == want[1]
+
+
+@given(small_complexes())
+def test_f_vector_counts_the_face_table(cx):
+    assert cx.f_vector() == tuple(len(cx.faces(k)) for k in range(cx.dim + 1))
+
+
+@st.composite
+def pure_complexes(draw):
+    n = draw(st.integers(min_value=3, max_value=7))
+    k = draw(st.integers(min_value=2, max_value=min(4, n)))
+    facets = draw(st.lists(
+        st.sampled_from(list(itertools.combinations(range(n), k))),
+        min_size=1, max_size=8, unique=True,
+    ))
+    return validate(facets)
+
+
+def assert_ridge_users_match_own_maps(cx):
+    # the same values, with dict entries in the same order
+    for fn, oracle in [(cx.orientation, orientation_own_map),
+                       (cx.ridge_degrees, ridge_degrees_own_map)]:
+        got, want = _outcome(fn), _outcome(oracle, cx)
+        assert got == want
+        if isinstance(got[1], dict):
+            assert list(got[1].items()) == list(want[1].items())
+    assert cx.is_strongly_connected() is is_strongly_connected_own_map(cx)
+
+
+@given(st.one_of(small_complexes(), pure_complexes()))
+@example(validate(MOEBIUS))
+@example(validate(ANNULUS))
+def test_ridge_index_users_match_their_own_maps(cx):
+    assert_ridge_users_match_own_maps(cx)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sphere_product(2, 2),
+    lambda: reference_manifold(2, 4),
+], ids=["S2xS2", "T(2,4)"])
+def test_ridge_index_users_match_their_own_maps_on_manifolds(build):
+    cx = Complex(build().facets)
+    assert_ridge_users_match_own_maps(cx)
+
+
+def test_counting_faces_builds_no_face_table():
+    def fresh(facets):
+        cx = Complex(facets)
+        assert not cx._cache
+        return cx
+
+    a = fresh(sphere_product(1, 2).facets)
+    b = fresh(a.relabeled({v: v + 100 for v in a.vertices}).facets)
+    c = fresh(simplex_sphere(3).facets)
+    a.euler_characteristic()
+    fingerprint(b)
+    assert isomorphism(a, b) is not None
+    assert isomorphism(a, c) is None
+    for cx in (a, b, c):
+        assert "faces" not in cx._cache and "face_set" not in cx._cache

@@ -224,8 +224,7 @@ class Complex:
         cof = self.facets_containing(s)
         if not cof:
             raise InvalidComplexError(f"{sorted(s)} is not a face")
-        facets = {f - s for f in cof if f != s}
-        return Complex._from_trusted(facets) if facets else Complex._from_trusted(())
+        return Complex._from_trusted(f - s for f in cof if f != s)
 
     def _ridges(self) -> Dict[Simplex, List[Simplex]]:
         """Ridge -> the facets containing it, in facet order (pure only)."""
@@ -246,12 +245,10 @@ class Complex:
         return {r: len(fs) for r, fs in self._ridges().items()}
 
     def boundary(self) -> "Complex":
-        """Subcomplex generated by ridges lying in exactly one facet."""
-        deg = self.ridge_degrees()
-        rims = [r for r, d in deg.items() if d == 1]
-        if not rims:
-            return Complex._from_trusted(())
-        return Complex.generated_by(rims)
+        """Subcomplex generated by ridges lying in exactly one facet.
+        The rims of a pure complex are distinct and all of one size, so
+        each is maximal."""
+        return Complex._from_trusted(r for r, d in self.ridge_degrees().items() if d == 1)
 
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, every ridge in exactly two facets, strongly connected."""
@@ -769,7 +766,9 @@ def to_json_obj(cx: Complex) -> dict:
 
 def from_json_obj(obj) -> Complex:
     facets = obj.get("facets") if isinstance(obj, dict) else None
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+    # lists and objects are the JSON values that cannot be vertex labels
+    if not isinstance(facets, list) or not all(
+            isinstance(f, list) and not any(isinstance(v, (list, dict)) for v in f) for f in facets):
         raise InvalidComplexError('expected an object with a "facets" list of lists')
     return validate(facets)
 

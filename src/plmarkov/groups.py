@@ -177,10 +177,6 @@ def abelianization(p: FinitePresentation) -> AbelianGroup:
     return AbelianGroup(rank, torsion)
 
 
-def homology_style(a: AbelianGroup) -> Tuple[int, Tuple[int, ...]]:
-    return (a.rank, a.torsion)
-
-
 # -- Tietze simplification ---------------------------------------------
 
 
@@ -330,7 +326,7 @@ def tietze_simplify(
         tuple(tuple(rank[x] if x > 0 else -rank[-x] for x in r) for r in relators),
     )
     after = abelianization(out)
-    assert homology_style(after) == homology_style(before), (
+    assert after == before, (
         "simplification changed the abelianization"
     )
     return out, trace

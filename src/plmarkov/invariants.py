@@ -1,13 +1,17 @@
 """Integral invariants: Smith normal form and simplicial homology.
 
 All arithmetic is exact over Python ints, so torsion coefficients of
-any size are safe.  Boundary matrices are kept sparse.  The elimination
-pivots on a unit (+-1) entry of the lowest remaining row when there is
-one: boundary matrices are almost all +-1, and a unit pivot clears its
-row and column by exact steps.  Otherwise it pivots on an entry of
-smallest absolute value, which both limits coefficient growth and tends
-to preserve sparsity.  The invariant factors are unique, so the pivot
-rule never changes the result.
+any size are safe.  The elimination works on plain {column: value} row
+dicts with a column -> rows index, in two passes.  The unit pass walks
+the rows lowest first and pivots on a +-1 entry where a row has one:
+exact row steps clear the pivot's column, after which column steps
+would change only the pivot row, so the row is dropped with invariant
+factor 1.  Boundary and exponent matrices are almost all +-1, so this
+pass does nearly all the work.  The residual pass runs gcd steps on
+what is left, each time pivoting on an entry of smallest absolute value,
+and a pairwise gcd/lcm exchange puts the factors in divisibility order.
+The invariant factors are unique, so the pivot rule never changes the
+result.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .complex_core import Complex
 
@@ -23,53 +27,10 @@ from .complex_core import Complex
 # -- Smith normal form -------------------------------------------------
 
 
-class _SparseMatrix:
-    """Mutable sparse integer matrix addressed by (row, col)."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self):
-        self.rows: Dict[int, Dict[int, int]] = {}
-        self.cols: Dict[int, set] = {}
-
-    def set(self, i: int, j: int, v: int):
-        if v:
-            self.rows.setdefault(i, {})[j] = v
-            self.cols.setdefault(j, set()).add(i)
-        else:
-            row = self.rows.get(i)
-            if row and j in row:
-                del row[j]
-                if not row:
-                    del self.rows[i]
-                self.cols[j].discard(i)
-                if not self.cols[j]:
-                    del self.cols[j]
-
-    def get(self, i: int, j: int) -> int:
-        return self.rows.get(i, {}).get(j, 0)
-
-    def add_multiple_of_row(self, src: int, dst: int, q: int):
-        # row_dst += q * row_src
-        if not q:
-            return
-        for j, v in list(self.rows.get(src, {}).items()):
-            self.set(dst, j, self.get(dst, j) + q * v)
-
-    def add_multiple_of_col(self, src: int, dst: int, q: int):
-        if not q:
-            return
-        for i in list(self.cols.get(src, ())):
-            self.set(i, dst, self.get(i, dst) + q * self.rows[i][src])
-
-
-def _to_sparse(rows: Sequence[Sequence[int]]) -> _SparseMatrix:
-    m = _SparseMatrix()
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                m.set(i, j, v)
-    return m
+def _row_dicts(rows: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
+    """Each dense row as a {column: nonzero value} dict."""
+    return [dict(zip(itertools.compress(itertools.count(), row), itertools.compress(row, row)))
+            for row in rows]
 
 
 def smith_diagonal(rows: Sequence[Sequence[int]]) -> List[int]:
@@ -79,84 +40,65 @@ def smith_diagonal(rows: Sequence[Sequence[int]]) -> List[int]:
     ints; zero columns/rows contribute nothing.  The input is a dense
     list of rows (possibly empty).
     """
-    m = _to_sparse(rows)
-    return _smith_of_sparse(m)
+    mat = _row_dicts(rows)
+    at: Dict[int, set] = {}  # column -> rows with an entry there
+    for i, row in enumerate(mat):
+        for j in row:
+            at.setdefault(j, set()).add(i)
 
+    def clear_column(i: int, j: int) -> bool:
+        """Subtract multiples of row i from every other row with an entry
+        in column j; True when column j is left holding row i alone."""
+        prow = mat[i]
+        p = prow[j]
+        for k in list(at[j]):
+            row = mat[k]
+            q = row[j] // p
+            if k == i or not q:
+                continue
+            for c, v in prow.items():
+                w = row.get(c, 0) - q * v
+                if w:
+                    if c not in row:
+                        at.setdefault(c, set()).add(k)
+                    row[c] = w
+                else:
+                    del row[c]
+                    at[c].discard(k)
+        return len(at[j]) == 1
 
-def _smith_of_sparse(m: _SparseMatrix) -> List[int]:
+    def drop(i: int) -> None:
+        for c in mat[i]:
+            at[c].discard(i)
+        mat[i] = {}
+
+    # unit pass: once a unit pivot's column is clear, column steps would
+    # change only its own row, so the row is dropped with a factor of 1
+    units = 0
+    for i, row in enumerate(mat):
+        j = next((c for c, v in row.items() if v == 1 or v == -1), None)
+        if j is not None:
+            clear_column(i, j)
+            drop(i)
+            units += 1
+    # residual pass: pivot on an entry of smallest |value| until its row
+    # and column are clear; every remainder left is smaller than the pivot
     diag: List[int] = []
-    # operations only ever empty rows, never create them, so the lowest
-    # remaining row is found by walking the initial rows in order
-    row_order = sorted(m.rows)
-    low = 0
-    while m.rows:
-        while row_order[low] not in m.rows:
-            low += 1
-        pi = row_order[low]
-        pj = next((j for j, v in m.rows[pi].items() if v == 1 or v == -1), None)
-        if pj is not None:
-            pv = m.rows[pi][pj]
-        else:
-            # pivot: smallest |value|, deterministic position tie-break
-            pi, pj, pv = None, None, None
-            for i in sorted(m.rows):
-                for j, v in m.rows[i].items():
-                    if pv is None or abs(v) < abs(pv) or (
-                        abs(v) == abs(pv) and (i, j) < (pi, pj)
-                    ):
-                        pi, pj, pv = i, j, v
-        # clear the pivot column with row operations
-        while True:
-            changed = False
-            for i in list(m.cols.get(pj, ())):
-                if i == pi:
-                    continue
-                v = m.get(i, pj)
-                q = -(v // pv) if pv else 0
-                # exact division leaves zero; otherwise a smaller residue
-                m.add_multiple_of_row(pi, i, q)
-                r = m.get(i, pj)
-                if r:
-                    # residue became the smaller pivot
-                    pi, pv = i, r
-                    changed = True
-                    break
-            if not changed:
-                break
-        while True:
-            changed = False
-            for j in list(m.rows.get(pi, {})):
-                if j == pj:
-                    continue
-                v = m.get(pi, j)
-                q = -(v // pv)
-                m.add_multiple_of_col(pj, j, q)
-                r = m.get(pi, j)
-                if r:
-                    pj, pv = j, r
-                    changed = True
-                    break
-            if not changed:
-                break
-            # column ops may have refilled the pivot column
-            while True:
-                refilled = [i for i in m.cols.get(pj, ()) if i != pi]
-                if not refilled:
-                    break
-                for i in refilled:
-                    v = m.get(i, pj)
-                    q = -(v // pv)
-                    m.add_multiple_of_row(pi, i, q)
-                    r = m.get(i, pj)
-                    if r:
-                        pi, pv = i, r
-                        break
-        # pivot row and column are clear; retire them
-        diag.append(abs(pv))
-        for j in list(m.rows.get(pi, {})):
-            m.set(pi, j, 0)
-        for i in list(m.cols.get(pj, ())):
-            m.set(i, pj, 0)
+    rest = [i for i, row in enumerate(mat) if row]
+    while rest:
+        _, i, j = min((abs(v), i, j) for i in rest for j, v in mat[i].items())
+        prow = mat[i]
+        if clear_column(i, j):
+            p = prow[j]
+            for c in [c for c in prow if c != j]:
+                prow[c] %= p
+                if not prow[c]:
+                    del prow[c]
+                    at[c].discard(i)
+            if len(prow) == 1:
+                diag.append(abs(p))
+                drop(i)
+        rest = [i for i in rest if mat[i]]
     # enforce d_1 | d_2 | ... with pairwise gcd/lcm exchanges
     diag.sort()
     for i in range(len(diag)):
@@ -166,11 +108,7 @@ def _smith_of_sparse(m: _SparseMatrix) -> List[int]:
                 g = math.gcd(a, b)
                 diag[i], diag[j] = g, a // g * b
     diag.sort()
-    return diag
-
-
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(smith_diagonal(rows))
+    return [1] * units + diag
 
 
 # -- boundary operators ------------------------------------------------
@@ -192,17 +130,13 @@ def boundary_matrix(cx: Complex, k: int) -> List[List[int]]:
     return mat
 
 
-def _sparse_rows(mat: List[List[int]]) -> List[List[Tuple[int, int]]]:
-    return [[(j, row[j]) for j in itertools.compress(range(len(row)), row)] for row in mat]
-
-
 def _check_boundary_of_boundary(lower, upper) -> None:
     """Assert that the product of two consecutive boundary matrices,
-    each given by its sparse rows, is zero in every entry."""
+    each given by its row dicts, is zero in every entry."""
     for row in lower:
         acc: Dict[int, int] = {}
-        for i, a in row:
-            for j, b in upper[i]:
+        for i, a in row.items():
+            for j, b in upper[i].items():
                 acc[j] = acc.get(j, 0) + a * b
         assert not any(acc.values()), "boundary of boundary is not zero"
 
@@ -271,14 +205,15 @@ def homology(cx: Complex) -> HomologyProfile:
     if cached is not None:
         return cached
     check = __debug__ and len(cx.facets) <= 200
-    fvec = cx.f_vector()
     top = cx.dim
+    faces = cx.faces_by_dim()
+    fvec = [len(faces[k]) for k in range(top + 1)]
     snf: Dict[int, List[int]] = {}
     lower = None
     for k in range(1, top + 1):
         mat = boundary_matrix(cx, k)
         if check:
-            upper = _sparse_rows(mat)
+            upper = _row_dicts(mat)
             if lower is not None:
                 _check_boundary_of_boundary(lower, upper)
             lower = upper
@@ -292,7 +227,7 @@ def homology(cx: Complex) -> HomologyProfile:
         torsion = tuple(d for d in snf[k + 1] if d > 1)
         groups.append(HomologyGroup(k, betti, torsion))
     profile = HomologyProfile(tuple(groups))
-    assert profile.euler_characteristic() == cx.euler_characteristic()
+    assert profile.euler_characteristic() == sum((-1) ** k * n for k, n in enumerate(fvec))
     cx._cache["homology"] = profile
     return profile
 

@@ -33,7 +33,7 @@ from .fabric import (commutator_corridor, double_lap_corridor, handle_chain,
                      plant_trivial_loop, skeleton_path, star_ball)
 from .groups import (FinitePresentation, Word, abelianization, cyclic_reduce,
                      edge_path_presentation, format_presentation, free_reduce,
-                     homology_style, semi_decide_trivial)
+                     semi_decide_trivial)
 from .invariants import homology
 from .stellar_moves import (search_equivalence, stellar_subdivide,
                             stellar_weld, subdivision_candidates,
@@ -339,8 +339,7 @@ def reduction_report(p: FinitePresentation, n: int,
 
     hm, ht = homology(m), homology(t)
     pres = edge_path_presentation(m)
-    rank, torsion = homology_style(abelianization(pres))
-    pi1 = {"abelianization": {"rank": rank, "torsion": list(torsion)},
+    pi1 = {"abelianization": abelianization(pres).to_json(),
            "trivial": semi_decide_trivial(pres, budget=b["pi1"]).to_json()}
 
     inv_m = {"euler_characteristic": m.euler_characteristic(),

@@ -95,7 +95,8 @@ def is_combinatorial_ball(
         return vd.yes()
     if not cx.is_pseudomanifold_with_boundary():
         return vd.no("not-pseudomanifold-with-boundary")
-    if cx.boundary().is_empty:
+    rim = cx.boundary()
+    if rim.is_empty:
         return vd.no("no-boundary")
     ref = standard_simplex(dim)
     if cx.euler_characteristic() != 1:
@@ -103,9 +104,9 @@ def is_combinatorial_ball(
     if homology(cx) != homology(ref):
         return vd.no("homology-mismatch", detail=homology(cx).to_json())
     half = max(budget // 2, 1)
-    rim = is_combinatorial_sphere(cx.boundary(), half, dim - 1)
-    if rim.is_no:
-        return vd.no("boundary-not-sphere", detail=rim.reason)
+    rim_verdict = is_combinatorial_sphere(rim, half, dim - 1)
+    if rim_verdict.is_no:
+        return vd.no("boundary-not-sphere", detail=rim_verdict.reason)
     return search_equivalence(cx, ref, budget)
 
 

@@ -3,12 +3,13 @@ values.  Everything here favors obviousness over speed and is only run
 on tiny inputs."""
 
 import itertools
+import math
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from plmarkov.complex_core import Complex, InvalidComplexError, Simplex, as_simplex
 from plmarkov.groups import (FinitePresentation, Word, _substitute, abelianization,
-                             cyclic_reduce, free_reduce, homology_style, inverse_word)
+                             cyclic_reduce, free_reduce, inverse_word)
 
 
 def iso_exhaustive(a: Complex, b: Complex, max_vertices: int = 8) -> bool:
@@ -558,7 +559,7 @@ def tietze_simplify_reference(
 
     out = FinitePresentation(num, tuple(sorted(relators, key=lambda r: (len(r), r))))
     after = abelianization(out)
-    assert homology_style(after) == homology_style(before), (
+    assert after == before, (
         "simplification changed the abelianization"
     )
     return out, trace
@@ -663,3 +664,151 @@ def orientation_own_map(cx: Complex):
                         sign[g] = needed
                         stack.append(g)
     return sign
+
+
+class _SparseMatrix:
+    """Mutable sparse integer matrix addressed by (row, col)."""
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self):
+        self.rows: Dict[int, Dict[int, int]] = {}
+        self.cols: Dict[int, set] = {}
+
+    def set(self, i: int, j: int, v: int):
+        if v:
+            self.rows.setdefault(i, {})[j] = v
+            self.cols.setdefault(j, set()).add(i)
+        else:
+            row = self.rows.get(i)
+            if row and j in row:
+                del row[j]
+                if not row:
+                    del self.rows[i]
+                self.cols[j].discard(i)
+                if not self.cols[j]:
+                    del self.cols[j]
+
+    def get(self, i: int, j: int) -> int:
+        return self.rows.get(i, {}).get(j, 0)
+
+    def add_multiple_of_row(self, src: int, dst: int, q: int):
+        # row_dst += q * row_src
+        if not q:
+            return
+        for j, v in list(self.rows.get(src, {}).items()):
+            self.set(dst, j, self.get(dst, j) + q * v)
+
+    def add_multiple_of_col(self, src: int, dst: int, q: int):
+        if not q:
+            return
+        for i in list(self.cols.get(src, ())):
+            self.set(i, dst, self.get(i, dst) + q * self.rows[i][src])
+
+
+def _to_sparse(rows: Sequence[Sequence[int]]) -> _SparseMatrix:
+    m = _SparseMatrix()
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v:
+                m.set(i, j, v)
+    return m
+
+
+def smith_diagonal_reference(rows: Sequence[Sequence[int]]) -> List[int]:
+    """The elimination kernel of ``invariants.smith_diagonal`` before it
+    moved to plain row dicts: diagonal of the Smith normal form of an
+    integer matrix.
+
+    Returns the nonzero invariant factors d_1 | d_2 | ... as positive
+    ints; zero columns/rows contribute nothing.  The input is a dense
+    list of rows (possibly empty).
+    """
+    m = _to_sparse(rows)
+    return _smith_of_sparse(m)
+
+
+def _smith_of_sparse(m: _SparseMatrix) -> List[int]:
+    diag: List[int] = []
+    # operations only ever empty rows, never create them, so the lowest
+    # remaining row is found by walking the initial rows in order
+    row_order = sorted(m.rows)
+    low = 0
+    while m.rows:
+        while row_order[low] not in m.rows:
+            low += 1
+        pi = row_order[low]
+        pj = next((j for j, v in m.rows[pi].items() if v == 1 or v == -1), None)
+        if pj is not None:
+            pv = m.rows[pi][pj]
+        else:
+            # pivot: smallest |value|, deterministic position tie-break
+            pi, pj, pv = None, None, None
+            for i in sorted(m.rows):
+                for j, v in m.rows[i].items():
+                    if pv is None or abs(v) < abs(pv) or (
+                        abs(v) == abs(pv) and (i, j) < (pi, pj)
+                    ):
+                        pi, pj, pv = i, j, v
+        # clear the pivot column with row operations
+        while True:
+            changed = False
+            for i in list(m.cols.get(pj, ())):
+                if i == pi:
+                    continue
+                v = m.get(i, pj)
+                q = -(v // pv) if pv else 0
+                # exact division leaves zero; otherwise a smaller residue
+                m.add_multiple_of_row(pi, i, q)
+                r = m.get(i, pj)
+                if r:
+                    # residue became the smaller pivot
+                    pi, pv = i, r
+                    changed = True
+                    break
+            if not changed:
+                break
+        while True:
+            changed = False
+            for j in list(m.rows.get(pi, {})):
+                if j == pj:
+                    continue
+                v = m.get(pi, j)
+                q = -(v // pv)
+                m.add_multiple_of_col(pj, j, q)
+                r = m.get(pi, j)
+                if r:
+                    pj, pv = j, r
+                    changed = True
+                    break
+            if not changed:
+                break
+            # column ops may have refilled the pivot column
+            while True:
+                refilled = [i for i in m.cols.get(pj, ()) if i != pi]
+                if not refilled:
+                    break
+                for i in refilled:
+                    v = m.get(i, pj)
+                    q = -(v // pv)
+                    m.add_multiple_of_row(pi, i, q)
+                    r = m.get(i, pj)
+                    if r:
+                        pi, pv = i, r
+                        break
+        # pivot row and column are clear; retire them
+        diag.append(abs(pv))
+        for j in list(m.rows.get(pi, {})):
+            m.set(pi, j, 0)
+        for i in list(m.cols.get(pj, ())):
+            m.set(i, pj, 0)
+    # enforce d_1 | d_2 | ... with pairwise gcd/lcm exchanges
+    diag.sort()
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            if b % a:
+                g = math.gcd(a, b)
+                diag[i], diag[j] = g, a // g * b
+    diag.sort()
+    return diag

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from plmarkov.builders import reference_manifold, sphere_product
+from plmarkov.builders import cone, reference_manifold, sphere_product
 from plmarkov.complex_core import (
     Complex,
     InvalidComplexError,
@@ -593,3 +593,22 @@ def test_counting_faces_builds_no_face_table():
     assert isomorphism(a, c) is None
     for cx in (a, b, c):
         assert "faces" not in cx._cache and "face_set" not in cx._cache
+
+
+def boundary_via_generated_by(cx):
+    if not cx.is_pure():
+        raise InvalidComplexError("ridge degrees need a pure complex")
+    return Complex.generated_by(r for r, fs in cx._ridges().items() if len(fs) == 1)
+
+
+@given(st.one_of(small_complexes(), pure_complexes()))
+@example(validate(MOEBIUS))
+@example(validate(ANNULUS))
+@example(cone(reference_manifold(1, 3)))
+def test_boundary_matches_the_generated_rims(cx):
+    got, want = _outcome(cx.boundary), _outcome(boundary_via_generated_by, cx)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert got[1].facets == want[1].facets
+    else:
+        assert got[1] == want[1]

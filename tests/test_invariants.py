@@ -1,21 +1,21 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plmarkov import invariants
-from plmarkov.complex_core import validate, barycentric_subdivision
+from plmarkov.complex_core import Complex, validate, barycentric_subdivision
 from plmarkov.invariants import (
     HomologyGroup,
     HomologyProfile,
     betti_numbers,
     boundary_matrix,
     homology,
-    integer_rank,
     smith_diagonal,
 )
 
-from oracles import betti_over_rationals, snf_diagonal_via_minor_gcds
+from oracles import (betti_over_rationals, smith_diagonal_reference,
+                     snf_diagonal_via_minor_gcds)
 
 
 def simplex_sphere(n):
@@ -93,8 +93,32 @@ def test_smith_matches_minor_gcd_oracle(rows):
 
 
 def test_integer_rank():
-    assert integer_rank([[1, 2], [2, 4]]) == 1
-    assert integer_rank([[1, 0], [0, 1]]) == 2
+    # the rank is the number of invariant factors
+    assert len(smith_diagonal([[1, 2], [2, 4]])) == 1
+    assert len(smith_diagonal([[1, 0], [0, 1]])) == 2
+
+
+# entries are mostly 0 and +-1, as in boundary and exponent matrices,
+# with a few small and a few huge ones to force the residual pass
+_entries = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.sampled_from([1, -1]), st.sampled_from([1, -1]),
+    st.integers(-6, 6), st.integers(-10 ** 30, 10 ** 30),
+)
+
+
+@st.composite
+def rectangular_matrices(draw):
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(1, 12))
+    return [draw(st.lists(_entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+
+
+@given(rectangular_matrices())
+@example([[2, 3], [4, 5]])
+@example([[0, 2, 0], [3, 0, 0], [0, 0, 10 ** 30]])
+@example([[1, 1, 0], [1, -1, 0], [0, 0, 0]])
+def test_smith_matches_the_reference_kernel(rows):
+    assert smith_diagonal(rows) == smith_diagonal_reference(rows)
 
 
 def test_smith_handles_large_entries():
@@ -166,6 +190,12 @@ def test_homology_of_projective_plane():
     assert prof.group(2).torsion == ()
 
 
+def test_homology_counts_faces_from_the_face_table():
+    cx = Complex(simplex_sphere(3).facets)
+    assert homology(cx).betti_numbers() == (1, 0, 0, 1)
+    assert "faces" in cx._cache and "f_vector" not in cx._cache
+
+
 def test_homology_counts_components():
     cx = validate([[0, 1], [2, 3], [4, 5, 6]])
     assert homology(cx).group(0).betti == 3
@@ -186,14 +216,19 @@ def small_complexes(draw):
         facets.append(
             draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
         )
-    from plmarkov.complex_core import Complex
-
     return Complex.generated_by(facets)
 
 
 @given(small_complexes())
 def test_betti_match_rational_rank_oracle(cx):
     assert list(homology(cx).betti_numbers()) == betti_over_rationals(cx)
+
+
+@given(small_complexes())
+def test_smith_matches_the_reference_kernel_on_boundaries(cx):
+    for k in range(1, cx.dim + 1):
+        mat = boundary_matrix(cx, k)
+        assert smith_diagonal(mat) == smith_diagonal_reference(mat)
 
 
 @given(small_complexes())

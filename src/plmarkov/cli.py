@@ -115,7 +115,10 @@ def parse_expression(text: str) -> cc.Complex:
     def number():
         return int(take("int", "an integer")[1])
 
-    out = expr()
+    try:
+        out = expr()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
     take("end", "end of input")
     return out
 

@@ -7,8 +7,8 @@ and cache derived data on first use, each table built in one place:
 the f-vector (counted without the sorted face table, which only the
 callers that need ordered faces build), the vertex-to-facets
 incidence, the ridge-to-facets index behind ridge degrees, strong
-connectivity and orientation, the canonical form, and the homology
-profile computed by ``invariants.homology``.
+connectivity and orientation, the refinement colours, the canonical
+form, and the homology profile computed by ``invariants.homology``.
 
 Label conventions.  Vertices are arbitrary ints.  Operations exposed at
 module level (``validate``, ``star``, ``link``, ``boundary_complex``,
@@ -39,6 +39,10 @@ sibling, leaf for leaf with equal encodings, so every skipped leaf has
 an equal twin earlier in search order and the first leaf reaching the
 minimum is never skipped: the canonical form, the canonical mapping and
 the signature are exactly those of the unpruned search.
+
+``isomorphism`` runs no search of its own: it compares the two
+canonical forms and composes one canonical mapping with the inverse of
+the other.
 """
 
 from __future__ import annotations
@@ -375,6 +379,8 @@ class Complex:
 
     def _refinement_colors(self) -> Dict[int, int]:
         """Iterated neighborhood refinement; dense, order-stable ids."""
+        if "colors" in self._cache:
+            return self._cache["colors"]
         verts = self.vertices
         at = self._incidence()
         key = {v: tuple(sorted(len(f) for f in at[v])) for v in verts}
@@ -388,15 +394,19 @@ class Complex:
             if n2 == ncolors:
                 break
             ncolors = n2
+        self._cache["colors"] = color
         return color
 
-    def _canonical_pair(self) -> Tuple["Complex", Dict[int, int]]:
+    def _canonical_code(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+        """The smallest encoding (each facet as its ascending canonical
+        labels, the facets sorted) and the vertices in canonical-label
+        order.  Cached as plain tuples rather than as the relabelled
+        ``Complex``, which keeps the cached forms small."""
         if "canonical" in self._cache:
             return self._cache["canonical"]
         if not self._facets:
-            pair = (self, {})
-            self._cache["canonical"] = pair
-            return pair
+            self._cache["canonical"] = ((), ())
+            return self._cache["canonical"]
         color = self._refinement_colors()
         facets = self._facets
         verts = self.vertices
@@ -499,19 +509,16 @@ class Complex:
             for v in sorted(f0):
                 classes.setdefault(color[v], []).append(v)
             visit(f0, [classes[c] for c in sorted(classes) for _ in classes[c]])
-        best_enc, best_order = refs[1]
-        canon = Complex._from_trusted(frozenset(f) for f in best_enc)
-        pair = (canon, {v: i for i, v in enumerate(best_order)})
-        self._cache["canonical"] = pair
-        return pair
+        self._cache["canonical"] = refs[1]
+        return refs[1]
 
     def canonical(self) -> "Complex":
         """The canonically relabeled copy (vertices 0..n-1)."""
-        return self._canonical_pair()[0]
+        return Complex._from_trusted(frozenset(f) for f in self._canonical_code()[0])
 
     def canonical_mapping(self) -> Dict[int, int]:
         """Mapping old label -> canonical label."""
-        return dict(self._canonical_pair()[1])
+        return {v: i for i, v in enumerate(self._canonical_code()[1])}
 
     def iso_signature(self) -> str:
         """Total isomorphism invariant, equal exactly for isomorphic complexes."""
@@ -599,72 +606,18 @@ def fingerprint(cx: Complex) -> tuple:
 
 def isomorphism(a: Complex, b: Complex) -> Optional[Dict[int, int]]:
     """A vertex bijection carrying the facets of a onto those of b, or
-    None.  Backtracking guided by refinement colors: images must share a
-    color class and every facet of a must land on a facet of b.
+    None.  Read off the canonical forms: they are equal exactly when the
+    complexes are isomorphic, and then a's canonical labelling followed
+    by the inverse of b's carries a onto b, so the vertices with equal
+    canonical labels correspond.
     """
-    if a.is_empty and b.is_empty:
-        return {}
-    if a.is_empty or b.is_empty:
-        return None
     if a.f_vector() != b.f_vector():
         return None
-    ca = a._refinement_colors()
-    cb = b._refinement_colors()
-    hist_a: Dict[int, List[int]] = {}
-    hist_b: Dict[int, List[int]] = {}
-    for v in a.vertices:
-        hist_a.setdefault(ca[v], []).append(v)
-    for v in b.vertices:
-        hist_b.setdefault(cb[v], []).append(v)
-    if sorted((c, len(vs)) for c, vs in hist_a.items()) != sorted(
-        (c, len(vs)) for c, vs in hist_b.items()
-    ):
+    enc_a, order_a = a._canonical_code()
+    enc_b, order_b = b._canonical_code()
+    if enc_a != enc_b:
         return None
-    # same refinement ran on both sides, so classes correspond by id
-    if set(hist_a) != set(hist_b) or any(
-        len(hist_a[c]) != len(hist_b[c]) for c in hist_a
-    ):
-        return None
-    at_a = a._incidence()
-    b_facets = set(b.facets)
-    # most-constrained first: rare color classes early, then adjacency
-    order = sorted(a.vertices, key=lambda v: (len(hist_a[ca[v]]), ca[v], v))
-    mapping: Dict[int, int] = {}
-    used: set = set()
-
-    def consistent(v: int, w: int) -> bool:
-        for f in at_a[v]:
-            img = {mapping[u] for u in f if u in mapping}
-            img.add(w)
-            if len(img) == len([u for u in f if u in mapping]) + 1:
-                if not any(img <= g for g in b_facets):
-                    return False
-                if len(img) == len(f) and frozenset(img) not in b_facets:
-                    return False
-            else:
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            image = {frozenset(mapping[u] for u in f) for f in a.facets}
-            return image == b_facets
-        v = order[i]
-        for w in hist_b[ca[v]]:
-            if w in used:
-                continue
-            if consistent(v, w):
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
+    return dict(zip(order_a, order_b))
 
 
 # -- module-level operations (canonical output labels) -----------------
@@ -777,5 +730,9 @@ def loads(text: str) -> Complex:
     """Parse either serialization; JSON when the text starts with '{'."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise InvalidComplexError("JSON nested too deeply") from None
+        return from_json_obj(obj)
     return from_text(text)

@@ -359,18 +359,22 @@ def _eval_word(word: Word, images: Sequence[Tuple[int, ...]], m: int) -> Tuple[i
     return acc
 
 
+_MAX_PERMUTATION_DEGREE = 5
+
+
 def nontrivial_permutation_image(
-    p: FinitePresentation, budget: vd.Budget, max_degree: int = 5
+    p: FinitePresentation, budget: vd.Budget
 ) -> Optional[dict]:
-    """Search for a homomorphism onto a nontrivial subgroup of a small
-    symmetric group; a witness proves the group nontrivial.
+    """Search for a homomorphism onto a nontrivial subgroup of a
+    symmetric group of degree at most 5; a witness proves the group
+    nontrivial.
 
     Returns {"degree": m, "images": [perm, ...]} or None.  Deterministic
     order; the budget counts partial assignments visited.
     """
     if p.num_generators == 0:
         return None
-    for m in range(2, max_degree + 1):
+    for m in range(2, _MAX_PERMUTATION_DEGREE + 1):
         perms = _perms(m)
         ident = tuple(range(m))
         images: List[Tuple[int, ...]] = []
@@ -432,27 +436,21 @@ def semi_decide_trivial(p: FinitePresentation, budget: int = 20000) -> vd.Verdic
 # -- fundamental group of a complex ------------------------------------
 
 
-def edge_path_presentation(
-    cx: Complex, basepoint: Optional[int] = None
-) -> FinitePresentation:
+def edge_path_presentation(cx: Complex) -> FinitePresentation:
     """Edge-path presentation of the fundamental group of a connected
-    complex.
+    complex, based at its smallest vertex.
 
-    A breadth-first spanning tree from the basepoint collapses; each
+    A breadth-first spanning tree from that vertex collapses; each
     non-tree edge of the 1-skeleton becomes a generator, and each
     triangle contributes the relator spelled by its three sides.  The
-    result depends only on the complex and basepoint, not on dict
-    ordering.
+    result depends only on the complex, not on dict ordering.
     """
     if cx.is_empty:
         raise ValueError("empty complex has no fundamental group")
     if not cx.is_connected():
         raise ValueError("edge-path presentation needs a connected complex")
     verts = cx.vertices
-    if basepoint is None:
-        basepoint = verts[0]
-    elif basepoint not in verts:
-        raise ValueError(f"basepoint {basepoint} is not a vertex")
+    basepoint = verts[0]
     edges = set()
     for f in cx.facets:
         fl = sorted(f)

@@ -135,9 +135,8 @@ def handlebody_boundary(k: int, n: int) -> Tuple[Complex, Marks]:
 def _check_edge_path(cx: Complex, path: Sequence[int]):
     if len(set(path)) != len(path):
         raise ValueError("curve path revisits a vertex")
-    pairs = list(zip(path, list(path[1:]) + [path[0]]))
-    for u, v in pairs:
-        if not any(u in f and v in f for f in cx.facets):
+    for u, v in zip(path, list(path[1:]) + [path[0]]):
+        if not cx.has_face((u, v)):
             raise ValueError("curve path leaves the 1-skeleton")
 
 
@@ -230,7 +229,7 @@ def realize_curve(marked: Tuple[Complex, Marks], w: Word) -> PositionedCurve:
     raise DepthError(w, depth)
 
 
-def surgery(m: Complex, c: PositionedCurve, budget: int = 200000) -> Complex:
+def surgery(m: Complex, c: PositionedCurve) -> Complex:
     """Replace the curve's product tube with a capped disk pair.
 
     The tube is a block neighborhood curve x star; its boundary torus
@@ -242,8 +241,7 @@ def surgery(m: Complex, c: PositionedCurve, budget: int = 200000) -> Complex:
     amb = c.ambient
     if amb.euler_characteristic() != m.euler_characteristic():
         raise ValueError("curve ambient does not match the given complex")
-    return do_surgery(amb, list(c.sections), c.model, c.center,
-                      budget=budget)
+    return do_surgery(amb, list(c.sections), c.model, c.center)
 
 
 def _cascade_ops(plan: HandlePlan) -> List[Tuple[str, object]]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import verdict as vd
 from .complex_core import Complex, InvalidComplexError, Simplex, isomorphism
@@ -164,10 +164,13 @@ def first_weld(cx: Complex) -> Optional[Tuple[int, Simplex]]:
 def flip_candidates(cx: Complex) -> Iterator[Tuple[Simplex, Simplex]]:
     """Faces A with link the boundary of a missing simplex B, as (A, B);
     requires a pure complex.  Ordered by (dim A, labels)."""
-    d = cx.dim
-    if d < 1:
-        return
-    for k in range(0, d + 1):
+    if cx.dim >= 1:
+        yield from _flips(cx, range(cx.dim + 1))
+
+
+def _flips(cx: Complex, dims: Iterable[int]) -> Iterator[Tuple[Simplex, Simplex]]:
+    """The flips (A, B) with dim A in dims, in that order, then by labels."""
+    for k in dims:
         for a in cx.faces(k):
             b = _flip_partner(cx, a)
             if b is not None:
@@ -290,15 +293,7 @@ def apply_certificate(cx: Complex, cert: Certificate) -> Complex:
 def _reducing_flip(cx: Complex) -> Optional[Tuple[Simplex, Simplex]]:
     """First flip that strictly lowers the facet count: dim A below
     half the dimension (welds are the dim-0 case, found separately)."""
-    d = cx.dim
-    for k in range(1, d):
-        if 2 * k >= d:
-            break
-        for a in cx.faces(k):
-            b = _flip_partner(cx, a)
-            if b is not None:
-                return (a, b)
-    return None
+    return next(_flips(cx, range(1, (cx.dim + 1) // 2)), None)
 
 
 def simplify_complex(
@@ -330,25 +325,22 @@ def simplify_complex(
 def _sideways_flips(cx: Complex) -> Iterator[Tuple[Simplex, Simplex]]:
     # flips preserving the facet count: 2 * dim A = d (even d only)
     d = cx.dim
-    if d % 2 or d == 0:
-        return
-    k = d // 2
-    for a in cx.faces(k):
-        b = _flip_partner(cx, a)
-        if b is not None:
-            yield (a, b)
+    return _flips(cx, [d // 2] if d > 0 and d % 2 == 0 else [])
+
+
+_PLATEAU_DEPTH = 3
 
 
 def _escape_plateau(
-    state: Complex, budget: vd.Budget, moves_out: List[StellarMove], depth: int = 3
+    state: Complex, budget: vd.Budget, moves_out: List[StellarMove]
 ) -> Optional[Complex]:
-    """Bounded search through facet-count-preserving flips for a state
-    where the descent can continue; returns that smaller state (with
-    the connecting moves appended) or None."""
+    """Search up to _PLATEAU_DEPTH facet-count-preserving flips deep
+    for a state where the descent can continue; returns that smaller
+    state (with the connecting moves appended) or None."""
     start_sig = state.iso_signature()
     seen = {start_sig}
     frontier: List[Tuple[Complex, List[StellarMove]]] = [(state, [])]
-    for _ in range(depth):
+    for _ in range(_PLATEAU_DEPTH):
         nxt: List[Tuple[Complex, List[StellarMove]]] = []
         for cur, path in frontier:
             for a, b in _sideways_flips(cur):

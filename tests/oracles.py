@@ -5,7 +5,7 @@ on tiny inputs."""
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from plmarkov.complex_core import Complex, InvalidComplexError, Simplex, as_simplex
 from plmarkov.groups import (FinitePresentation, Word, _substitute, abelianization,
@@ -812,3 +812,76 @@ def _smith_of_sparse(m: _SparseMatrix) -> List[int]:
                 diag[i], diag[j] = g, a // g * b
     diag.sort()
     return diag
+
+
+# The colour-guided backtracking search that `complex_core.isomorphism`
+# ran before it read its map off the canonical forms.
+
+def isomorphism_backtracking(a: Complex, b: Complex) -> Optional[Dict[int, int]]:
+    """A vertex bijection carrying the facets of a onto those of b, or
+    None.  Backtracking guided by refinement colors: images must share a
+    color class and every facet of a must land on a facet of b.
+    """
+    if a.is_empty and b.is_empty:
+        return {}
+    if a.is_empty or b.is_empty:
+        return None
+    if a.f_vector() != b.f_vector():
+        return None
+    ca = a._refinement_colors()
+    cb = b._refinement_colors()
+    hist_a: Dict[int, List[int]] = {}
+    hist_b: Dict[int, List[int]] = {}
+    for v in a.vertices:
+        hist_a.setdefault(ca[v], []).append(v)
+    for v in b.vertices:
+        hist_b.setdefault(cb[v], []).append(v)
+    if sorted((c, len(vs)) for c, vs in hist_a.items()) != sorted(
+        (c, len(vs)) for c, vs in hist_b.items()
+    ):
+        return None
+    # same refinement ran on both sides, so classes correspond by id
+    if set(hist_a) != set(hist_b) or any(
+        len(hist_a[c]) != len(hist_b[c]) for c in hist_a
+    ):
+        return None
+    at_a = a._incidence()
+    b_facets = set(b.facets)
+    # most-constrained first: rare color classes early, then adjacency
+    order = sorted(a.vertices, key=lambda v: (len(hist_a[ca[v]]), ca[v], v))
+    mapping: Dict[int, int] = {}
+    used: set = set()
+
+    def consistent(v: int, w: int) -> bool:
+        for f in at_a[v]:
+            img = {mapping[u] for u in f if u in mapping}
+            img.add(w)
+            if len(img) == len([u for u in f if u in mapping]) + 1:
+                if not any(img <= g for g in b_facets):
+                    return False
+                if len(img) == len(f) and frozenset(img) not in b_facets:
+                    return False
+            else:
+                return False
+        return True
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            image = {frozenset(mapping[u] for u in f) for f in a.facets}
+            return image == b_facets
+        v = order[i]
+        for w in hist_b[ca[v]]:
+            if w in used:
+                continue
+            if consistent(v, w):
+                mapping[v] = w
+                used.add(w)
+                if extend(i + 1):
+                    return True
+                del mapping[v]
+                used.discard(w)
+        return False
+
+    if extend(0):
+        return dict(mapping)
+    return None

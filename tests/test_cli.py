@@ -72,6 +72,12 @@ class TestBuild:
         r = runner.invoke(main, ["build", "torus(2)"])
         assert r.exit_code == 1
 
+    def test_deep_nesting_is_a_named_error(self, runner):
+        r = runner.invoke(main, ["build", "cone(" * 3000 + "ball(1)" + ")" * 3000])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == "Error: expression nested too deeply\n"
+
 
 class TestInvariants:
     def test_sphere_profile(self, runner, sphere_file):
@@ -214,3 +220,11 @@ class TestConvert:
         r = runner.invoke(main, ["convert", sphere_file, "--to", "json"])
         cx = cc.from_json_obj(json.loads(r.output))
         assert cx == simplex_sphere(3)
+
+    def test_deeply_nested_json_is_a_named_error(self, runner, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"facets": ' + "[" * 100000)
+        r = runner.invoke(main, ["convert", str(path), "--to", "text"])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == "Error: %s: JSON nested too deeply\n" % path

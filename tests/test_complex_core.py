@@ -33,6 +33,7 @@ from oracles import (
     check_maximal_pairwise,
     is_strongly_connected_own_map,
     iso_exhaustive,
+    isomorphism_backtracking,
     orientable_exhaustive,
     orientation_own_map,
     refinement_colors_per_incidence,
@@ -423,6 +424,25 @@ def test_signatures_agree_exactly_with_isomorphism(pair):
     same = a.iso_signature() == b.iso_signature()
     assert same == (isomorphism(a, b) is not None)
     assert same == iso_exhaustive(a, b)
+    assert same == (isomorphism_backtracking(a, b) is not None)
+
+
+@st.composite
+def relabeled_pairs(draw):
+    a = draw(small_complexes())
+    return a, _relabeled_randomly(a, draw(st.randoms(use_true_random=False)))
+
+
+@given(st.one_of(complex_pairs(), relabeled_pairs()))
+@example((K33, PRISM))
+@example((Complex([]), Complex([])))
+@example((validate(MOEBIUS), validate(ANNULUS)))
+def test_isomorphism_matches_the_backtracking_search(pair):
+    a, b = pair
+    m = isomorphism(a, b)
+    assert (m is None) == (isomorphism_backtracking(a, b) is None)
+    if m is not None:
+        assert a.relabeled(m) == b
 
 
 @given(small_complexes())

@@ -16,7 +16,7 @@ from plmarkov.markov import (DepthError, HandlePlan, dovetail,
                              handlebody_boundary, plan_from_presentation,
                              realize_boundary, realize_curve,
                              reduction_report, surgery,
-                             _cascade_ops)
+                             _cascade_ops, _check_edge_path)
 from plmarkov.recognition import is_closed_manifold
 from oracles import (mod2_triangle_boundary, subcomplex_classes_exhaustive,
                      two_sphere_triangulations)
@@ -371,3 +371,17 @@ class TestEnumeration:
         sigs = list(enumerate_subcomplexes(simplex_sphere(1)))
         assert len(sigs) == subcomplex_classes_exhaustive(
             simplex_sphere(1)) == 7
+
+
+@given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+                min_size=1, max_size=5),
+       st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True))
+def test_edge_path_check_matches_a_facet_scan(facets, path):
+    cx = Complex.generated_by(facets)
+    closed = zip(path, path[1:] + path[:1])
+    on_skeleton = all(any(u in f and v in f for f in cx.facets) for u, v in closed)
+    try:
+        _check_edge_path(cx, path)
+        assert on_skeleton
+    except ValueError as e:
+        assert not on_skeleton and str(e) == "curve path leaves the 1-skeleton"

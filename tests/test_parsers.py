@@ -4,6 +4,7 @@ KeyError or TypeError."""
 
 import json
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from plmarkov.cli import ExpressionError, parse_expression
@@ -149,3 +150,15 @@ _expression = st.recursive(
 def test_parse_expression_raises_only_expression_or_value_errors(text):
     out = parses_or_names_its_error(parse_expression, text, (ExpressionError, ValueError))
     assert out is None or isinstance(out, Complex)
+
+
+# Nesting deeper than the recursion limit is a named error too.
+
+def test_deeply_nested_json_is_an_invalid_complex():
+    with pytest.raises(InvalidComplexError, match="nested too deeply"):
+        loads('{"facets": ' + "[" * 100000)
+
+
+def test_deeply_nested_expression_is_an_expression_error():
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        parse_expression("cone(" * 3000 + "ball(1)" + ")" * 3000)

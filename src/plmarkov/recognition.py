@@ -1,11 +1,15 @@
 """Semi-decision procedures for spheres, balls, and manifold structure.
 
-Sphere and ball recognition run cheap invariant gates first (purity,
-pseudomanifold conditions, Euler number, homology, orientability) and
-then hand the survivors to the stellar move search against the minimal
-reference complex.  A definite no always names its obstruction; yes
-carries a replayable move certificate; unknown means the budget ran
-out, nothing more.
+Sphere and ball recognition run cheap combinatorial gates first
+(purity, pseudomanifold conditions, Euler number) and then hand the
+survivors to the stellar move search against the minimal reference
+complex.  Sphere recognition is certificate-first: a yes from the
+descent stage of the search is a move certificate, so a complex it
+settles never computes homology; only those it leaves open pass the
+homology and orientability gates before the two-sided search.  Ball
+recognition runs its homology gate before the search.  A definite no
+always names its obstruction; yes carries a replayable move
+certificate; unknown means the budget ran out, nothing more.
 
 Manifold recognition classifies every vertex link as a sphere (interior
 vertex) or a ball (boundary vertex).  Isomorphic links share one
@@ -25,13 +29,14 @@ from . import verdict as vd
 from .builders import simplex_sphere, standard_simplex
 from .complex_core import Complex, fingerprint, isomorphism
 from .invariants import homology
-from .stellar_moves import search_equivalence
+from .stellar_moves import descend, meet, search_equivalence
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 
 
 def _sphere_gates(cx: Complex, dim: int) -> Optional[vd.Verdict]:
+    """The combinatorial gates, complete in dimensions 0 and below."""
     if cx.is_empty:
         return vd.yes() if dim == -1 else vd.no("wrong-dimension")
     if cx.dim != dim:
@@ -54,6 +59,12 @@ def _sphere_gates(cx: Complex, dim: int) -> Optional[vd.Verdict]:
                 "want": ref.euler_characteristic(),
             },
         )
+    return None
+
+
+def _manifold_gates(cx: Complex, ref: Complex) -> Optional[vd.Verdict]:
+    """The homology and orientability gates, for what the descent left
+    open."""
     if homology(cx) != homology(ref):
         return vd.no("homology-mismatch", detail=homology(cx).to_json())
     if not cx.is_orientable():
@@ -66,19 +77,28 @@ def is_combinatorial_sphere(
 ) -> vd.Verdict:
     """Is cx connected to the boundary of a simplex by stellar moves?
 
-    A yes witness is a move certificate replaying cx onto the reference
-    sphere.  The check is only a semi-decision: unknown states that the
-    budget ran out before the search met in the middle.
+    After the combinatorial gates the descent stage of the search runs
+    first, and its yes is returned as it stands: a certified complex is
+    PL-homeomorphic to the reference sphere.  Otherwise the homology
+    and orientability gates run, and then the two-sided search from the
+    same reduced states and budget.  A yes witness is a move
+    certificate replaying cx onto the reference sphere.  The check is
+    only a semi-decision: unknown states that the budget ran out before
+    the search met in the middle.
     """
     if dim is None:
         dim = cx.dim
     gate = _sphere_gates(cx, dim)
     if gate is not None:
         return gate
-    if dim <= 0:
-        # gates are complete in dimensions 0 and below
-        return vd.yes()
-    return search_equivalence(cx, simplex_sphere(dim), budget)
+    ref = simplex_sphere(dim)
+    descent = descend(cx, ref, budget)
+    if descent.verdict is not None:
+        return descent.verdict
+    gate = _manifold_gates(cx, ref)
+    if gate is not None:
+        return gate
+    return meet(cx, ref, descent)
 
 
 def is_combinatorial_ball(

@@ -23,8 +23,9 @@ search emits only stellar lines, never flip lines.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import verdict as vd
 from .complex_core import Complex, InvalidComplexError, Simplex, isomorphism
@@ -130,29 +131,43 @@ def subdivision_candidates(cx: Complex) -> Iterator[Simplex]:
 
 
 def weld_candidates(cx: Complex) -> Iterator[Tuple[int, Simplex]]:
-    """All legal welds, deterministically ordered.
+    """All legal welds, deterministically ordered: by vertex v, then by
+    the vertex w below, then by the labels of s.
 
     Any legal s satisfies: s is not a face, every vertex of s lies in
     link(v), and s has exactly one vertex outside each link facet; so s
-    is (subset of first link facet) + (one vertex outside it).  The
-    link of each vertex is built once and the link condition is tested
-    on it first, since almost every candidate fails it; ``weld_parts``
-    judges the few that pass.
+    is (subset of first link facet) + (one vertex w outside it).  When
+    the N link facets split as (boundary of s) * L, every vertex of s
+    lies in exactly N - |L| of them and |s| = N / |L|, so the degree of
+    w in the link fixes |s| and the subset is drawn from the vertices
+    of that same degree; this is a necessary condition, so no weld is
+    lost.  The link of each vertex is built once and the link condition
+    is tested on it first, since almost every candidate fails it;
+    ``weld_parts`` judges the few that pass.
     """
     for v in cx.vertices:
-        link_set = {f - {v} for f in cx.facets_containing([v])}
-        f0 = min(link_set, key=lambda t: tuple(sorted(t)))
-        if not f0:
+        yield from _vertex_welds(cx, v)
+
+
+def _vertex_welds(cx: Complex, v: int) -> Iterator[Tuple[int, Simplex]]:
+    """The legal welds at v, in the order of ``weld_candidates``."""
+    link_set = {f - {v} for f in cx.facets_containing([v])}
+    f0 = min(link_set, key=lambda t: tuple(sorted(t)))
+    if not f0:
+        return
+    n = len(link_set)
+    degree = Counter(u for t in link_set for u in t)
+    f0l = sorted(f0)
+    for w in sorted(degree.keys() - f0):
+        factor = n - degree[w]
+        if n % factor:
             continue
-        outside = sorted(set().union(*link_set) - f0)
-        f0l = sorted(f0)
-        for w in outside:
-            for k in range(1, len(f0l) + 1):
-                for a in itertools.combinations(f0l, k):
-                    s = frozenset(a) | {w}
-                    if (_link_factor(link_set, s) is not None
-                            and weld_parts(cx, v, s) is not None):
-                        yield (v, s)
+        pool = [u for u in f0l if degree[u] == degree[w]]
+        for a in itertools.combinations(pool, n // factor - 1):
+            s = frozenset(a) | {w}
+            if (_link_factor(link_set, s) is not None
+                    and weld_parts(cx, v, s) is not None):
+                yield (v, s)
 
 
 def first_weld(cx: Complex) -> Optional[Tuple[int, Simplex]]:
@@ -475,18 +490,42 @@ def search_equivalence(a: Complex, b: Complex, budget: int) -> vd.Verdict:
     no       an invariant preserved by the moves differs
     unknown  search space exhausted the budget
 
-    The search first reduces both sides by monotone descent, compares
-    the reduced forms, then runs a bounded two-sided search between
-    them.  Deterministic throughout; the budget counts generated states.
+    Every invariant is compared first, so a no spends no budget.  The
+    search then runs ``descend`` and, when that settles nothing,
+    ``meet``.  Deterministic throughout; the budget counts generated
+    states.
     """
     obstruction = _invariant_obstruction(a, b)
     if obstruction is not None:
         reason, detail = obstruction
         return vd.no(reason, detail=detail)
+    descent = descend(a, b, budget)
+    if descent.verdict is not None:
+        return descent.verdict
+    return meet(a, b, descent)
+
+
+class Descent(NamedTuple):
+    """Where ``descend`` left a search: its yes when isomorphism of the
+    inputs or of their reduced forms settled it, otherwise the budget
+    and both reduced states with the moves that reached them."""
+
+    verdict: Optional[vd.Verdict]
+    budget: Optional[vd.Budget] = None
+    a_red: Optional[Complex] = None
+    a_moves: Optional[List[StellarMove]] = None
+    b_red: Optional[Complex] = None
+    b_moves: Optional[List[StellarMove]] = None
+
+
+def descend(a: Complex, b: Complex, budget: int) -> Descent:
+    """The first stage of a search: test the inputs for isomorphism,
+    reduce both sides by monotone descent on half the budget each, and
+    compare the reduced forms.  Checks no invariant."""
     before = isomorphism(a, b)
     if before is not None:
         relabel = tuple(before[v] for v in a.vertices)
-        return vd.yes(witness=Certificate((), relabel))
+        return Descent(vd.yes(witness=Certificate((), relabel)))
     total = vd.Budget(budget)
     half = vd.Budget(total.remaining // 2)
     a_red, a_moves = reduce_with_trace(a, half)
@@ -494,11 +533,17 @@ def search_equivalence(a: Complex, b: Complex, budget: int) -> vd.Verdict:
     b_red, b_moves = reduce_with_trace(b, b_budget)
     total.spend(half.used + b_budget.used)
     psi = isomorphism(a_red, b_red)
+    found = None
     if psi is not None:
-        return vd.yes(
-            witness=_stitch_certificate(a_moves, a_red, b_moves, b, psi)
-        )
-    # two-sided bounded search between the reduced forms
+        found = vd.yes(witness=_stitch_certificate(a_moves, a_red, b_moves, b, psi))
+    return Descent(found, total, a_red, a_moves, b_red, b_moves)
+
+
+def meet(a: Complex, b: Complex, descent: Descent) -> vd.Verdict:
+    """The second stage of a search: a bounded two-sided search between
+    the reduced forms of an unsettled ``descend``, on what is left of
+    its budget."""
+    _, total, a_red, a_moves, b_red, b_moves = descent
     cap = max(len(a_red.facets), len(b_red.facets)) + a.dim + 1
     seen_a: Dict[str, Tuple[Complex, List[StellarMove]]] = {
         a_red.iso_signature(): (a_red, [])

@@ -38,6 +38,10 @@ from .stellar_moves import (
     weld_parts,
 )
 
+# states the search for a twisted torus's path to the reference torus
+# may generate
+_SEARCH_BUDGET = 200000
+
 
 def staircase(col_a, col_b, order):
     d = len(order)
@@ -329,7 +333,7 @@ def _untwist_moves(x0, bands, lk):
     return moves
 
 
-def shell_cap(tube, lk, alloc, budget=200000):
+def shell_cap(tube, lk, alloc):
     """Cap a tube whose boundary torus carries a seam twist.
 
     A move certificate from the twisted torus to a plain torus replays
@@ -353,7 +357,7 @@ def shell_cap(tube, lk, alloc, budget=200000):
         n = len(tube.edges)
         ring = Complex([[i, (i + 1) % n] for i in range(n)])
         target, chart = ordered_product_with_chart(ring, Complex(lk.facets))
-        res = search_equivalence(x0, target, budget)
+        res = search_equivalence(x0, target, _SEARCH_BUDGET)
         if res.status != "yes":
             raise ValueError(
                 f"no move path to the reference torus: {res.status}"
@@ -456,7 +460,7 @@ def shell_cap(tube, lk, alloc, budget=200000):
     return cap | staircase_cap(ends, lk, apex)
 
 
-def do_surgery(m, sections, ball, center, budget=200000):
+def do_surgery(m, sections, ball, center):
     """Replace the curve's solid tube by a cap over a fresh apex sphere.
 
     The tube is resolved and verified first; a torus that is a plain
@@ -476,5 +480,5 @@ def do_surgery(m, sections, ball, center, budget=200000):
         apex = {s: alloc() for s in sorted(lk.vertices)}
         cells = staircase_cap(_oriented(tube.edges), lk, apex)
     else:
-        cells = shell_cap(tube, lk, alloc, budget=budget)
+        cells = shell_cap(tube, lk, alloc)
     return Complex((frozenset(m.facets) - tube.cells) | cells)

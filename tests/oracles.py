@@ -7,9 +7,13 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from plmarkov import verdict as vd
+from plmarkov.builders import simplex_sphere
 from plmarkov.complex_core import Complex, InvalidComplexError, Simplex, as_simplex
 from plmarkov.groups import (FinitePresentation, Word, _substitute, abelianization,
                              cyclic_reduce, free_reduce, inverse_word)
+from plmarkov.invariants import homology
+from plmarkov.stellar_moves import _link_factor, search_equivalence, weld_parts
 
 
 def iso_exhaustive(a: Complex, b: Complex, max_vertices: int = 8) -> bool:
@@ -885,3 +889,58 @@ def isomorphism_backtracking(a: Complex, b: Complex) -> Optional[Dict[int, int]]
     if extend(0):
         return dict(mapping)
     return None
+
+
+# The weld scan and the sphere check as they ran before the scan pruned
+# by link degree and the check ran the descent ahead of homology.
+
+def weld_candidates_unpruned(cx: Complex) -> list:
+    """Every legal weld, per vertex: every nonempty subset of the first
+    link facet plus one link vertex outside it, link condition first."""
+    out = []
+    for v in cx.vertices:
+        link_set = {f - {v} for f in cx.facets_containing([v])}
+        f0 = min(link_set, key=lambda t: tuple(sorted(t)))
+        if not f0:
+            continue
+        outside = sorted(set().union(*link_set) - f0)
+        f0l = sorted(f0)
+        for w in outside:
+            for k in range(1, len(f0l) + 1):
+                for a in itertools.combinations(f0l, k):
+                    s = frozenset(a) | {w}
+                    if (_link_factor(link_set, s) is not None
+                            and weld_parts(cx, v, s) is not None):
+                        out.append((v, s))
+    return out
+
+
+def is_combinatorial_sphere_gates_first(cx: Complex, budget: int = 100000,
+                                        dim: Optional[int] = None):
+    """Sphere recognition with every invariant gate (Euler number,
+    homology, orientability) ahead of the full search."""
+    if dim is None:
+        dim = cx.dim
+    if cx.is_empty:
+        return vd.yes() if dim == -1 else vd.no("wrong-dimension")
+    if cx.dim != dim:
+        return vd.no("wrong-dimension", detail={"have": cx.dim, "want": dim})
+    if not cx.is_pure():
+        return vd.no("not-pure")
+    if dim == 0:
+        if len(cx.facets) == 2:
+            return vd.yes()
+        return vd.no("not-two-points", detail={"points": len(cx.facets)})
+    if not cx.is_closed_pseudomanifold():
+        return vd.no("not-closed-pseudomanifold")
+    ref = simplex_sphere(dim)
+    if cx.euler_characteristic() != ref.euler_characteristic():
+        return vd.no("euler-mismatch", detail={
+            "have": cx.euler_characteristic(),
+            "want": ref.euler_characteristic(),
+        })
+    if homology(cx) != homology(ref):
+        return vd.no("homology-mismatch", detail=homology(cx).to_json())
+    if not cx.is_orientable():
+        return vd.no("non-orientable")
+    return search_equivalence(cx, ref, budget)

@@ -25,8 +25,9 @@ from plmarkov.markov import (dovetail, enumerate_spheres,
 from plmarkov.recognition import (classify_links, is_closed_manifold,
                                   is_combinatorial_sphere)
 from plmarkov.stellar_moves import (apply_certificate, format_certificate,
-                                    search_equivalence)
-from oracles import subcomplex_classes_exhaustive
+                                    search_equivalence, weld_candidates)
+from oracles import (is_combinatorial_sphere_gates_first,
+                     subcomplex_classes_exhaustive, weld_candidates_unpruned)
 
 BUDGET = 100000
 PRESENTATIONS = ("|", "g|g", "g|gg", "a,b|a,b", "a,b|ab,b", "a,b|abAB")
@@ -152,6 +153,20 @@ def test_criterion_2_recognition_suite(closed_check):
             assert ver.is_yes, name
             assert apply_certificate(lk, ver.witness) == simplex_sphere(lk.dim)
     assert closed_check.elapsed + (time.monotonic() - t0) < 60
+
+
+def test_gate_2_links_match_the_unpruned_and_gates_first_oracles(closed_check):
+    # the degree-pruned weld scan and the certificate-first sphere check
+    # against the scan and the gate order they replaced
+    for name, cx in {**closed_check.yes, **closed_check.no}.items():
+        for lk in distinct_links(cx):
+            assert list(weld_candidates(lk)) == weld_candidates_unpruned(lk), name
+            new = is_combinatorial_sphere(lk, BUDGET)
+            old = is_combinatorial_sphere_gates_first(lk, BUDGET)
+            assert new.to_json() == old.to_json(), name
+            if new.is_yes:
+                assert (format_certificate(new.witness)
+                        == format_certificate(old.witness)), name
 
 
 def test_criterion_3_certificate_round_trip():

@@ -20,7 +20,9 @@ from plmarkov.recognition import (
     is_combinatorial_sphere,
     is_pl_manifold,
 )
-from plmarkov.stellar_moves import apply_certificate
+from plmarkov.stellar_moves import apply_certificate, format_certificate
+
+from oracles import is_combinatorial_sphere_gates_first
 
 OCTA = Complex([[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 2],
                 [6, 2, 3], [6, 3, 4], [6, 4, 5], [6, 5, 2]])
@@ -189,9 +191,11 @@ class TestReportDeterminism:
 
 
 def test_reference_complexes_compute_homology_once(monkeypatch):
-    # The sphere and ball gates compare against simplex_sphere(d) and
+    # The homology gates compare against simplex_sphere(d) and
     # standard_simplex(d); the builders hand back one shared complex per
     # dimension, so its cached homology profile serves every later gate.
+    # Sphere links settled by the descent never reach the gate, so the
+    # apex links of the suspended S1 x S2 (S1 x S2 itself) bring it in.
     computed = []
 
     def counting_homology(cx, real=invariants.homology):
@@ -203,11 +207,73 @@ def test_reference_complexes_compute_homology_once(monkeypatch):
         monkeypatch.setattr(module, "homology", counting_homology)
     simplex_sphere.cache_clear()
     standard_simplex.cache_clear()
-    inputs = [sphere_product(1, 2), simplex_sphere(4), TORUS_9]
+    inputs = [sphere_product(1, 2), simplex_sphere(4), TORUS_9,
+              suspension(sphere_product(1, 2))]
     inputs = [cx.relabeled({v: v + 100 for v in cx.vertices}) for cx in inputs]
     for _ in range(3):
-        for cx in inputs:
+        for cx in inputs[:3]:
             assert is_closed_manifold(cx, budget=20000).is_yes
+        v = is_closed_manifold(inputs[3], budget=20000)
+        assert v.is_no and "sphere: homology-mismatch" in v.reason
     refs = {simplex_sphere(d).facets for d in range(1, 5)}
     per_ref = [computed.count(r) for r in refs if r in computed]
     assert per_ref and all(k == 1 for k in per_ref)
+
+
+def test_links_settled_by_the_descent_compute_no_homology(monkeypatch):
+    computed = []
+
+    def counting_homology(cx, real=invariants.homology):
+        computed.append(cx.facets)
+        return real(cx)
+
+    for module in (recognition, stellar_moves):
+        monkeypatch.setattr(module, "homology", counting_homology)
+    for cx in (sphere_product(1, 2), simplex_sphere(4), TORUS_9, OCTA):
+        assert is_closed_manifold(cx, budget=20000).is_yes
+    sd = barycentric_subdivision(simplex_sphere(3))
+    assert is_combinatorial_sphere(sd).is_yes
+    assert computed == []
+
+
+def _euler_sphere_non_spheres():
+    s1s2 = sphere_product(1, 2)
+    apex = max(suspension(s1s2).vertices)
+    return {
+        "s1xs2": s1s2,
+        "s1xs2-subdivided": stellar_moves.stellar_subdivide(
+            s1s2, min(s1s2.facets, key=sorted)),
+        "s1xs4": sphere_product(1, 4),
+        "suspended-s1xs2": suspension(s1s2),
+        "suspended-s1xs2-apex-link": suspension(s1s2).link([apex]),
+    }
+
+
+EULER_SPHERE_NON_SPHERES = _euler_sphere_non_spheres()
+
+
+def _same_sphere_verdicts(cx, budget):
+    new = is_combinatorial_sphere(cx, budget)
+    old = is_combinatorial_sphere_gates_first(cx, budget)
+    assert new.to_json() == old.to_json()
+    if new.is_yes:
+        assert format_certificate(new.witness) == format_certificate(old.witness)
+    return new
+
+
+@pytest.mark.parametrize("name", EULER_SPHERE_NON_SPHERES)
+def test_euler_sphere_non_spheres_match_gates_first_oracle(name):
+    cx = EULER_SPHERE_NON_SPHERES[name]
+    assert cx.euler_characteristic() == simplex_sphere(cx.dim).euler_characteristic()
+    v = _same_sphere_verdicts(cx, 100000)
+    assert v.is_no and v.reason == "homology-mismatch"
+
+
+@pytest.mark.parametrize("budget", range(1, 21))
+def test_searches_past_the_descent_match_gates_first_oracle(budget):
+    # small budgets cut the descent short, so these reach the homology
+    # gate and the two-sided search, or run out of budget
+    for cx in (barycentric_subdivision(simplex_sphere(1)),
+               suspension(barycentric_subdivision(simplex_sphere(1))),
+               barycentric_subdivision(simplex_sphere(2))):
+        _same_sphere_verdicts(cx, budget)

@@ -36,6 +36,7 @@ from oracles import (
     facets_containing_linear,
     has_face_linear,
     weld_candidates_linear,
+    weld_candidates_unpruned,
 )
 
 OCTA = Complex([[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 2],
@@ -143,6 +144,21 @@ WELD_SCAN_INPUTS = _weld_scan_inputs()
 def test_weld_candidates_match_linear_oracle(name):
     cx = WELD_SCAN_INPUTS[name]
     assert list(weld_candidates(cx)) == weld_candidates_linear(cx)
+
+
+SUBDIVISION_BASES = [simplex_sphere(2), simplex_sphere(3), OCTA,
+                     sphere_product(1, 1), sphere_product(1, 2)]
+
+
+@given(st.integers(0, len(SUBDIVISION_BASES) - 1), st.data())
+def test_degree_pruned_weld_scan_matches_unpruned(idx, data):
+    # subdividing at a k-face leaves a fresh vertex whose link splits as
+    # the face's boundary joined with a factor: a weld of size k + 1
+    cx = SUBDIVISION_BASES[idx]
+    for _ in range(data.draw(st.integers(0, 4))):
+        faces = [f for k in range(1, cx.dim + 1) for f in cx.faces(k)]
+        cx = stellar_subdivide(cx, faces[data.draw(st.integers(0, len(faces) - 1))])
+    assert list(weld_candidates(cx)) == weld_candidates_unpruned(cx)
 
 
 @pytest.mark.parametrize("name", WELD_SCAN_INPUTS)

@@ -12,8 +12,8 @@ import functools
 import itertools
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .complex_core import Complex, InvalidComplexError, Simplex, join
-from .groups import FinitePresentation, Word
+from .complex_core import Complex, InvalidComplexError, join
+from .groups import FinitePresentation
 
 
 def _dense(cx: Complex) -> Complex:

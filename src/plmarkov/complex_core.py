@@ -43,6 +43,10 @@ the signature are exactly those of the unpruned search.
 ``isomorphism`` runs no search of its own: it compares the two
 canonical forms and composes one canonical mapping with the inverse of
 the other.
+
+``IsoIndex`` groups complexes up to isomorphism in ``fingerprint``
+buckets confirmed by ``isomorphism``; signature strings are built only
+where they are output.
 """
 
 from __future__ import annotations
@@ -536,7 +540,7 @@ class Complex:
         return self._cache["sig"]
 
     def is_isomorphic_to(self, other: "Complex") -> bool:
-        return self.iso_signature() == other.iso_signature()
+        return isomorphism(self, other) is not None
 
     # -- dunder ---------------------------------------------------------
 
@@ -618,6 +622,40 @@ def isomorphism(a: Complex, b: Complex) -> Optional[Dict[int, int]]:
     if enc_a != enc_b:
         return None
     return dict(zip(order_a, order_b))
+
+
+class IsoIndex:
+    """Complexes up to isomorphism.  Each class keeps its first member
+    and a caller value, at its class index in ``members`` and
+    ``values``.  Classes are bucketed by ``fingerprint`` and a member is
+    confirmed by ``isomorphism``, so a complex whose fingerprint is new
+    computes no canonical form."""
+
+    def __init__(self):
+        self.members: List[Complex] = []
+        self.values: List[object] = []
+        self._buckets: Dict[tuple, List[int]] = {}
+
+    def _lookup(self, cx: Complex) -> Tuple[tuple, Optional[int]]:
+        key = fingerprint(cx)
+        for i in self._buckets.get(key, ()):
+            if isomorphism(self.members[i], cx) is not None:
+                return key, i
+        return key, None
+
+    def find(self, cx: Complex) -> Optional[int]:
+        """The index of cx's class, or None."""
+        return self._lookup(cx)[1]
+
+    def add(self, cx: Complex, value: object = None) -> Tuple[int, bool]:
+        """The index of cx's class, and whether cx opened it."""
+        key, i = self._lookup(cx)
+        if i is not None:
+            return i, False
+        self._buckets.setdefault(key, []).append(len(self.members))
+        self.members.append(cx)
+        self.values.append(value)
+        return len(self.members) - 1, True
 
 
 # -- module-level operations (canonical output labels) -----------------

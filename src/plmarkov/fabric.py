@@ -240,29 +240,3 @@ def commutator_corridor():
         sections.append({s: lab(t, s, 1) for s in fiber.vertices})
     return necked, sections, fiber
 
-
-def skeleton_path(cx, a, b):
-    """Shortest edge path between two vertices of the 1-skeleton."""
-    adj = {}
-    for f in cx.facets:
-        fs = sorted(f)
-        for i, u in enumerate(fs):
-            for v in fs[i + 1:]:
-                adj.setdefault(u, set()).add(v)
-                adj.setdefault(v, set()).add(u)
-    prev = {a: None}
-    frontier = [a]
-    while frontier and b not in prev:
-        nxt = []
-        for u in frontier:
-            for v in sorted(adj.get(u, ())):
-                if v not in prev:
-                    prev[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    if b not in prev:
-        raise ValueError("vertices lie in different components")
-    path = [b]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return tuple(reversed(path))

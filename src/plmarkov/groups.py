@@ -16,7 +16,7 @@ import bisect
 import functools
 import itertools
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import verdict as vd

@@ -25,12 +25,10 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import verdict as vd
-from .builders import (connected_sum, reference_manifold, simplex_sphere,
-                       sphere_product)
-from .complex_core import Complex
+from .builders import reference_manifold, simplex_sphere
+from .complex_core import Complex, IsoIndex
 from .fabric import (commutator_corridor, double_lap_corridor, handle_chain,
-                     plant_trivial_loop, skeleton_path, star_ball)
+                     plant_trivial_loop, star_ball)
 from .groups import (FinitePresentation, Word, abelianization, cyclic_reduce,
                      edge_path_presentation, format_presentation, free_reduce,
                      semi_decide_trivial)
@@ -54,13 +52,10 @@ class HandlePlan:
 
 @dataclass(frozen=True)
 class Marks:
-    """Marked cells of a handle boundary: one core circle per summand,
-    a basepoint, and tree arcs joining each core to the basepoint.
+    """Marked cells of a handle boundary: one core circle per summand.
     The section data records each core's product collar, one fiber
     chart per ring column, which is what surgery routing consumes."""
     cores: Tuple[Tuple[int, ...], ...]
-    basepoint: int
-    arcs: Tuple[Tuple[int, ...], ...]
     sections: Tuple[Tuple[Dict[int, int], ...], ...]
     model: Complex
 
@@ -123,13 +118,11 @@ def handlebody_boundary(k: int, n: int) -> Tuple[Complex, Marks]:
     if k == 0:
         sp = simplex_sphere(n)
         ball = star_ball(simplex_sphere(n - 1), 0)
-        return sp, Marks((), min(sp.vertices), (), (), ball)
+        return sp, Marks((), (), ball)
     amb, cols, ball = handle_chain(k, n)
     cores = tuple(tuple(col[0] for col in gen) for gen in cols)
-    basepoint = cores[0][0]
-    arcs = tuple(skeleton_path(amb, basepoint, core[0]) for core in cores)
     sections = tuple(tuple(gen) for gen in cols)
-    return amb, Marks(cores, basepoint, arcs, sections, ball)
+    return amb, Marks(cores, sections, ball)
 
 
 def _check_edge_path(cx: Complex, path: Sequence[int]):
@@ -281,25 +274,18 @@ def _cascade_ops(plan: HandlePlan) -> List[Tuple[str, object]]:
     return ops
 
 
-def realize_boundary(p: FinitePresentation, n: int,
-                     shortcut_trivial: bool = False) -> Complex:
+def realize_boundary(p: FinitePresentation, n: int) -> Complex:
     """Closed n-manifold realizing the presentation.
 
     Builds the marked handle boundary, then performs one surgery per
     relator and one per extra trivial curve.  Relator words are taken
     up to cyclic reduction (conjugation does not move the attached
-    handle's effect).  With shortcut_trivial the trivial-curve
-    surgeries are replaced by connected sums with sphere_product(2,
-    n-2), which each literal trivial surgery is cross-validated
-    against.
+    handle's effect).
     """
     plan = plan_from_presentation(p, n)
     ops = _cascade_ops(plan)
     cur, marks = handlebody_boundary(plan.num_handles, n)
     for kind, w in ops:
-        if kind == "trivial" and shortcut_trivial:
-            cur = connected_sum(cur, sphere_product(2, n - 2))
-            continue
         curve = realize_curve((cur, marks), w)
         cur = surgery(cur, curve)
     return cur
@@ -450,17 +436,16 @@ def enumerate_spheres(n: int, max_facets: int) -> Iterator[str]:
     if n < 1 or max_facets < n + 2:
         raise ValueError("cap must admit the minimal sphere")
     start = simplex_sphere(n)
-    seen = {start.iso_signature()}
+    seen = IsoIndex()
+    seen.add(start)
     yield start.iso_signature()
     frontier = [start]
     while frontier:
         fresh = []
         for cx in frontier:
             for out in _move_neighbors(cx, max_facets):
-                sig = out.iso_signature()
-                if sig not in seen:
-                    seen.add(sig)
-                    fresh.append((sig, out))
+                if seen.add(out)[1]:
+                    fresh.append((out.iso_signature(), out))
         fresh.sort(key=lambda p: p[0])
         for sig, _ in fresh:
             yield sig
@@ -483,7 +468,7 @@ def enumerate_subcomplexes(k: Complex) -> Iterator[str]:
             if g < f:
                 mask |= 1 << index[g]
         below.append(mask)
-    seen = set()
+    seen = IsoIndex()
     for mask in range(1, 1 << nf):
         ok = True
         for i in range(nf):
@@ -494,7 +479,5 @@ def enumerate_subcomplexes(k: Complex) -> Iterator[str]:
             continue
         chosen = [faces[i] for i in range(nf) if mask >> i & 1]
         sub = Complex.generated_by(chosen)
-        sig = sub.iso_signature()
-        if sig not in seen:
-            seen.add(sig)
-            yield sig
+        if seen.add(sub)[1]:
+            yield sub.iso_signature()

@@ -13,8 +13,8 @@ certificate; unknown means the budget ran out, nothing more.
 
 Manifold recognition classifies every vertex link as a sphere (interior
 vertex) or a ball (boundary vertex).  Isomorphic links share one
-verdict through a cache keyed by a cheap fingerprint and confirmed by
-explicit isomorphism, so structured complexes with many repeated link
+verdict through an ``IsoIndex`` (fingerprint buckets confirmed by
+explicit isomorphism), so structured complexes with many repeated link
 shapes settle quickly.  Per-vertex budgets depend only on the input,
 so reports are reproducible byte for byte.
 """
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import verdict as vd
 from .builders import simplex_sphere, standard_simplex
-from .complex_core import Complex, fingerprint, isomorphism
+from .complex_core import Complex, IsoIndex
 from .invariants import homology
 from .stellar_moves import descend, meet, search_equivalence
 
@@ -133,33 +133,6 @@ def is_combinatorial_ball(
 # -- vertex link classification ----------------------------------------
 
 
-def _link_classes(cx: Complex) -> Tuple[Dict[int, int], List[Complex]]:
-    """Group vertex links into isomorphism classes.
-
-    Returns (vertex -> class index, class representatives).  Buckets
-    are keyed by the cheap fingerprint and membership is confirmed by
-    explicit isomorphism; the representative is always the link of the
-    smallest vertex in the class, so the grouping is deterministic.
-    """
-    assign: Dict[int, int] = {}
-    reps: List[Complex] = []
-    buckets: Dict[object, List[int]] = {}
-    for v in cx.vertices:
-        lk = cx.link([v])
-        key = fingerprint(lk)
-        hit = None
-        for idx in buckets.get(key, ()):
-            if isomorphism(reps[idx], lk) is not None:
-                hit = idx
-                break
-        if hit is None:
-            hit = len(reps)
-            reps.append(lk)
-            buckets.setdefault(key, []).append(hit)
-        assign[v] = hit
-    return assign, reps
-
-
 @dataclass(frozen=True)
 class LinkEntry:
     """Classification of one vertex link."""
@@ -231,9 +204,10 @@ def _classify_link(lk: Complex, budget: int) -> Tuple[str, str, str]:
 def classify_links(cx: Complex, budget: int = 1000000) -> RecognitionReport:
     """Classify every vertex link.
 
-    The budget is divided evenly over the vertices up front.  Each
-    isomorphism class of links is classified once, on the link of its
-    smallest vertex, and entries are assembled in vertex order.
+    The budget is divided evenly over the vertices up front.  The links
+    are grouped by an ``IsoIndex``, so each isomorphism class of links
+    is classified once, on the link of its smallest vertex, and entries
+    are assembled in vertex order.
     """
     if not cx.is_pure():
         return RecognitionReport(
@@ -241,13 +215,14 @@ def classify_links(cx: Complex, budget: int = 1000000) -> RecognitionReport:
         )
     verts = cx.vertices
     share = max(budget // max(len(verts), 1), 1)
-    assign, reps = _link_classes(cx)
-    results = [_classify_link(rep, share) for rep in reps]
+    links = IsoIndex()
+    assign = {v: links.add(cx.link([v]))[0] for v in verts}
+    results = [_classify_link(rep, share) for rep in links.members]
     entries = []
     for v in verts:
         role, status, reason = results[assign[v]]
         # isomorphic links share an f-vector: report the representative's
-        entries.append(LinkEntry(v, reps[assign[v]].f_vector(), role, status, reason))
+        entries.append(LinkEntry(v, links.members[assign[v]].f_vector(), role, status, reason))
     bad = [e for e in entries if e.status == vd.NO]
     open_ = [e for e in entries if e.status == vd.UNKNOWN]
     if bad:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import verdict as vd
-from .complex_core import Complex, InvalidComplexError, Simplex, isomorphism
+from .complex_core import Complex, InvalidComplexError, IsoIndex, Simplex, isomorphism
 from .invariants import homology
 
 # -- elementary moves --------------------------------------------------
@@ -352,8 +352,8 @@ def _escape_plateau(
     """Search up to _PLATEAU_DEPTH facet-count-preserving flips deep
     for a state where the descent can continue; returns that smaller
     state (with the connecting moves appended) or None."""
-    start_sig = state.iso_signature()
-    seen = {start_sig}
+    seen = IsoIndex()
+    seen.add(state)
     frontier: List[Tuple[Complex, List[StellarMove]]] = [(state, [])]
     for _ in range(_PLATEAU_DEPTH):
         nxt: List[Tuple[Complex, List[StellarMove]]] = []
@@ -362,10 +362,8 @@ def _escape_plateau(
                 if not budget.spend():
                     return None
                 cand, recs = apply_flip(cur, a, b)
-                sig = cand.iso_signature()
-                if sig in seen:
+                if not seen.add(cand)[1]:
                     continue
-                seen.add(sig)
                 if first_weld(cand) is not None or _reducing_flip(cand) is not None:
                     moves_out.extend(path + recs)
                     return cand
@@ -545,12 +543,9 @@ def meet(a: Complex, b: Complex, descent: Descent) -> vd.Verdict:
     its budget."""
     _, total, a_red, a_moves, b_red, b_moves = descent
     cap = max(len(a_red.facets), len(b_red.facets)) + a.dim + 1
-    seen_a: Dict[str, Tuple[Complex, List[StellarMove]]] = {
-        a_red.iso_signature(): (a_red, [])
-    }
-    seen_b: Dict[str, Tuple[Complex, List[StellarMove]]] = {
-        b_red.iso_signature(): (b_red, [])
-    }
+    seen_a, seen_b = IsoIndex(), IsoIndex()
+    seen_a.add(a_red, [])
+    seen_b.add(b_red, [])
     front_a = [(a_red, [])]
     front_b = [(b_red, [])]
     while (front_a or front_b) and not total.exhausted:
@@ -567,23 +562,21 @@ def meet(a: Complex, b: Complex, descent: Descent) -> vd.Verdict:
             for nxt, recs in _neighbors_for_meet(cur, cap):
                 if not total.spend():
                     return vd.unknown(detail={"states": total.used})
-                sig = nxt.iso_signature()
-                if sig in ours:
+                state = (nxt, path + recs)
+                if not ours.add(*state)[1]:
                     continue
-                ours[sig] = (nxt, path + recs)
-                new_frontier.append((nxt, path + recs))
-                if sig in theirs:
-                    a_meet = (ours if expand_a else theirs)[sig]
-                    b_meet = (theirs if expand_a else ours)[sig]
-                    meet_psi = isomorphism(a_meet[0], b_meet[0])
+                new_frontier.append(state)
+                hit = theirs.find(nxt)
+                if hit is not None:
+                    # the first member of the class on the other side
+                    other = (theirs.members[hit], theirs.values[hit])
+                    (a_end, a_path), (b_end, b_path) = (
+                        (state, other) if expand_a else (other, state))
+                    meet_psi = isomorphism(a_end, b_end)
                     assert meet_psi is not None
                     return vd.yes(
                         witness=_stitch_certificate(
-                            a_moves + a_meet[1],
-                            a_meet[0],
-                            b_moves + b_meet[1],
-                            b,
-                            meet_psi,
+                            a_moves + a_path, a_end, b_moves + b_path, b, meet_psi
                         )
                     )
         if expand_a:

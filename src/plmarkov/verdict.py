@@ -9,7 +9,7 @@ Callers must treat ``unknown`` as "no conclusion", never as a negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 YES = "yes"
 NO = "no"

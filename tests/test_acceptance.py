@@ -14,8 +14,8 @@ import pytest
 
 from plmarkov.builders import (reference_manifold, simplex_sphere,
                                sphere_product, standard_simplex)
-from plmarkov.complex_core import (Complex, barycentric_subdivision,
-                                   fingerprint, isomorphism, to_text)
+from plmarkov.complex_core import (Complex, IsoIndex, barycentric_subdivision,
+                                   to_text)
 from plmarkov.groups import (abelianization, edge_path_presentation,
                              parse_presentation)
 from plmarkov.invariants import betti_numbers, homology
@@ -53,15 +53,10 @@ def h1_of(cx):
 
 def distinct_links(cx):
     """One representative per isomorphism class of vertex links."""
-    reps = []
-    buckets = {}
+    links = IsoIndex()
     for v in cx.vertices:
-        lk = cx.link([v])
-        key = fingerprint(lk)
-        if not any(isomorphism(reps[i], lk) for i in buckets.get(key, ())):
-            buckets.setdefault(key, []).append(len(reps))
-            reps.append(lk)
-    return reps
+        links.add(cx.link([v]))
+    return links.members
 
 
 @pytest.fixture(scope="session")

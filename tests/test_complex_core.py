@@ -12,6 +12,7 @@ from plmarkov.builders import cone, reference_manifold, sphere_product
 from plmarkov.complex_core import (
     Complex,
     InvalidComplexError,
+    IsoIndex,
     barycentric_subdivision,
     boundary_complex,
     derived_subdivision_raw,
@@ -27,6 +28,8 @@ from plmarkov.complex_core import (
     to_text,
     validate,
 )
+from plmarkov.stellar_moves import (stellar_subdivide, stellar_weld,
+                                    subdivision_candidates, weld_candidates)
 
 from oracles import (
     canonical_pair_unpruned,
@@ -431,6 +434,42 @@ def test_signatures_agree_exactly_with_isomorphism(pair):
 def relabeled_pairs(draw):
     a = draw(small_complexes())
     return a, _relabeled_randomly(a, draw(st.randoms(use_true_random=False)))
+
+
+@st.composite
+def complex_mixes(draw):
+    """Small complexes, relabellings of them and single stellar moves
+    of them, shuffled."""
+    out = []
+    for cx in draw(st.lists(small_complexes(), min_size=1, max_size=4)):
+        moved = ([stellar_subdivide(cx, s) for s in subdivision_candidates(cx)]
+                 + [stellar_weld(cx, v, s) for v, s in weld_candidates(cx)])
+        out += [cx, _relabeled_randomly(cx, draw(st.randoms(use_true_random=False)))]
+        if moved:
+            out += draw(st.lists(st.sampled_from(moved), max_size=3))
+    return draw(st.permutations(out))
+
+
+@given(complex_mixes())
+def test_iso_index_matches_first_match_grouping(cxs):
+    # first-match grouping: each complex joins the first class whose
+    # first member the backtracking search maps onto it
+    firsts, want = [], []
+    for cx in cxs:
+        hit = next((i for i, m in enumerate(firsts)
+                    if isomorphism_backtracking(m, cx) is not None), None)
+        if hit is None:
+            hit = len(firsts)
+            firsts.append(cx)
+        want.append(hit)
+    index = IsoIndex()
+    got = [index.add(cx, k) for k, cx in enumerate(cxs)]
+    assert [i for i, _ in got] == want
+    assert [new for _, new in got] == [want[k] not in want[:k] for k in range(len(cxs))]
+    assert len(index.members) == len(firsts)
+    assert all(m is f for m, f in zip(index.members, firsts))
+    assert index.values == [want.index(i) for i in range(len(firsts))]
+    assert [index.find(cx) for cx in cxs] == want
 
 
 @given(st.one_of(complex_pairs(), relabeled_pairs()))

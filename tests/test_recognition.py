@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -277,3 +278,37 @@ def test_searches_past_the_descent_match_gates_first_oracle(budget):
                suspension(barycentric_subdivision(simplex_sphere(1))),
                barycentric_subdivision(simplex_sphere(2))):
         _same_sphere_verdicts(cx, budget)
+
+
+def test_recognition_and_search_build_no_signature(monkeypatch):
+    # link classes, plateau escapes and the two-sided search group
+    # complexes through IsoIndex; signature strings are output only
+    def refuse(self):
+        raise AssertionError("iso_signature called")
+
+    monkeypatch.setattr(Complex, "iso_signature", refuse)
+    assert is_closed_manifold(sphere_product(1, 2)).is_yes
+    # budget 18 leaves the descent unsettled: a yes from meet
+    assert is_combinatorial_sphere(barycentric_subdivision(simplex_sphere(2)), 18).is_yes
+    # the descent of this search escapes plateaus by sideways flips
+    assert stellar_moves.search_equivalence(sphere_product(1, 1), TORUS_9, 200000).is_yes
+
+
+# sha256 of every verdict and certificate below, pinned before the
+# searches grouped their states with IsoIndex
+MEET_PIN = "1538cbaca92c407afa4ff732394ef965a1da245870110fcdc4accb4d0a1a4910"
+
+
+def test_meet_verdicts_and_certificates_are_pinned():
+    sd1 = barycentric_subdivision(simplex_sphere(1))
+    runs = ([(sd1, b) for b in range(1, 9)]
+            + [(suspension(sd1), b) for b in range(1, 9)]
+            + [(barycentric_subdivision(simplex_sphere(2)), b) for b in range(1, 21)])
+    verdicts = [is_combinatorial_sphere(cx, b) for cx, b in runs]
+    verdicts.append(stellar_moves.search_equivalence(sphere_product(1, 1), TORUS_9, 200000))
+    digest = hashlib.sha256()
+    for v in verdicts:
+        digest.update(json.dumps(v.to_json(), sort_keys=True).encode())
+        if v.is_yes:
+            digest.update(format_certificate(v.witness).encode())
+    assert digest.hexdigest() == MEET_PIN

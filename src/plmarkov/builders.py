@@ -4,6 +4,12 @@ Builders return complexes with dense deterministic labels 0..n-1 fixed
 by the construction itself (not by canonical relabeling): identical
 calls produce identical complexes, which is what reproducible pipelines
 need, while canonical forms stay available via ``Complex.canonical``.
+
+Two routines do all the assembling.  ``staircase`` is the one emitter of
+product cells: products here and the tubes and caps of ``surgery`` take
+their cells from it.  ``marked_csum`` is the one connected sum: the
+handle chains of ``fabric`` use it directly, and ``connected_sum`` is it
+plus the orientation-matching seam map and a dense relabel.
 """
 
 from __future__ import annotations
@@ -41,10 +47,6 @@ def simplex_sphere(n: int) -> Complex:
     return Complex(itertools.combinations(range(n + 2), n + 1))
 
 
-ball = standard_simplex
-sphere = simplex_sphere
-
-
 def cone(cx: Complex, apex: Optional[int] = None) -> Complex:
     """Join with one fresh apex (defaults to max label + 1)."""
     if cx.is_empty:
@@ -67,20 +69,24 @@ def suspension(cx: Complex) -> Complex:
 # -- ordered products --------------------------------------------------
 
 
-def _monotone_paths(p: int, q: int) -> List[Tuple[Tuple[int, int], ...]]:
-    """Lattice paths through a (p+1) x (q+1) grid, as index pairs."""
-    paths = []
-    for advance_a in itertools.combinations(range(p + q), p):
-        path = [(0, 0)]
-        i = j = 0
-        for step in range(p + q):
-            if step in advance_a:
-                i += 1
-            else:
-                j += 1
-            path.append((i, j))
-        paths.append(tuple(path))
-    return paths
+def staircase(columns, order):
+    """Cells of the staircase through the grid of order x columns.
+
+    One cell per monotone path from the first label in the first column
+    to the last label in the last column: each column contributes a run
+    of consecutive labels, read through its chart, and consecutive runs
+    share one label.  Every product and cap cell is emitted here.
+    """
+    last = len(order) - 1
+    for cuts in itertools.combinations_with_replacement(
+        range(len(order)), len(columns) - 1
+    ):
+        ends = (0,) + cuts + (last,)
+        yield frozenset(
+            col[s]
+            for c, col in enumerate(columns)
+            for s in order[ends[c] : ends[c + 1] + 1]
+        )
 
 
 def ordered_product_with_chart(
@@ -103,15 +109,12 @@ def ordered_product_with_chart(
         for i, u in enumerate(va)
         for j, v in enumerate(vb)
     }
+    columns = {v: {u: chart[(u, v)] for u in va} for v in vb}
     facets = set()
     for fa in a.facets:
         ta = sorted(fa)
         for fb in b.facets:
-            tb = sorted(fb)
-            for path in _monotone_paths(len(ta) - 1, len(tb) - 1):
-                facets.add(
-                    frozenset(chart[(ta[i], tb[j])] for i, j in path)
-                )
+            facets.update(staircase([columns[v] for v in sorted(fb)], ta))
     return Complex._from_trusted(facets), chart
 
 
@@ -124,62 +127,39 @@ def sphere_product(p: int, q: int) -> Complex:
     return ordered_product(simplex_sphere(p), simplex_sphere(q))
 
 
-# -- gluing ------------------------------------------------------------
+# -- connected sums ----------------------------------------------------
 
 
-def glue(a: Complex, b: Complex, identify: Dict[int, int]) -> Complex:
-    """Union of a and b after identifying vertices of b with vertices
-    of a (identify maps b-labels to a-labels, injectively).
+def marked_csum(
+    a: Complex, fa: Iterable[int], b: Complex, fb: Iterable[int]
+) -> Tuple[Complex, Dict[int, int]]:
+    """Connected sum that never relabels the first summand.
 
-    Unidentified b-vertices receive fresh labels.  Raises when the
-    identification is not injective, maps to a missing vertex, or makes
-    a facet of one side coincide with or sit inside a facet of the
-    other (the overlap must stay a proper subcomplex of both).
+    Removes facet fa from a and fb from b, glues the boundary spheres
+    by ascending label order, and shifts the remaining b-labels past a.
+    Returns the sum and the label map applied to b.
     """
-    va = set(a.vertices)
-    for bv, av in identify.items():
-        if bv not in set(b.vertices):
-            raise InvalidComplexError(f"{bv} is not a vertex of the second complex")
-        if av not in va:
-            raise InvalidComplexError(f"{av} is not a vertex of the first complex")
-    images = list(identify.values())
-    if len(set(images)) != len(images):
-        raise InvalidComplexError("identification is not injective")
-    nxt = max(a.vertices[-1], b.vertices[-1]) + 1
-    mapping: Dict[int, int] = dict(identify)
-    for v in b.vertices:
-        if v not in mapping:
-            mapping[v] = nxt
-            nxt += 1
-    b2 = b.relabeled(mapping)
-    fa, fb = set(a.facets), set(b2.facets)
-    for f in fa & fb:
-        raise InvalidComplexError(
-            f"gluing would identify facet {sorted(f)} of both sides"
-        )
-    # containment across the seam is a subtler duplicate
-    for f in fb:
-        if any(f < g for g in fa):
-            raise InvalidComplexError(
-                f"facet {sorted(f)} would be swallowed by the other side"
-            )
-    for f in fa:
-        if any(f < g for g in fb):
-            raise InvalidComplexError(
-                f"facet {sorted(f)} would be swallowed by the other side"
-            )
-    return _dense(Complex._from_trusted(fa | fb))
+    off = a.vertices[-1] + 1 - b.vertices[0]
+    fa, fb = frozenset(fa), frozenset(fb)
+    pair = dict(zip(sorted(fb), sorted(fa)))
+    lift = {v: pair.get(v, v + off) for v in b.vertices}
+    out = set(a.facets) - {fa}
+    for f in b.facets:
+        if f == fb:
+            continue
+        out.add(frozenset(lift[v] for v in f))
+    return Complex(out), lift
 
 
 def connected_sum(a: Complex, b: Complex) -> Complex:
     """Connected sum of closed pseudomanifolds of equal dimension.
 
     One facet is removed from each side (the lexicographically smallest)
-    and the boundary spheres are identified.  The identification maps
-    ascending labels to ascending labels, with the first two images
-    swapped when both sides are oriented and the plain map would align
-    rather than oppose the seam orientations; for non-orientable input
-    the plain map is used.
+    and the boundary spheres are identified by ``marked_csum``: ascending
+    labels to ascending labels, with the first two images swapped when
+    both sides are oriented and the plain map would align rather than
+    oppose the seam orientations; for non-orientable input the plain map
+    is used.  The sum is relabelled densely.
     """
     if a.dim != b.dim:
         raise InvalidComplexError("summands must have equal dimension")
@@ -187,18 +167,12 @@ def connected_sum(a: Complex, b: Complex) -> Complex:
         raise InvalidComplexError("connected sum needs closed pseudomanifolds")
     fa = min(a.facets, key=lambda f: tuple(sorted(f)))
     fb = min(b.facets, key=lambda f: tuple(sorted(f)))
-    ta, tb = sorted(fa), sorted(fb)
-    swap = False
     ori_a, ori_b = a.orientation(), b.orientation()
-    if ori_a is not None and ori_b is not None:
-        if ori_a[fa] * ori_b[fb] > 0:
-            swap = True
-    images = list(ta)
-    if swap:
-        images[0], images[1] = images[1], images[0]
-    return glue(Complex._from_trusted(set(a.facets) - {fa}),
-                Complex._from_trusted(set(b.facets) - {fb}),
-                dict(zip(tb, images)))
+    if ori_a is not None and ori_b is not None and ori_a[fa] * ori_b[fb] > 0:
+        # swapping b's two smallest seam labels swaps their images
+        u, v = sorted(fb)[:2]
+        b = b.relabeled({**{w: w for w in b.vertices}, u: v, v: u})
+    return _dense(marked_csum(a, fa, b, fb)[0])
 
 
 # shared like the reference spheres, so each report's comparison target

@@ -12,9 +12,14 @@ and an interleaved four-junction corridor for a commutator word.  Both
 corridors are boundaries of a thickened prism with neck slabs removed
 and rims reglued crosswise, which is how the revisit becomes a plain
 column crossing instead of an impossible in-product lane change.
+
+Every summand is joined by ``builders.marked_csum``, the one connected
+sum, and every product cell comes from ``builders.staircase``.
 """
 
-from .builders import ordered_product_with_chart, simplex_sphere
+import itertools
+
+from .builders import marked_csum, ordered_product_with_chart, simplex_sphere
 from .complex_core import Complex
 from .surgery import chunk, staircase_cap
 
@@ -37,25 +42,6 @@ def product_handle(n):
     ball = star_ball(fiber, 0)
     secs = [{s: chart[(t, s)] for s in ball.vertices} for t in range(3)]
     return amb, secs, ball, chart
-
-
-def marked_csum(a, fa, b, fb):
-    """Connected sum that never relabels the first summand.
-
-    Removes facet fa from a and fb from b, glues the boundary spheres
-    by ascending label order, and shifts the remaining b-labels past a.
-    Returns the sum and the label map applied to b.
-    """
-    off = max(a.vertices) + 1
-    fa, fb = frozenset(fa), frozenset(fb)
-    pair = dict(zip(sorted(fb), sorted(fa)))
-    lift = {v: pair.get(v, v + off) for v in b.vertices}
-    out = set(a.facets) - {fa}
-    for f in b.facets:
-        if f == fb:
-            continue
-        out.add(frozenset(lift[v] for v in f))
-    return Complex(out), lift
 
 
 def _avoiding_facet(cx, avoid):
@@ -107,14 +93,13 @@ def trivial_loop_prefab(n):
     bands = []
     for i in range(3):
         lo, hi = lk_secs[i], lk_secs[(i + 1) % 3]
-        if chunk(lo, hi, lk.facets) <= mantle:
+        if chunk([lo, hi], lk.facets) <= mantle:
             bands.append((lo, hi))
         else:
-            assert chunk(hi, lo, lk.facets) <= mantle
+            assert chunk([hi, lo], lk.facets) <= mantle
             bands.append((hi, lo))
-    fresh = max(solid.vertices) + 1
-    apex = {s: fresh + r for r, s in enumerate(sorted(lk.vertices))}
-    cap = staircase_cap(bands, lk, apex)
+    fresh = itertools.count(solid.vertices[-1] + 1)
+    cap = staircase_cap(bands, lk, fresh.__next__)
     prefab = Complex(set(solid.facets) | cap)
     donor = max(cap, key=lambda f: (len(f - set(solid.vertices)),
                                     tuple(sorted(f))))

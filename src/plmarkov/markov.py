@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .builders import reference_manifold, simplex_sphere
 from .complex_core import Complex, IsoIndex
 from .fabric import (commutator_corridor, double_lap_corridor, handle_chain,
-                     plant_trivial_loop, star_ball)
+                     plant_trivial_loop)
 from .groups import (FinitePresentation, Word, abelianization, cyclic_reduce,
                      edge_path_presentation, format_presentation, free_reduce,
                      semi_decide_trivial)
@@ -115,10 +115,6 @@ def handlebody_boundary(k: int, n: int) -> Tuple[Complex, Marks]:
     """
     if k < 0 or n < 4:
         raise ValueError("need k >= 0 handles in dimension n >= 4")
-    if k == 0:
-        sp = simplex_sphere(n)
-        ball = star_ball(simplex_sphere(n - 1), 0)
-        return sp, Marks((), (), ball)
     amb, cols, ball = handle_chain(k, n)
     cores = tuple(tuple(col[0] for col in gen) for gen in cols)
     sections = tuple(tuple(gen) for gen in cols)

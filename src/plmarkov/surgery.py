@@ -8,11 +8,13 @@ is detected from the cells actually present, so a curve crossing a glued
 seam needs no bookkeeping on the caller's side.
 
 Capping a tube whose boundary torus is a plain product uses staircase
-prisms over a fresh apex sphere.  When seam crossings twist the torus,
-the cap is assembled from stellar-move shells: each move in a
-certificate from the twisted torus to a plain torus contributes one cone
-over the moved star, and the plain torus is closed with the staircase
-cap.
+prisms over a fresh apex sphere.  Every product cell here, of a tube, a
+prism layer or a cap, comes from ``builders.staircase``, and ``chunk``
+collects them over the facets of a fiber.  When seam crossings twist
+the torus, the cap is assembled from stellar-move shells: each move in
+a certificate from the twisted torus to a plain torus contributes one
+cone over the moved star, and the plain torus is closed with the
+staircase cap.
 
 Certificates for twisted tori do not need a search.  Composing the edge
 pairings around the ring turns every band into an identity-paired
@@ -28,7 +30,7 @@ tubes.
 
 import itertools
 
-from .builders import ordered_product_with_chart
+from .builders import ordered_product_with_chart, staircase
 from .complex_core import Complex
 from .stellar_moves import (
     StellarMove,
@@ -43,20 +45,11 @@ from .stellar_moves import (
 _SEARCH_BUDGET = 200000
 
 
-def staircase(col_a, col_b, order):
-    d = len(order)
-    out = []
-    for j in range(d):
-        top = [col_a[s] for s in order[: j + 1]]
-        bot = [col_b[s] for s in order[j:]]
-        out.append(frozenset(top + bot))
-    return out
-
-
-def chunk(lo, hi, fiber_facets):
+def chunk(columns, facets):
+    """Staircase cells over every facet, in ascending label order."""
     out = set()
-    for f in fiber_facets:
-        out.update(staircase(lo, hi, sorted(f)))
+    for f in facets:
+        out.update(staircase(columns, sorted(f)))
     return out
 
 
@@ -157,7 +150,7 @@ def resolve_tube(m, sections, ball):
         if hit is None:
             raise ValueError(f"curve is not in product position at edge {i}")
         hi, flag = hit
-        ch = chunk(lo, hi, ball.facets) if flag > 0 else chunk(hi, lo, ball.facets)
+        ch = chunk([lo, hi] if flag > 0 else [hi, lo], ball.facets)
         edges.append((lo, hi, flag))
         cells |= ch
     return Tube(edges, cells)
@@ -166,7 +159,7 @@ def resolve_tube(m, sections, ball):
 def lateral_cells(tube, lk):
     out = set()
     for a, b in _oriented(tube.edges):
-        out |= chunk(a, b, lk.facets)
+        out |= chunk([a, b], lk.facets)
     return out
 
 
@@ -207,29 +200,21 @@ def _touches_interior(ball, seen, current, fresh):
     return False
 
 
-def staircase_cap(bands, lk, apex):
-    """Cells closing a plain torus over an apex sphere.
+def staircase_cap(bands, lk, alloc):
+    """Cells closing a plain torus over a fresh apex sphere.
 
     bands holds each band's two charts (a, b), ordered so that the
     band's cells run a staircase from a to b; consecutive bands must
-    pair their charts by the identity, whatever their directions.  apex
-    maps link labels to the apex sphere.  Over every link facet, taken
-    in ascending label order, a cell takes a prefix from a, a middle run
+    pair their charts by the identity, whatever their directions.  The
+    apex sphere takes one alloc() label per link label, in ascending
+    order.  Each band contributes the three-column chunk (a, b, apex):
+    over every link facet, a cell takes a prefix from a, a middle run
     from b and the rest from apex, consecutive runs sharing one label.
     """
+    apex = {s: alloc() for s in sorted(lk.vertices)}
     cells = set()
     for a, b in bands:
-        for f in lk.facets:
-            order = sorted(f)
-            d = len(order)
-            for j in range(d):
-                for k in range(j, d):
-                    cell = (
-                        [a[s] for s in order[: j + 1]]
-                        + [b[s] for s in order[j : k + 1]]
-                        + [apex[s] for s in order[k:]]
-                    )
-                    cells.add(frozenset(cell))
+        cells |= chunk([a, b, apex], lk.facets)
     return cells
 
 
@@ -327,7 +312,7 @@ def _untwist_moves(x0, bands, lk):
                     break
     want = set()
     for a, b, order in bands:
-        want |= chunk(a, b, lk.facets)
+        want |= chunk([a, b], lk.facets)
     if frozenset(surface.facets) != frozenset(want):
         raise ValueError("scripted moves missed the plain torus")
     return moves
@@ -376,9 +361,7 @@ def shell_cap(tube, lk, alloc):
         # space so nothing can land on an interior face again
         fresh = {v: alloc() for v in surface.vertices}
         for f in surface.facets:
-            order = sorted(f, key=lambda v: amb[v])
-            cap.update(staircase({v: amb[v] for v in f},
-                                 {v: fresh[v] for v in f}, order))
+            cap.update(staircase([amb, fresh], sorted(f, key=amb.get)))
         amb.clear()
         amb.update(fresh)
 
@@ -438,10 +421,9 @@ def shell_cap(tube, lk, alloc):
     if scripted:
         # the scripted moves end at the chart-plain torus; close it with
         # the staircase cap over a fresh apex sphere
-        apex = {s: alloc() for s in sorted(lk.vertices)}
         ends = [({s: amb[a[s]] for s in a}, {s: amb[b[s]] for s in b})
                 for a, b, _ in bands]
-        return cap | staircase_cap(ends, lk, apex)
+        return cap | staircase_cap(ends, lk, alloc)
 
     # final relabeling onto the reference torus
     iso = (
@@ -454,10 +436,9 @@ def shell_cap(tube, lk, alloc):
     # close the reference torus with the plain staircase cap
     secs = [{s: chart[(i, s)] for s in lk.vertices} for i in range(n)]
     ref_tube = resolve_tube(target, secs, Complex(lk.facets))
-    apex = {s: alloc() for s in sorted(lk.vertices)}
     ends = [({s: back[a[s]] for s in a}, {s: back[b[s]] for s in b})
             for a, b in _oriented(ref_tube.edges)]
-    return cap | staircase_cap(ends, lk, apex)
+    return cap | staircase_cap(ends, lk, alloc)
 
 
 def do_surgery(m, sections, ball, center):
@@ -477,8 +458,7 @@ def do_surgery(m, sections, ball, center):
         return used[0]
 
     if _is_plain(tube):
-        apex = {s: alloc() for s in sorted(lk.vertices)}
-        cells = staircase_cap(_oriented(tube.edges), lk, apex)
+        cells = staircase_cap(_oriented(tube.edges), lk, alloc)
     else:
         cells = shell_cap(tube, lk, alloc)
     return Complex((frozenset(m.facets) - tube.cells) | cells)

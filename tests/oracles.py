@@ -944,3 +944,143 @@ def is_combinatorial_sphere_gates_first(cx: Complex, budget: int = 100000,
     if not cx.is_orientable():
         return vd.no("non-orientable")
     return search_equivalence(cx, ref, budget)
+
+
+# -- the old product, cap and connected-sum constructions --------------
+
+
+def _monotone_paths(p: int, q: int) -> List[Tuple[Tuple[int, int], ...]]:
+    """Lattice paths through a (p+1) x (q+1) grid, as index pairs."""
+    paths = []
+    for advance_a in itertools.combinations(range(p + q), p):
+        path = [(0, 0)]
+        i = j = 0
+        for step in range(p + q):
+            if step in advance_a:
+                i += 1
+            else:
+                j += 1
+            path.append((i, j))
+        paths.append(tuple(path))
+    return paths
+
+
+def staircase_by_paths(columns, order) -> set:
+    """Staircase cells read off the lattice-path enumeration."""
+    return {
+        frozenset(columns[j][order[i]] for i, j in path)
+        for path in _monotone_paths(len(order) - 1, len(columns) - 1)
+    }
+
+
+def ordered_product_with_chart_paths(a: Complex, b: Complex):
+    """The old product: one cell per lattice path of each facet pair."""
+    if a.is_empty or b.is_empty:
+        raise InvalidComplexError("product needs nonempty factors")
+    va, vb = a.vertices, b.vertices
+    chart = {
+        (u, v): i * len(vb) + j
+        for i, u in enumerate(va)
+        for j, v in enumerate(vb)
+    }
+    facets = set()
+    for fa in a.facets:
+        ta = sorted(fa)
+        for fb in b.facets:
+            tb = sorted(fb)
+            for path in _monotone_paths(len(ta) - 1, len(tb) - 1):
+                facets.add(
+                    frozenset(chart[(ta[i], tb[j])] for i, j in path)
+                )
+    return Complex._from_trusted(facets), chart
+
+
+def staircase_two_column(col_a, col_b, order) -> list:
+    """The old two-column staircase, cell j switching columns at j."""
+    d = len(order)
+    out = []
+    for j in range(d):
+        top = [col_a[s] for s in order[: j + 1]]
+        bot = [col_b[s] for s in order[j:]]
+        out.append(frozenset(top + bot))
+    return out
+
+
+def staircase_cap_triple_loop(bands, lk: Complex, apex) -> set:
+    """The old cap: prefix from a, middle run from b, rest from apex."""
+    cells = set()
+    for a, b in bands:
+        for f in lk.facets:
+            order = sorted(f)
+            d = len(order)
+            for j in range(d):
+                for k in range(j, d):
+                    cell = (
+                        [a[s] for s in order[: j + 1]]
+                        + [b[s] for s in order[j : k + 1]]
+                        + [apex[s] for s in order[k:]]
+                    )
+                    cells.add(frozenset(cell))
+    return cells
+
+
+def glue(a: Complex, b: Complex, identify: Dict[int, int]) -> Complex:
+    """The old gluing routine: identify b-vertices with a-vertices,
+    give the rest fresh labels past both sides, relabel densely."""
+    va = set(a.vertices)
+    for bv, av in identify.items():
+        if bv not in set(b.vertices):
+            raise InvalidComplexError(f"{bv} is not a vertex of the second complex")
+        if av not in va:
+            raise InvalidComplexError(f"{av} is not a vertex of the first complex")
+    images = list(identify.values())
+    if len(set(images)) != len(images):
+        raise InvalidComplexError("identification is not injective")
+    nxt = max(a.vertices[-1], b.vertices[-1]) + 1
+    mapping: Dict[int, int] = dict(identify)
+    for v in b.vertices:
+        if v not in mapping:
+            mapping[v] = nxt
+            nxt += 1
+    b2 = b.relabeled(mapping)
+    fa, fb = set(a.facets), set(b2.facets)
+    for f in fa & fb:
+        raise InvalidComplexError(
+            f"gluing would identify facet {sorted(f)} of both sides"
+        )
+    for f in fb:
+        if any(f < g for g in fa):
+            raise InvalidComplexError(
+                f"facet {sorted(f)} would be swallowed by the other side"
+            )
+    for f in fa:
+        if any(f < g for g in fb):
+            raise InvalidComplexError(
+                f"facet {sorted(f)} would be swallowed by the other side"
+            )
+    out = Complex._from_trusted(fa | fb)
+    return out.relabeled({v: i for i, v in enumerate(out.vertices)})
+
+
+def connected_sum_by_glue(a: Complex, b: Complex) -> Complex:
+    """The old connected sum: smallest facets removed, seams glued by
+    ascending labels, the first two images swapped when both sides are
+    oriented and the plain map would align the seam orientations."""
+    if a.dim != b.dim:
+        raise InvalidComplexError("summands must have equal dimension")
+    if not a.is_closed_pseudomanifold() or not b.is_closed_pseudomanifold():
+        raise InvalidComplexError("connected sum needs closed pseudomanifolds")
+    fa = min(a.facets, key=lambda f: tuple(sorted(f)))
+    fb = min(b.facets, key=lambda f: tuple(sorted(f)))
+    ta, tb = sorted(fa), sorted(fb)
+    swap = False
+    ori_a, ori_b = a.orientation(), b.orientation()
+    if ori_a is not None and ori_b is not None:
+        if ori_a[fa] * ori_b[fb] > 0:
+            swap = True
+    images = list(ta)
+    if swap:
+        images[0], images[1] = images[1], images[0]
+    return glue(Complex._from_trusted(set(a.facets) - {fa}),
+                Complex._from_trusted(set(b.facets) - {fb}),
+                dict(zip(tb, images)))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,6 @@ from hypothesis import given, strategies as st
 from plmarkov.builders import (
     connected_sum,
     cone,
-    glue,
     ordered_product,
     ordered_product_with_chart,
     presentation_complex,
@@ -14,6 +14,7 @@ from plmarkov.builders import (
     simplex_sphere,
     sphere_product,
     standard_simplex,
+    staircase,
     suspension,
 )
 from plmarkov.complex_core import Complex, InvalidComplexError, validate
@@ -25,7 +26,9 @@ from plmarkov.groups import (
 )
 from plmarkov.invariants import betti_numbers, homology
 
-from oracles import iso_exhaustive
+from oracles import (connected_sum_by_glue, iso_exhaustive,
+                     ordered_product_with_chart_paths, staircase_by_paths,
+                     staircase_cap_triple_loop, staircase_two_column)
 
 
 # -- simplices and spheres ---------------------------------------------
@@ -141,38 +144,39 @@ def test_product_boundary_of_square():
     assert b.is_closed_pseudomanifold()
 
 
-# -- glue --------------------------------------------------------------
-
-def test_glue_two_tetrahedra_along_facet():
-    a = standard_simplex(3)
-    b = standard_simplex(3)
-    out = glue(a, b, {0: 0, 1: 1, 2: 2})
-    assert out.f_vector()[-1] == 2
-    assert len(out.vertices) == 5
-    assert set(map(frozenset, [[0, 1, 2, 3], [0, 1, 2, 4]])) == set(out.facets)
-
-
-def test_glue_rejects_full_boundary_duplicate():
-    a = standard_simplex(2)
-    b = standard_simplex(2)
-    with pytest.raises(InvalidComplexError):
-        glue(a, b, {0: 0, 1: 1, 2: 2})
+@st.composite
+def small_complexes(draw):
+    labels = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4,
+                           unique=True))
+    facets = draw(st.lists(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True),
+        min_size=1, max_size=3,
+    ))
+    return Complex.generated_by(facets)
 
 
-def test_glue_rejects_non_injective():
-    with pytest.raises(InvalidComplexError):
-        glue(standard_simplex(2), standard_simplex(2), {0: 0, 1: 0})
+@given(small_complexes(), small_complexes())
+def test_product_matches_the_lattice_path_oracle(a, b):
+    cx, chart = ordered_product_with_chart(a, b)
+    ref, ref_chart = ordered_product_with_chart_paths(a, b)
+    assert cx == ref
+    assert chart == ref_chart
 
 
-def test_glue_rejects_missing_vertices():
-    with pytest.raises(InvalidComplexError):
-        glue(standard_simplex(2), standard_simplex(2), {9: 0})
-
-
-def test_glue_disjoint_union():
-    out = glue(standard_simplex(1), standard_simplex(1), {})
-    assert len(out.facets) == 2
-    assert not out.is_connected()
+@given(st.integers(1, 5), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_staircase_matches_the_path_oracles(d, k, rnd):
+    order = rnd.sample(range(-6, 6), d)
+    images = rnd.sample(range(-30, 30), d * k)
+    columns = [dict(zip(order, images[c * d : (c + 1) * d])) for c in range(k)]
+    cells = list(staircase(columns, order))
+    assert len(set(cells)) == len(cells) == math.comb(d + k - 2, k - 1)
+    assert set(cells) == staircase_by_paths(columns, order)
+    if k == 2:
+        assert cells == staircase_two_column(*columns, order)
+    if k == 3:
+        ordered = set(staircase(columns, sorted(order)))
+        lk = Complex([order])
+        assert ordered == staircase_cap_triple_loop([columns[:2]], lk, columns[2])
 
 
 # -- connected sums ----------------------------------------------------
@@ -205,6 +209,33 @@ def test_connected_sum_betti_adds_in_middle():
     assert betti_numbers(two_holed) == (1, 4, 1)
     assert two_holed.euler_characteristic() == -2
     assert two_holed.is_orientable()
+
+
+RP2_6 = Complex([
+    [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 6], [1, 5, 6],
+    [2, 3, 5], [2, 3, 6], [2, 4, 6], [3, 4, 5], [4, 5, 6],
+])
+
+# closed pseudomanifolds by dimension, orientable and not
+SUMMANDS = {
+    1: [simplex_sphere(1), validate([[0, 1], [1, 2], [2, 3], [0, 3]])],
+    2: [simplex_sphere(2), sphere_product(1, 1), RP2_6,
+        suspension(simplex_sphere(1))],
+    3: [simplex_sphere(3), sphere_product(1, 2)],
+}
+
+
+def _scatter(cx, rnd):
+    """cx under a random injective relabelling, negative labels too."""
+    img = rnd.sample(range(-40, 40), len(cx.vertices))
+    return cx.relabeled(dict(zip(cx.vertices, img)))
+
+
+@given(st.sampled_from(sorted(SUMMANDS)), st.randoms(use_true_random=False))
+def test_connected_sum_matches_the_glue_oracle(dim, rnd):
+    a = _scatter(rnd.choice(SUMMANDS[dim]), rnd)
+    b = _scatter(rnd.choice(SUMMANDS[dim]), rnd)
+    assert connected_sum(a, b) == connected_sum_by_glue(a, b)
 
 
 def test_reference_manifold_invariants():

@@ -35,6 +35,15 @@ class TestMarkedSum:
                 continue
             assert frozenset(lift[v] for v in f) in set(out.facets)
 
+    def test_negative_labels_are_shifted_past_the_left_side(self):
+        a = simplex_sphere(2)
+        b = simplex_sphere(2).relabeled({v: v - 4 for v in range(4)})
+        out, lift = marked_csum(a, min(a.facets, key=sorted),
+                                b, min(b.facets, key=sorted))
+        assert lift[-1] > max(a.vertices)
+        assert out.euler_characteristic() == 2
+        assert out.is_closed_pseudomanifold()
+
 
 class TestPrefab:
     def test_prefab_is_a_sphere(self):

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and every private module-level name is used somewhere in the package.
 
 No linter ships with the package's test dependencies, so this reads
 each source file with ``ast``.  The package ``__init__`` is exempt for
@@ -29,3 +30,33 @@ def test_every_imported_name_is_used(path):
     if path.name == "__init__.py":
         used |= set(plmarkov.__all__)
     assert sorted(imported - used) == []
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name
+
+
+def test_every_private_name_is_referenced():
+    defined = {}
+    referenced = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name in _private_definitions(tree):
+            defined[name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert defined
+    assert sorted((f, n) for n, f in defined.items() if n not in referenced) == []

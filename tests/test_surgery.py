@@ -1,9 +1,14 @@
 import hashlib
+import itertools
+
+from hypothesis import given, strategies as st
 
 from plmarkov import surgery
 from plmarkov.builders import ordered_product_with_chart, simplex_sphere
 from plmarkov.complex_core import Complex, to_text
 from plmarkov.invariants import betti_numbers
+
+from oracles import staircase_cap_triple_loop
 
 
 def rotated_mapping_torus(m):
@@ -37,3 +42,15 @@ def test_twisted_tube_is_capped_against_the_reference_torus(monkeypatch):
     assert betti_numbers(out) == (1, 0, 0, 1)
     assert hashlib.sha256(to_text(out).encode()).hexdigest() == (
         "876503ce1c38eee223ac6ebfa64b2bce6a127fd7cbb37591a43b7ae4976876be")
+
+
+@given(st.integers(0, 3), st.integers(2, 4), st.randoms(use_true_random=False))
+def test_staircase_cap_matches_the_triple_loop_oracle(d, n, rnd):
+    lk = simplex_sphere(d).relabeled(
+        dict(zip(range(d + 2), rnd.sample(range(-5, 5), d + 2))))
+    images = rnd.sample(range(-50, 50), n * (d + 2))
+    cols = [dict(zip(lk.vertices, images[i :: n])) for i in range(n)]
+    bands = [(cols[i], cols[(i + 1) % n]) for i in range(n)]
+    cells = surgery.staircase_cap(bands, lk, itertools.count(100).__next__)
+    apex = {s: 100 + r for r, s in enumerate(lk.vertices)}
+    assert cells == staircase_cap_triple_loop(bands, lk, apex)

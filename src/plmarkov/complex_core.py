@@ -409,7 +409,7 @@ class Complex:
         if "canonical" in self._cache:
             return self._cache["canonical"]
         if not self._facets:
-            self._cache["canonical"] = ((), ())
+            self._cache["canonical"], self._cache["autos"] = ((), ()), ()
             return self._cache["canonical"]
         color = self._refinement_colors()
         facets = self._facets
@@ -513,8 +513,15 @@ class Complex:
             for v in sorted(f0):
                 classes.setdefault(color[v], []).append(v)
             visit(f0, [classes[c] for c in sorted(classes) for _ in classes[c]])
-        self._cache["canonical"] = refs[1]
+        self._cache["canonical"], self._cache["autos"] = refs[1], tuple(autos)
         return refs[1]
+
+    def automorphisms(self) -> Tuple[Dict[int, int], ...]:
+        """The non-identity automorphisms, as vertex maps, that the
+        canonical search met.  They may generate only a subgroup of
+        Aut(self); the empty complex gives ()."""
+        self._canonical_code()
+        return self._cache["autos"]
 
     def canonical(self) -> "Complex":
         """The canonically relabeled copy (vertices 0..n-1)."""

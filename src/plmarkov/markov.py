@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .builders import reference_manifold, simplex_sphere
-from .complex_core import Complex, IsoIndex
+from .complex_core import Complex, IsoIndex, _orbit_representatives
 from .fabric import (commutator_corridor, double_lap_corridor, handle_chain,
                      plant_trivial_loop)
 from .groups import (FinitePresentation, Word, abelianization, cyclic_reduce,
@@ -410,11 +410,18 @@ def dovetail(enumerator: Callable[[int], object],
 
 
 def _move_neighbors(cx: Complex, cap: int) -> Iterator[Complex]:
-    for s in sorted(subdivision_candidates(cx), key=lambda f: sorted(f)):
+    """Results within cap of the subdivisions (by sorted face), then the
+    welds, applying the first move of each orbit under ``cx.automorphisms()``."""
+    autos = cx.automorphisms()
+    subs = sorted(subdivision_candidates(cx), key=lambda f: sorted(f))
+    welds = list(weld_candidates(cx))
+    for s in _orbit_representatives(
+            subs, autos, lambda g: ((s, frozenset(map(g.get, s))) for s in subs)):
         out = stellar_subdivide(cx, s)
         if len(out.facets) <= cap:
             yield out
-    for v, s in weld_candidates(cx):
+    for v, s in _orbit_representatives(welds, autos, lambda g: (
+            ((v, s), (g[v], frozenset(map(g.get, s)))) for v, s in welds)):
         out = stellar_weld(cx, v, s)
         if len(out.facets) <= cap:
             yield out
@@ -428,6 +435,11 @@ def enumerate_spheres(n: int, max_facets: int) -> Iterator[str]:
     Every emitted complex is a genuine sphere (moves preserve the
     homeomorphism type); completeness holds only in the limit of the
     cap, since a path between small spheres may pass above it.
+
+    A state applies only the first move, in scan order, of each orbit
+    under its cached automorphisms.  The first neighbour in each
+    isomorphism class is the first of its orbit, so the output is that
+    of applying every move, even if the automorphisms span a subgroup.
     """
     if n < 1 or max_facets < n + 2:
         raise ValueError("cap must admit the minimal sphere")

@@ -5,15 +5,18 @@ on tiny inputs."""
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from plmarkov import verdict as vd
 from plmarkov.builders import simplex_sphere
-from plmarkov.complex_core import Complex, InvalidComplexError, Simplex, as_simplex
+from plmarkov.complex_core import (Complex, InvalidComplexError, IsoIndex, Simplex,
+                                   as_simplex)
 from plmarkov.groups import (FinitePresentation, Word, _substitute, abelianization,
                              cyclic_reduce, free_reduce, inverse_word)
 from plmarkov.invariants import homology
-from plmarkov.stellar_moves import _link_factor, search_equivalence, weld_parts
+from plmarkov.stellar_moves import (_link_factor, search_equivalence, stellar_subdivide,
+                                    stellar_weld, subdivision_candidates,
+                                    weld_candidates, weld_parts)
 
 
 def iso_exhaustive(a: Complex, b: Complex, max_vertices: int = 8) -> bool:
@@ -1084,3 +1087,39 @@ def connected_sum_by_glue(a: Complex, b: Complex) -> Complex:
     return glue(Complex._from_trusted(set(a.facets) - {fa}),
                 Complex._from_trusted(set(b.facets) - {fb}),
                 dict(zip(tb, images)))
+
+
+# -- the sphere census before it pruned moves by automorphism orbit ----
+
+def move_neighbors_unpruned(cx: Complex, cap: int) -> Iterator[Complex]:
+    """Every legal subdivision (by sorted face), then every legal weld,
+    each result kept when it has at most cap facets."""
+    for s in sorted(subdivision_candidates(cx), key=lambda f: sorted(f)):
+        out = stellar_subdivide(cx, s)
+        if len(out.facets) <= cap:
+            yield out
+    for v, s in weld_candidates(cx):
+        out = stellar_weld(cx, v, s)
+        if len(out.facets) <= cap:
+            yield out
+
+
+def enumerate_spheres_unpruned(n: int, max_facets: int) -> Iterator[str]:
+    """The breadth-first census of n-spheres over every neighbour of
+    every frontier state, in the order ``markov.enumerate_spheres``
+    emits."""
+    start = simplex_sphere(n)
+    seen = IsoIndex()
+    seen.add(start)
+    yield start.iso_signature()
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for cx in frontier:
+            for out in move_neighbors_unpruned(cx, max_facets):
+                if seen.add(out)[1]:
+                    fresh.append((out.iso_signature(), out))
+        fresh.sort(key=lambda p: p[0])
+        for sig, _ in fresh:
+            yield sig
+        frontier = [cx for _, cx in fresh]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -196,6 +197,16 @@ class TestEnumerateVerb:
                                  "--dim", "1", "--max-facets", "6"])
         assert r.exit_code == 0
         assert len(r.output.splitlines()) == 4
+
+    def test_two_sphere_census_bytes_are_pinned(self, runner):
+        # captured before the census pruned moves by automorphism orbit
+        r = runner.invoke(main, ["enumerate", "--kind", "spheres",
+                                 "--dim", "2", "--max-facets", "10"])
+        assert r.exit_code == 0
+        assert len(r.output.splitlines()) == 9
+        assert hashlib.sha256(r.output.encode()).hexdigest() == (
+            "4b8770e64f04e3d7802cb994730f8ac381bc927a6975841c975c5e013ac29e8b"
+        )
 
     def test_cap_required_for_spheres(self, runner):
         r = runner.invoke(main, ["enumerate", "--kind", "spheres",

@@ -1,10 +1,12 @@
 import itertools
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmarkov import groups
+from plmarkov import groups, markov
 from plmarkov.builders import (connected_sum, reference_manifold,
                                simplex_sphere, sphere_product,
                                standard_simplex)
@@ -17,9 +19,12 @@ from plmarkov.markov import (DepthError, HandlePlan, dovetail,
                              handlebody_boundary, plan_from_presentation,
                              realize_boundary, realize_curve,
                              reduction_report, surgery,
-                             _cascade_ops, _check_edge_path)
+                             _cascade_ops, _check_edge_path, _move_neighbors)
 from plmarkov.recognition import is_closed_manifold
-from oracles import (mod2_triangle_boundary, subcomplex_classes_exhaustive,
+from plmarkov.stellar_moves import (stellar_subdivide, stellar_weld,
+                                    subdivision_candidates, weld_candidates)
+from oracles import (enumerate_spheres_unpruned, mod2_triangle_boundary,
+                     move_neighbors_unpruned, subcomplex_classes_exhaustive,
                      two_sphere_triangulations)
 
 
@@ -371,6 +376,107 @@ class TestEnumeration:
         sigs = list(enumerate_subcomplexes(simplex_sphere(1)))
         assert len(sigs) == subcomplex_classes_exhaustive(
             simplex_sphere(1)) == 7
+
+
+@pytest.mark.parametrize("n,cap", [(1, 12), (2, 12), (3, 11)])
+def test_census_matches_the_unpruned_census_in_order(n, cap):
+    assert list(enumerate_spheres(n, cap)) == list(enumerate_spheres_unpruned(n, cap))
+
+
+def _scan(cx):
+    """Every move on cx in the census's scan order, as the arguments
+    after cx: (s,) for a subdivision, (v, s) for a weld."""
+    subs = sorted(subdivision_candidates(cx), key=lambda f: sorted(f))
+    return [(s,) for s in subs] + list(weld_candidates(cx))
+
+
+def _image(g, move):
+    return tuple(g[x] if isinstance(x, int) else frozenset(g[v] for v in x)
+                 for x in move)
+
+
+def _orbit(move, autos):
+    orbit, todo = {move}, [move]
+    while todo:
+        m = todo.pop()
+        for g in autos:
+            img = _image(g, m)
+            if img not in orbit:
+                orbit.add(img)
+                todo.append(img)
+    return orbit
+
+
+def _applied_moves(cx, cap=10 ** 6):
+    """The moves that ``_move_neighbors`` applies on cx, in order, and
+    the neighbours it yields."""
+    applied = []
+
+    def record(move):
+        def run(c, *args):
+            applied.append(args)
+            return move(c, *args)
+        return run
+
+    with mock.patch.object(markov, "stellar_subdivide", record(stellar_subdivide)), \
+            mock.patch.object(markov, "stellar_weld", record(stellar_weld)):
+        built = list(_move_neighbors(cx, cap))
+    return applied, built
+
+
+@st.composite
+def symmetric_complexes(draw):
+    """A simplex sphere (dimension 1-4) or the torus sphere_product(1, 1),
+    after up to three random stellar moves, randomly relabelled."""
+    cx = draw(st.sampled_from([simplex_sphere(d) for d in range(1, 5)]
+                              + [sphere_product(1, 1)]))
+    for pick in draw(st.lists(st.integers(0, 999), max_size=3)):
+        scan = _scan(cx)
+        move = scan[pick % len(scan)]
+        cx = stellar_subdivide(cx, *move) if len(move) == 1 else stellar_weld(cx, *move)
+    rng = draw(st.randoms(use_true_random=False))
+    verts = cx.vertices
+    return cx.relabeled(dict(zip(verts, rng.sample(range(5 * len(verts)), len(verts)))))
+
+
+class TestOrbitPruning:
+    @settings(max_examples=40)
+    @given(symmetric_complexes())
+    def test_cached_automorphisms_are_nonidentity_automorphisms(self, cx):
+        facets = set(cx.facets)
+        for g in cx.automorphisms():
+            assert sorted(g) == sorted(g.values()) == list(cx.vertices)
+            assert {frozenset(g[v] for v in f) for f in facets} == facets
+            assert any(g[v] != v for v in g)
+
+    def test_empty_complex_has_no_cached_automorphisms(self):
+        assert Complex([]).automorphisms() == ()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_simplex_sphere_builds_one_neighbour_per_face_dimension(self, d):
+        sx = simplex_sphere(d)
+        applied, built = _applied_moves(sx)
+        assert all(len(m) == 1 for m in applied)  # the minimal sphere has no welds
+        assert sorted(len(s) for s, in applied) == list(range(2, d + 2))
+        assert len(built) == d
+        unpruned = list(move_neighbors_unpruned(sx, 10 ** 6))
+        assert len(unpruned) == sum(math.comb(d + 2, k + 1) for k in range(1, d + 1))
+
+    @settings(max_examples=30)
+    @given(symmetric_complexes())
+    def test_scan_applies_the_first_move_of_each_orbit(self, cx):
+        autos = cx.automorphisms()
+        scan = _scan(cx)
+        firsts = []
+        for move in scan:
+            if not any(move in _orbit(f, autos) for f in firsts):
+                firsts.append(move)
+        applied, built = _applied_moves(cx)
+        assert applied == firsts
+        assert len(built) == len(applied)
+        # no two applied moves share an orbit
+        for i, move in enumerate(applied):
+            assert not _orbit(move, autos) & set(applied[:i])
 
 
 @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),

@@ -13,6 +13,7 @@ traces and results.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import string
@@ -180,6 +181,10 @@ def abelianization(p: FinitePresentation) -> AbelianGroup:
 # -- Tietze simplification ---------------------------------------------
 
 
+def _order(r: Word) -> Tuple[int, Word]:
+    return len(r), r
+
+
 def _substitute(word: Word, gen: int, image: Word) -> Word:
     """Replace generator ``gen`` by ``image`` (and its inverse
     accordingly), then freely reduce."""
@@ -205,7 +210,13 @@ def tietze_simplify(
     some relator (shortest relator first); shorten a relator using
     another whose content overlaps more than half of it.  The budget
     counts applied moves.  The abelianization is recomputed and compared
-    at the end as a safety net.
+    at the end as a safety net.  Relators live in one list sorted by
+    (length, word), one per key (the least rotation of the word or of
+    its inverse), beside a key -> relator dict.  A move takes out only
+    the relators it rewrites and bisects the rewrites back in, keeping
+    the smaller (length, word) on a key collision, as a full
+    sort-and-dedupe would.  Each word's key and least once-occurring
+    generator are cached.
 
     Generators keep their original labels until the loop ends and are
     renumbered once, in the output.  Renumbering keeps signs and the
@@ -218,45 +229,43 @@ def tietze_simplify(
     are cyclically reduced already and would come back unchanged.
     """
     before = abelianization(p)
-    relators = [cyclic_reduce(r) for r in p.relators]
     eliminated: List[int] = []  # original labels, ascending
     trace: List[str] = []
     spent = 0
-    keys: Dict[Word, Word] = {}
+    relators: List[Word] = []  # sorted by _order, one relator per key
+    owner: Dict[Word, Word] = {}  # key -> the relator holding it
+    facts: Dict[Word, Tuple[Word, int]] = {}  # word -> (key, least once-generator or 0)
 
-    def dedupe() -> None:
-        seen = set()
-        out = []
-        for r in sorted(relators, key=lambda r: (len(r), r)):
-            if not r:
-                continue
-            key = keys.get(r)
-            if key is None:
-                # least rotation of r or of its inverse
-                key = keys[r] = min(
-                    w[i:] + w[:i] for w in (r, inverse_word(r)) for i in range(len(r))
-                )
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(r)
-        relators[:] = out
+    def fact(r: Word) -> Tuple[Word, int]:
+        if r not in facts:
+            counts = collections.Counter(map(abs, r))
+            facts[r] = (
+                min(w[i:] + w[:i] for w in (r, inverse_word(r)) for i in range(len(r))),
+                min((g for g, c in counts.items() if c == 1), default=0),
+            )
+        return facts[r]
 
-    dedupe()
+    def drop(r: Word) -> None:
+        del relators[bisect.bisect_left(relators, _order(r), key=_order)]
+        del owner[fact(r)[0]]
+
+    def add(r: Word) -> None:
+        if not r:
+            return
+        held = owner.get(fact(r)[0])
+        if held is not None:
+            if _order(held) <= _order(r):
+                return
+            drop(held)
+        owner[fact(r)[0]] = r
+        bisect.insort(relators, r, key=_order)
+
+    for r in p.relators:
+        add(cyclic_reduce(r))
     while spent < budget:
         # 1) a generator occurring exactly once in some relator can be
-        #    solved for and removed; dedupe left the relators sorted
-        move = None
-        for r in relators:
-            counts: Dict[int, int] = {}
-            for x in r:
-                counts[abs(x)] = counts.get(abs(x), 0) + 1
-            for g in sorted(counts):
-                if counts[g] == 1:
-                    move = (r, g)
-                    break
-            if move:
-                break
+        #    solved for and removed; the shortest such relator goes first
+        move = next(((r, fact(r)[1]) for r in relators if fact(r)[1]), None)
         if move:
             r, g = move
             i = next(j for j, x in enumerate(r) if abs(x) == g)
@@ -266,22 +275,20 @@ def tietze_simplify(
                 image = free_reduce(inverse_word(u) + inverse_word(v))
             else:
                 image = free_reduce(v + u)
-            relators.remove(r)
-            relators[:] = [
-                cyclic_reduce(_substitute(w, g, image)) if g in w or -g in w else w
-                for w in relators
-            ]
+            drop(r)
+            # no rewrite holds g, so none displaces a relator still to rewrite
+            for w in [w for w in relators if g in w or -g in w]:
+                drop(w)
+                add(cyclic_reduce(_substitute(w, g, image)))
             index = g - bisect.bisect_left(eliminated, g)
             bisect.insort(eliminated, g)
-            dedupe()
             trace.append(f"eliminate generator {index} using relator of length {len(r)}")
             spent += 1
             continue
         # 2) overlap shortening: rewrite r2 with r1 when over half of r1
         #    appears inside r2
         move = None
-        srt = sorted(relators, key=lambda r: (len(r), r))
-        for r1 in srt:
+        for r1 in relators:
             if len(r1) < 2:
                 continue
             variants = set()
@@ -289,7 +296,7 @@ def tietze_simplify(
                 for i in range(len(w)):
                     variants.add(w[i:] + w[:i])
             half = len(r1) // 2 + 1
-            for r2 in srt:
+            for r2 in relators:
                 if r2 == r1 or len(r2) < half:
                     continue
                 for var in sorted(variants):
@@ -310,8 +317,8 @@ def tietze_simplify(
                 break
         if move:
             old, new = move
-            relators[relators.index(old)] = new
-            dedupe()
+            drop(old)
+            add(new)
             trace.append(f"shorten relator {len(old)} -> {len(new)}")
             spent += 1
             continue
@@ -320,7 +327,7 @@ def tietze_simplify(
     gone = set(eliminated)
     alive = [g for g in range(1, p.num_generators + 1) if g not in gone]
     rank = {g: i for i, g in enumerate(alive, 1)}
-    # renumbering keeps the sorted order dedupe left
+    # renumbering keeps the (length, word) order of the list
     out = FinitePresentation(
         len(rank),
         tuple(tuple(rank[x] if x > 0 else -rank[-x] for x in r) for r in relators),

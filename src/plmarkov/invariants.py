@@ -3,15 +3,16 @@
 All arithmetic is exact over Python ints, so torsion coefficients of
 any size are safe.  The elimination works on plain {column: value} row
 dicts with a column -> rows index, in two passes.  The unit pass walks
-the rows lowest first and pivots on a +-1 entry where a row has one:
-exact row steps clear the pivot's column, after which column steps
-would change only the pivot row, so the row is dropped with invariant
-factor 1.  Boundary and exponent matrices are almost all +-1, so this
-pass does nearly all the work.  The residual pass runs gcd steps on
-what is left, each time pivoting on an entry of smallest absolute value,
-and a pairwise gcd/lcm exchange puts the factors in divisibility order.
-The invariant factors are unique, so the pivot rule never changes the
-result.
+the rows lowest first and, where a row has a +-1 entry, pivots on the
+one whose column holds the fewest rows (a Markowitz-style rule against
+fill-in): exact row steps clear the pivot's column, after which column
+steps would change only the pivot row, so the row is dropped with
+invariant factor 1.  Boundary and exponent matrices are almost all +-1,
+so this pass does nearly all the work.  The residual pass runs gcd steps
+on what is left, each time pivoting on an entry of smallest absolute
+value, and a pairwise gcd/lcm exchange puts the factors in divisibility
+order.  The invariant factors are unique, so neither pivot rule changes
+the result.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def smith_diagonal(rows: Sequence[Sequence[int]]) -> List[int]:
     # change only its own row, so the row is dropped with a factor of 1
     units = 0
     for i, row in enumerate(mat):
-        j = next((c for c, v in row.items() if v == 1 or v == -1), None)
+        j = min((c for c, v in row.items() if v == 1 or v == -1),
+                key=lambda c: len(at[c]), default=None)
         if j is not None:
             clear_column(i, j)
             drop(i)

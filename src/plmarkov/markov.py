@@ -125,7 +125,7 @@ def _check_edge_path(cx: Complex, path: Sequence[int]):
     if len(set(path)) != len(path):
         raise ValueError("curve path revisits a vertex")
     for u, v in zip(path, list(path[1:]) + [path[0]]):
-        if not cx.has_face((u, v)):
+        if not any(u in f and v in f for f in cx.facets):
             raise ValueError("curve path leaves the 1-skeleton")
 
 
@@ -410,16 +410,16 @@ def dovetail(enumerator: Callable[[int], object],
 
 
 def _move_neighbors(cx: Complex, cap: int) -> Iterator[Complex]:
-    """Results within cap of the subdivisions (by sorted face), then the
-    welds, applying the first move of each orbit under ``cx.automorphisms()``."""
+    """Results within cap of the subdivisions (by sorted face, sized
+    before they are built), then the welds, applying the first move of
+    each orbit under ``cx.automorphisms()``."""
     autos = cx.automorphisms()
     subs = sorted(subdivision_candidates(cx), key=lambda f: sorted(f))
     welds = list(weld_candidates(cx))
     for s in _orbit_representatives(
             subs, autos, lambda g: ((s, frozenset(map(g.get, s))) for s in subs)):
-        out = stellar_subdivide(cx, s)
-        if len(out.facets) <= cap:
-            yield out
+        if len(cx.facets) + len(cx.facets_containing(s)) * (len(s) - 1) <= cap:
+            yield stellar_subdivide(cx, s)
     for v, s in _orbit_representatives(welds, autos, lambda g: (
             ((v, s), (g[v], frozenset(map(g.get, s)))) for v, s in welds)):
         out = stellar_weld(cx, v, s)

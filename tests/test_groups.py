@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plmarkov.complex_core import Complex, validate
 from plmarkov.groups import (
@@ -154,11 +154,37 @@ def test_simplify_matches_reference_loop(p, budget):
     assert tietze_simplify(p, budget) == tietze_simplify_reference(p, budget)
 
 
+@st.composite
+def colliding_presentations(draw):
+    """Up to 12 relators, each a rotation of a concatenation of a few
+    short pieces or of its inverse, so that relators and their rewrites
+    often share a key (least rotation of the word or of its inverse)."""
+    n = draw(st.integers(1, 4))
+    letters = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    pieces = draw(st.lists(st.tuples(letters) | st.tuples(letters, letters)
+                           | st.tuples(letters, letters, letters), min_size=1, max_size=3))
+    relators = []
+    for _ in range(draw(st.integers(0, 12))):
+        w = sum(draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=3)), ())
+        if draw(st.booleans()):
+            w = inverse_word(w)
+        k = draw(st.integers(0, len(w) - 1))
+        relators.append(w[k:] + w[:k])
+    return FinitePresentation(n, tuple(relators))
+
+
+@given(colliding_presentations(), st.sampled_from([1, 2, 3, 10000]))
+@example(FinitePresentation(2, ((1, 2, 1), (2, 1, 1), (-1, -1, -2), (1, -2))), 10000)
+def test_simplify_matches_reference_loop_on_colliding_relators(p, budget):
+    assert tietze_simplify(p, budget) == tietze_simplify_reference(p, budget)
+
+
 @pytest.mark.parametrize("build", [
     lambda: torus_9(),
     lambda: projective_plane_6(),
     lambda: realize_boundary(parse_presentation("g|g"), 4),
-], ids=["torus_9", "projective_plane_6", "M(g|g)"])
+    lambda: realize_boundary(parse_presentation("a,b|ab,b"), 4),
+], ids=["torus_9", "projective_plane_6", "M(g|g)", "M(a,b|ab,b)"])
 def test_simplify_matches_reference_loop_on_edge_path_presentations(build):
     p = edge_path_presentation(build())
     got = tietze_simplify(p)

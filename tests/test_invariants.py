@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plmarkov import invariants
 from plmarkov.complex_core import Complex, validate, barycentric_subdivision
@@ -118,6 +119,36 @@ def rectangular_matrices(draw):
 @example([[0, 2, 0], [3, 0, 0], [0, 0, 10 ** 30]])
 @example([[1, 1, 0], [1, -1, 0], [0, 0, 0]])
 def test_smith_matches_the_reference_kernel(rows):
+    assert smith_diagonal(rows) == smith_diagonal_reference(rows)
+
+
+def _dense_unit_columns(rng, nrows, ncols):
+    """A sparse matrix of small entries in which a few columns hold +-1
+    in most rows, so a row's first unit entry often lies in a dense
+    column while a sparse column holds another: the fewest-rows pivot
+    and the first unit entry then fill in differently."""
+    rows = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    for j in rng.sample(range(ncols), rng.randint(1, min(3, ncols))):
+        for row in rows:
+            if rng.random() < 0.8:
+                row[j] = rng.choice((1, -1))
+    return rows
+
+
+@st.composite
+def matrices_with_dense_unit_columns(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    return _dense_unit_columns(rng, draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+
+
+@settings(max_examples=60)
+@given(matrices_with_dense_unit_columns())
+@example(_dense_unit_columns(random.Random(0), 30, 30))
+@example(_dense_unit_columns(random.Random(1), 30, 12))
+@example(_dense_unit_columns(random.Random(2), 12, 30))
+@example([[1, 1, 0], [1, 0, 1], [1, 1, 1]])
+def test_smith_matches_the_reference_kernel_with_dense_unit_columns(rows):
     assert smith_diagonal(rows) == smith_diagonal_reference(rows)
 
 

@@ -478,6 +478,23 @@ class TestOrbitPruning:
         for i, move in enumerate(applied):
             assert not _orbit(move, autos) & set(applied[:i])
 
+    @settings(max_examples=30)
+    @given(symmetric_complexes(), st.integers(0, 6))
+    def test_no_subdivision_above_the_cap_is_built(self, cx, slack):
+        cap = len(cx.facets) + slack
+        sizes = []
+
+        def sized(c, s):
+            out = stellar_subdivide(c, s)
+            sizes.append(len(out.facets))
+            return out
+
+        with mock.patch.object(markov, "stellar_subdivide", sized):
+            got = list(_move_neighbors(cx, cap))
+        assert all(n <= cap for n in sizes)
+        # the same neighbours, in the same order, as building every one
+        assert got == [o for o in _move_neighbors(cx, 10 ** 6) if len(o.facets) <= cap]
+
 
 @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
                 min_size=1, max_size=5),
@@ -491,3 +508,11 @@ def test_edge_path_check_matches_a_facet_scan(facets, path):
         assert on_skeleton
     except ValueError as e:
         assert not on_skeleton and str(e) == "curve path leaves the 1-skeleton"
+
+
+def test_edge_path_check_builds_no_incidence_index():
+    cx = Complex([(0, 1, 2), (1, 2, 3)])
+    _check_edge_path(cx, [0, 1, 3, 2])
+    with pytest.raises(ValueError):
+        _check_edge_path(cx, [0, 3, 1])
+    assert "incidence" not in cx._cache

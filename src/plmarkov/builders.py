@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .complex_core import Complex, InvalidComplexError, join
 from .groups import FinitePresentation
@@ -47,15 +47,11 @@ def simplex_sphere(n: int) -> Complex:
     return Complex(itertools.combinations(range(n + 2), n + 1))
 
 
-def cone(cx: Complex, apex: Optional[int] = None) -> Complex:
-    """Join with one fresh apex (defaults to max label + 1)."""
+def cone(cx: Complex) -> Complex:
+    """Join with one fresh apex."""
     if cx.is_empty:
         raise InvalidComplexError("cone needs a nonempty complex")
-    if apex is None:
-        apex = cx.vertices[-1] + 1
-    elif apex in cx.vertices:
-        raise InvalidComplexError(f"apex {apex} is already a vertex")
-    return _dense(join(cx, Complex([[apex]])))
+    return _dense(join(cx, Complex([[cx.vertices[-1] + 1]])))
 
 
 def suspension(cx: Complex) -> Complex:

@@ -175,14 +175,19 @@ class Complex:
         return any(s <= f for f in self._facets_through(s))
 
     def f_vector(self) -> Tuple[int, ...]:
-        """Face counts per dimension; builds no sorted face table."""
+        """Face counts per dimension; counts the sorted face table when
+        one is built and otherwise builds none."""
         if "f_vector" not in self._cache:
-            faces: List[set] = [set() for _ in range(self.dim + 1)]
-            for f in self._facets:
-                fl = sorted(f)
-                for k in range(1, len(fl) + 1):
-                    faces[k - 1].update(itertools.combinations(fl, k))
-            self._cache["f_vector"] = tuple(len(s) for s in faces)
+            if "faces" in self._cache:
+                counts = tuple(map(len, self._cache["faces"].values()))
+            else:
+                faces: List[set] = [set() for _ in range(self.dim + 1)]
+                for f in self._facets:
+                    fl = sorted(f)
+                    for k in range(1, len(fl) + 1):
+                        faces[k - 1].update(itertools.combinations(fl, k))
+                counts = tuple(len(s) for s in faces)
+            self._cache["f_vector"] = counts
         return self._cache["f_vector"]
 
     def euler_characteristic(self) -> int:

@@ -454,21 +454,15 @@ def edge_path_presentation(cx: Complex) -> FinitePresentation:
     """
     if cx.is_empty:
         raise ValueError("empty complex has no fundamental group")
-    if not cx.is_connected():
-        raise ValueError("edge-path presentation needs a connected complex")
     verts = cx.vertices
     basepoint = verts[0]
-    edges = set()
-    for f in cx.facets:
-        fl = sorted(f)
-        for a, b in itertools.combinations(fl, 2):
-            edges.add((a, b))
+    # the face table lists the edges in label order, so every adjacency
+    # list comes out ascending
+    edges = [tuple(sorted(e)) for e in cx.faces(1)]
     adj: Dict[int, List[int]] = {v: [] for v in verts}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
     # breadth-first tree with ascending neighbor order
     parent: Dict[int, int] = {basepoint: basepoint}
     order = [basepoint]
@@ -480,8 +474,10 @@ def edge_path_presentation(cx: Complex) -> FinitePresentation:
             if w not in parent:
                 parent[w] = v
                 order.append(w)
+    if len(order) != len(verts):
+        raise ValueError("edge-path presentation needs a connected complex")
     tree = {tuple(sorted((v, parent[v]))) for v in parent if parent[v] != v}
-    chords = sorted(e for e in edges if e not in tree)
+    chords = [e for e in edges if e not in tree]
     gen_of = {e: i + 1 for i, e in enumerate(chords)}
 
     def step(a: int, b: int) -> Tuple[int, ...]:

@@ -34,18 +34,16 @@ from .invariants import homology
 # -- elementary moves --------------------------------------------------
 
 
-def stellar_subdivide(cx: Complex, s, fresh: Optional[int] = None) -> Complex:
-    """Subdivide at the face s (dimension >= 1)."""
+def stellar_subdivide(cx: Complex, s) -> Complex:
+    """Subdivide at the face s (dimension >= 1); the fresh vertex is
+    max label + 1, as replay expects."""
     s = frozenset(s)
     if len(s) < 2:
         raise InvalidComplexError("subdivision needs a face of dimension >= 1")
     cof = cx.facets_containing(s)
     if not cof:
         raise InvalidComplexError(f"{sorted(s)} is not a face")
-    if fresh is None:
-        fresh = cx.vertices[-1] + 1
-    elif fresh in cx.vertices:
-        raise InvalidComplexError(f"fresh vertex {fresh} already used")
+    fresh = cx.vertices[-1] + 1
     out = set(cx.facets)
     for f in cof:
         out.remove(f)

@@ -7,16 +7,16 @@ coordinates continue across an edge is not prescribed; the arrival chart
 is detected from the cells actually present, so a curve crossing a glued
 seam needs no bookkeeping on the caller's side.
 
-Capping a tube whose boundary torus is a plain product uses staircase
-prisms over a fresh apex sphere.  Every product cell here, of a tube, a
-prism layer or a cap, comes from ``builders.staircase``, and ``chunk``
-collects them over the facets of a fiber.  When seam crossings twist
-the torus, the cap is assembled from stellar-move shells: each move in
-a certificate from the twisted torus to a plain torus contributes one
-cone over the moved star, and the plain torus is closed with the
-staircase cap.
+Every tube is capped the same way.  A certificate of stellar moves from
+the tube's lateral torus to a plain torus replays as a stack of cone
+shells, one per move, and the plain torus is closed with staircase
+prisms over a fresh apex sphere.  A tube whose torus is already a plain
+product is the zero-move certificate: its cap is the staircase cap
+alone.  Every product cell here, of a tube, a prism layer or a cap,
+comes from ``builders.staircase``, and ``chunk`` collects them over the
+facets of a fiber.
 
-Certificates for twisted tori do not need a search.  Composing the edge
+Certificates for twisted tori mostly need no search.  Composing the edge
 pairings around the ring turns every band into an identity-paired
 staircase over chart labels, running in some permuted order; an adjacent
 transposition in that order is exactly two bistellar flips, so sorting
@@ -156,23 +156,24 @@ def resolve_tube(m, sections, ball):
     return Tube(edges, cells)
 
 
-def lateral_cells(tube, lk):
+def lateral_cells(bands, lk):
+    """Cells of the torus whose bands run staircases from a to b."""
     out = set()
-    for a, b in _oriented(tube.edges):
+    for a, b in bands:
         out |= chunk([a, b], lk.facets)
     return out
 
 
-def verify_tube(m, tube, ball, center):
+def verify_tube(m, tube, lk):
     """Check the tube is cleanly embedded: its boundary is the expected
-    lateral torus and no outside facet reaches an interior face."""
-    lk = ball.link([center])
-    lat = lateral_cells(tube, lk)
+    lateral torus and no outside facet reaches an interior face.
+    Returns that torus."""
+    torus = Complex(lateral_cells(_oriented(tube.edges), lk))
     nc = Complex(tube.cells)
-    if frozenset(nc.boundary().facets) != frozenset(lat):
+    if frozenset(nc.boundary().facets) != frozenset(torus.facets):
         raise ValueError("tube boundary is not the expected torus")
     nverts = set(nc.vertices)
-    interior = nc.face_set - Complex(lat).face_set
+    interior = nc.face_set - torus.face_set
     for f in m.facets:
         if f in tube.cells:
             continue
@@ -183,7 +184,7 @@ def verify_tube(m, tube, ball, center):
                     raise ValueError(
                         f"outside facet {sorted(f)} meets the tube interior"
                     )
-    return lat
+    return torus
 
 
 def _touches_interior(ball, seen, current, fresh):
@@ -218,16 +219,6 @@ def staircase_cap(bands, lk, alloc):
     return cells
 
 
-def _is_plain(tube):
-    secs = [lo for lo, hi, flag in tube.edges]
-    n = len(secs)
-    for i, (lo, hi, flag) in enumerate(tube.edges):
-        nxt = secs[(i + 1) % n]
-        if any(hi[s] != nxt[s] for s in lo):
-            return False
-    return True
-
-
 def _chart_bands(tube, lk):
     """Compose the edge pairings around the ring.
 
@@ -255,18 +246,20 @@ def _chart_bands(tube, lk):
     return bands, gam
 
 
-def _swap_moves(surface, lk, a, b, o, j):
+def _swap_moves(lk, a, b, o, j, fresh):
     """Trade the order-adjacent labels at positions j, j+1 of a band.
 
     Two bistellar flips per swap: a 2-3 across the first link facet
     containing the pair opens the new diagonal, a 3-2 across the second
-    consumes the old one.  A pair spanning no link edge costs nothing.
+    consumes the old one.  Each flip subdivides and at once welds the
+    new vertex away, so both take the label fresh.  A pair spanning no
+    link edge costs nothing.
     """
     q, r = o[j], o[j + 1]
     fs = sorted((f for f in lk.facets if q in f and r in f),
                 key=lambda f: tuple(sorted(f)))
     if not fs:
-        return surface, []
+        return []
     if len(fs) != 2:
         raise ValueError("swapped pair does not span a surface edge")
     rank = {v: t for t, v in enumerate(o)}
@@ -276,189 +269,129 @@ def _swap_moves(surface, lk, a, b, o, j):
         return a[p] if rank[p] < j else b[p]
 
     f1, f2 = fs
-    mvs = []
-    tri = frozenset({a[q], b[r], third(f1)})
-    fresh = surface.vertices[-1] + 1
-    mvs.append(StellarMove("S", tuple(sorted(tri)), fresh))
-    surface = stellar_subdivide(surface, tri)
-    diag = (min(b[q], a[r]), max(b[q], a[r]))
-    mvs.append(StellarMove("W", diag, fresh))
-    surface = stellar_weld(surface, fresh, frozenset(diag))
-
-    edge = frozenset({a[q], b[r]})
-    fresh = surface.vertices[-1] + 1
-    mvs.append(StellarMove("S", tuple(sorted(edge)), fresh))
-    surface = stellar_subdivide(surface, edge)
-    tri2 = frozenset({a[r], b[q], third(f2)})
-    mvs.append(StellarMove("W", tuple(sorted(tri2)), fresh))
-    surface = stellar_weld(surface, fresh, tri2)
-    return surface, mvs
+    flips = [({a[q], b[r], third(f1)}, {b[q], a[r]}),
+             ({a[q], b[r]}, {a[r], b[q], third(f2)})]
+    return [StellarMove(kind, tuple(sorted(s)), fresh)
+            for opened, closed in flips
+            for kind, s in (("S", opened), ("W", closed))]
 
 
-def _untwist_moves(x0, bands, lk):
+def _untwist_moves(bands, lk, fresh):
     """Scripted certificate re-staircasing every band to sorted order."""
-    surface = x0
     moves = []
     for a, b, order in bands:
         o = list(order)
-        target = sorted(o)
-        rank = {v: t for t, v in enumerate(target)}
-        while o != target:
-            for j in range(len(o) - 1):
-                if rank[o[j]] > rank[o[j + 1]]:
-                    surface, mvs = _swap_moves(surface, lk, a, b, o, j)
-                    moves.extend(mvs)
-                    o[j], o[j + 1] = o[j + 1], o[j]
-                    break
-    want = set()
-    for a, b, order in bands:
-        want |= chunk([a, b], lk.facets)
-    if frozenset(surface.facets) != frozenset(want):
-        raise ValueError("scripted moves missed the plain torus")
+        while o != sorted(o):
+            j = next(j for j in range(len(o) - 1) if o[j] > o[j + 1])
+            moves += _swap_moves(lk, a, b, o, j, fresh)
+            o[j], o[j + 1] = o[j + 1], o[j]
     return moves
 
 
-def shell_cap(tube, lk, alloc):
-    """Cap a tube whose boundary torus carries a seam twist.
+def _certificate(tube, lk, torus):
+    """Moves from the lateral torus to a plain torus, the relabeling
+    that ends them (empty for none) and that plain torus's bands.
 
-    A move certificate from the twisted torus to a plain torus replays
-    as a stack of cone shells, one per move.  Whenever stacking a shell
-    would land on a cell the stack has already used, a fresh prism layer
-    over the whole current surface is inserted first, restarting the
-    label space.  The plain torus is then closed with the staircase cap.
-
-    When the composed edge pairings have identity monodromy the
-    certificate is scripted band by band; otherwise it comes from a
-    stellar search against a reference product torus.
+    With identity monodromy the moves are scripted band by band and
+    end at the chart bands; otherwise a stellar search against a
+    reference product torus supplies them.
     """
-    lat = lateral_cells(tube, lk)
-    x0 = Complex(lat)
     bands, mono = _chart_bands(tube, lk)
-    scripted = all(mono[s] == s for s in mono)
-    if scripted:
-        cert_moves = _untwist_moves(x0, bands, lk)
-        cert = None
-    else:
-        n = len(tube.edges)
-        ring = Complex([[i, (i + 1) % n] for i in range(n)])
-        target, chart = ordered_product_with_chart(ring, Complex(lk.facets))
-        res = search_equivalence(x0, target, _SEARCH_BUDGET)
-        if res.status != "yes":
-            raise ValueError(
-                f"no move path to the reference torus: {res.status}"
-            )
-        cert = res.witness
-        cert_moves = cert.moves
+    if all(mono[s] == s for s in mono):
+        moves = _untwist_moves(bands, lk, torus.vertices[-1] + 1)
+        return moves, (), [(a, b) for a, b, _ in bands]
+    n = len(tube.edges)
+    ring = Complex([[i, (i + 1) % n] for i in range(n)])
+    target, chart = ordered_product_with_chart(ring, lk)
+    res = search_equivalence(torus, target, _SEARCH_BUDGET)
+    if res.status != "yes":
+        raise ValueError(f"no move path to the reference torus: {res.status}")
+    secs = [{s: chart[(i, s)] for s in lk.vertices} for i in range(n)]
+    ref = resolve_tube(target, secs, lk)
+    return res.witness.moves, res.witness.relabel, _oriented(ref.edges)
 
+
+def shell_cap(tube, lk, torus, alloc):
+    """Cap a tube over its lateral torus.
+
+    A move certificate from the torus to a plain torus replays as a
+    stack of cone shells, one per move: a subdivision cones its star
+    from a fresh apex, a weld cones the rebuilt cells from the welded
+    vertex.  Whenever stacking a shell would land on a face the stack
+    has already left, a fresh prism layer over the whole current surface
+    is inserted first, restarting the label space.  The plain torus is
+    then closed with the staircase cap.  A plain tube is the zero-move
+    certificate: its cap is the staircase cap alone.
+    """
+    moves, relabel, bands = _certificate(tube, lk, torus)
     cap = set()
-    surface = x0
-    amb = {v: v for v in x0.vertices}
-    current = x0.face_set
+    surface = torus
+    amb = {v: v for v in torus.vertices}
+
+    def image():
+        return {frozenset(amb[v] for v in f) for f in surface.face_set}
+
+    def shell(top, cells):
+        return {frozenset({amb[top]} | {amb[v] for v in f}) for f in cells}
+
+    current = torus.face_set
     seen = set(current)
-
-    def relayer():
-        # fresh prism layer over the whole surface; restarts the label
-        # space so nothing can land on an interior face again
-        fresh = {v: alloc() for v in surface.vertices}
-        for f in surface.facets:
-            cap.update(staircase([amb, fresh], sorted(f, key=amb.get)))
-        amb.clear()
-        amb.update(fresh)
-
-    def refresh_current():
-        return {
-            frozenset(amb[v] for v in f)
-            for f in surface.face_set
-        }
-
-    for mv in cert_moves:
+    for mv in moves:
+        s = frozenset(mv.simplex)
         if mv.kind == "S":
-            star = surface.facets_containing(frozenset(mv.simplex))
-            if not star:
+            cells = surface.facets_containing(s)
+            if not cells:
                 raise ValueError("certificate names a missing face")
-            nxt = stellar_subdivide(surface, mv.simplex)
-            fresh_cert = (set(nxt.vertices) - set(surface.vertices)).pop()
-            fresh_amb = alloc()
-
-            def mk_ball():
-                bottom = {frozenset(amb[v] for v in f) for f in star}
-                return {frozenset({fresh_amb}) | f for f in bottom}
-
-            ball = mk_ball()
-            if _touches_interior(ball, seen, current, {fresh_amb}):
-                relayer()
-                current = refresh_current()
-                seen |= current
-                ball = mk_ball()
-            amb[fresh_cert] = fresh_amb
-            surface = nxt
+            nxt = stellar_subdivide(surface, s)
+            top = nxt.vertices[-1]
+            amb[top] = alloc()
+            fresh = {amb[top]}
         else:
-            parts = weld_parts(surface, mv.vertex, frozenset(mv.simplex))
+            parts = weld_parts(surface, mv.vertex, s)
             if parts is None:
                 raise ValueError("certificate weld is not legal")
-            s = frozenset(mv.simplex)
-            post = [s | t for t in parts]
-
-            def mk_ball():
-                apex = amb[mv.vertex]
-                return {
-                    frozenset({apex} | {amb[v] for v in f}) for f in post
-                }
-
-            ball = mk_ball()
-            if _touches_interior(ball, seen, current, set()):
-                relayer()
-                current = refresh_current()
-                seen |= current
-                ball = mk_ball()
-            surface = stellar_weld(surface, mv.vertex, mv.simplex)
+            cells = [s | t for t in parts]
+            nxt = stellar_weld(surface, mv.vertex, s)
+            top, fresh = mv.vertex, set()
+        ball = shell(top, cells)
+        if _touches_interior(ball, seen, current, fresh):
+            # fresh prism layer over the whole surface; restarts the
+            # label space so nothing can land on an interior face again
+            layer = {v: alloc() for v in surface.vertices}
+            for f in surface.facets:
+                cap.update(staircase([amb, layer], sorted(f, key=amb.get)))
+            amb.update(layer)
+            current = image()
+            seen |= current
+            ball = shell(top, cells)
         if cap & ball:
             raise ValueError("shell stack collided")
         cap |= ball
-        current = refresh_current()
+        surface = nxt
+        current = image()
         seen |= current
 
-    if scripted:
-        # the scripted moves end at the chart-plain torus; close it with
-        # the staircase cap over a fresh apex sphere
-        ends = [({s: amb[a[s]] for s in a}, {s: amb[b[s]] for s in b})
-                for a, b, _ in bands]
-        return cap | staircase_cap(ends, lk, alloc)
-
-    # final relabeling onto the reference torus
-    iso = (
-        dict(zip(surface.vertices, cert.relabel))
-        if cert.relabel
-        else {v: v for v in surface.vertices}
-    )
-    back = {tv: amb[sv] for sv, tv in iso.items()}
-
-    # close the reference torus with the plain staircase cap
-    secs = [{s: chart[(i, s)] for s in lk.vertices} for i in range(n)]
-    ref_tube = resolve_tube(target, secs, Complex(lk.facets))
+    iso = dict(zip(surface.vertices, relabel or surface.vertices))
+    end = {frozenset(iso[v] for v in f) for f in surface.facets}
+    if end != lateral_cells(bands, lk):
+        raise ValueError("certificate missed the plain torus")
+    back = {t: amb[v] for v, t in iso.items()}
     ends = [({s: back[a[s]] for s in a}, {s: back[b[s]] for s in b})
-            for a, b in _oriented(ref_tube.edges)]
+            for a, b in bands]
     return cap | staircase_cap(ends, lk, alloc)
 
 
 def do_surgery(m, sections, ball, center):
     """Replace the curve's solid tube by a cap over a fresh apex sphere.
 
-    The tube is resolved and verified first; a torus that is a plain
-    product is capped directly, anything else goes through the shell
-    stack.  Output is the surgered complex.
+    The tube is resolved and verified first, then capped through the
+    shell stack; a tube whose torus is a plain product is the zero-move
+    case and gets the staircase cap alone.  Output is the surgered
+    complex.
     """
     tube = resolve_tube(m, sections, ball)
-    verify_tube(m, tube, ball, center)
     lk = ball.link([center])
-    used = [max(m.vertices)]
-
-    def alloc():
-        used[0] += 1
-        return used[0]
-
-    if _is_plain(tube):
-        cells = staircase_cap(_oriented(tube.edges), lk, alloc)
-    else:
-        cells = shell_cap(tube, lk, alloc)
+    torus = verify_tube(m, tube, lk)
+    alloc = itertools.count(m.vertices[-1] + 1).__next__
+    cells = shell_cap(tube, lk, torus, alloc)
     return Complex((frozenset(m.facets) - tube.cells) | cells)

@@ -8,15 +8,17 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from plmarkov import verdict as vd
-from plmarkov.builders import simplex_sphere
+from plmarkov.builders import ordered_product_with_chart, simplex_sphere, staircase
 from plmarkov.complex_core import (Complex, InvalidComplexError, IsoIndex, Simplex,
                                    as_simplex)
 from plmarkov.groups import (FinitePresentation, Word, _substitute, abelianization,
                              cyclic_reduce, free_reduce, inverse_word)
 from plmarkov.invariants import homology
-from plmarkov.stellar_moves import (_link_factor, search_equivalence, stellar_subdivide,
-                                    stellar_weld, subdivision_candidates,
+from plmarkov.stellar_moves import (StellarMove, _link_factor, search_equivalence,
+                                    stellar_subdivide, stellar_weld, subdivision_candidates,
                                     weld_candidates, weld_parts)
+from plmarkov.surgery import (_SEARCH_BUDGET, _chart_bands, _oriented, _touches_interior,
+                              chunk, lateral_cells, resolve_tube, staircase_cap, verify_tube)
 
 
 def iso_exhaustive(a: Complex, b: Complex, max_vertices: int = 8) -> bool:
@@ -1123,3 +1125,234 @@ def enumerate_spheres_unpruned(n: int, max_facets: int) -> Iterator[str]:
         for sig, _ in fresh:
             yield sig
         frontier = [cx for _, cx in fresh]
+
+
+def edge_path_presentation_by_combinations(cx: Complex) -> FinitePresentation:
+    """The edge-path presentation with its edges read off every facet's
+    vertex pairs and connectivity checked by a separate walk."""
+    if cx.is_empty:
+        raise ValueError("empty complex has no fundamental group")
+    if not cx.is_connected():
+        raise ValueError("edge-path presentation needs a connected complex")
+    verts = cx.vertices
+    basepoint = verts[0]
+    edges = set()
+    for f in cx.facets:
+        for a, b in itertools.combinations(sorted(f), 2):
+            edges.add((a, b))
+    adj: Dict[int, List[int]] = {v: [] for v in verts}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for v in adj:
+        adj[v].sort()
+    parent: Dict[int, int] = {basepoint: basepoint}
+    order = [basepoint]
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    tree = {tuple(sorted((v, parent[v]))) for v in parent if parent[v] != v}
+    chords = sorted(e for e in edges if e not in tree)
+    gen_of = {e: i + 1 for i, e in enumerate(chords)}
+
+    def step(a: int, b: int) -> Tuple[int, ...]:
+        e = (a, b) if a < b else (b, a)
+        if e in tree:
+            return ()
+        g = gen_of[e]
+        return (g,) if (a, b) == e else (-g,)
+
+    relators = []
+    for t in cx.faces(2):
+        a, b, c = sorted(t)
+        w = free_reduce(step(a, b) + step(b, c) + step(c, a))
+        if w:
+            relators.append(w)
+    return FinitePresentation(len(chords), tuple(relators))
+
+
+# -- surgery caps by three routes ----------------------------------------
+
+
+def _is_plain_tube(tube) -> bool:
+    secs = [lo for lo, hi, flag in tube.edges]
+    n = len(secs)
+    for i, (lo, hi, flag) in enumerate(tube.edges):
+        nxt = secs[(i + 1) % n]
+        if any(hi[s] != nxt[s] for s in lo):
+            return False
+    return True
+
+
+def _swap_moves_replayed(surface, lk, a, b, o, j):
+    """Two bistellar flips trading order positions j, j+1 of a band,
+    each replayed on the surface as it is written."""
+    q, r = o[j], o[j + 1]
+    fs = sorted((f for f in lk.facets if q in f and r in f),
+                key=lambda f: tuple(sorted(f)))
+    if not fs:
+        return surface, []
+    if len(fs) != 2:
+        raise ValueError("swapped pair does not span a surface edge")
+    rank = {v: t for t, v in enumerate(o)}
+
+    def third(f):
+        (p,) = set(f) - {q, r}
+        return a[p] if rank[p] < j else b[p]
+
+    f1, f2 = fs
+    mvs = []
+    tri = frozenset({a[q], b[r], third(f1)})
+    fresh = surface.vertices[-1] + 1
+    mvs.append(StellarMove("S", tuple(sorted(tri)), fresh))
+    surface = stellar_subdivide(surface, tri)
+    diag = (min(b[q], a[r]), max(b[q], a[r]))
+    mvs.append(StellarMove("W", diag, fresh))
+    surface = stellar_weld(surface, fresh, frozenset(diag))
+
+    edge = frozenset({a[q], b[r]})
+    fresh = surface.vertices[-1] + 1
+    mvs.append(StellarMove("S", tuple(sorted(edge)), fresh))
+    surface = stellar_subdivide(surface, edge)
+    tri2 = frozenset({a[r], b[q], third(f2)})
+    mvs.append(StellarMove("W", tuple(sorted(tri2)), fresh))
+    surface = stellar_weld(surface, fresh, tri2)
+    return surface, mvs
+
+
+def _untwist_moves_replayed(x0, bands, lk):
+    """Scripted certificate, replayed and checked against the plain
+    torus as it is written."""
+    surface = x0
+    moves = []
+    for a, b, order in bands:
+        o = list(order)
+        target = sorted(o)
+        rank = {v: t for t, v in enumerate(target)}
+        while o != target:
+            for j in range(len(o) - 1):
+                if rank[o[j]] > rank[o[j + 1]]:
+                    surface, mvs = _swap_moves_replayed(surface, lk, a, b, o, j)
+                    moves.extend(mvs)
+                    o[j], o[j + 1] = o[j + 1], o[j]
+                    break
+    want = set()
+    for a, b, order in bands:
+        want |= chunk([a, b], lk.facets)
+    if frozenset(surface.facets) != frozenset(want):
+        raise ValueError("scripted moves missed the plain torus")
+    return moves
+
+
+def _shell_cap_two_closings(tube, lk, alloc):
+    """The twisted-tube cap with one shell builder per move kind and a
+    separate closing step for scripted and searched certificates."""
+    x0 = Complex(lateral_cells(_oriented(tube.edges), lk))
+    bands, mono = _chart_bands(tube, lk)
+    scripted = all(mono[s] == s for s in mono)
+    if scripted:
+        cert_moves = _untwist_moves_replayed(x0, bands, lk)
+        cert = None
+    else:
+        n = len(tube.edges)
+        ring = Complex([[i, (i + 1) % n] for i in range(n)])
+        target, chart = ordered_product_with_chart(ring, Complex(lk.facets))
+        res = search_equivalence(x0, target, _SEARCH_BUDGET)
+        if res.status != "yes":
+            raise ValueError(f"no move path to the reference torus: {res.status}")
+        cert = res.witness
+        cert_moves = cert.moves
+
+    cap = set()
+    surface = x0
+    amb = {v: v for v in x0.vertices}
+    current = x0.face_set
+    seen = set(current)
+
+    def relayer():
+        fresh = {v: alloc() for v in surface.vertices}
+        for f in surface.facets:
+            cap.update(staircase([amb, fresh], sorted(f, key=amb.get)))
+        amb.clear()
+        amb.update(fresh)
+
+    def refresh_current():
+        return {frozenset(amb[v] for v in f) for f in surface.face_set}
+
+    for mv in cert_moves:
+        if mv.kind == "S":
+            star = surface.facets_containing(frozenset(mv.simplex))
+            if not star:
+                raise ValueError("certificate names a missing face")
+            nxt = stellar_subdivide(surface, mv.simplex)
+            fresh_cert = (set(nxt.vertices) - set(surface.vertices)).pop()
+            fresh_amb = alloc()
+
+            def mk_ball():
+                bottom = {frozenset(amb[v] for v in f) for f in star}
+                return {frozenset({fresh_amb}) | f for f in bottom}
+
+            ball = mk_ball()
+            if _touches_interior(ball, seen, current, {fresh_amb}):
+                relayer()
+                current = refresh_current()
+                seen |= current
+                ball = mk_ball()
+            amb[fresh_cert] = fresh_amb
+            surface = nxt
+        else:
+            parts = weld_parts(surface, mv.vertex, frozenset(mv.simplex))
+            if parts is None:
+                raise ValueError("certificate weld is not legal")
+            s = frozenset(mv.simplex)
+            post = [s | t for t in parts]
+
+            def mk_ball():
+                apex = amb[mv.vertex]
+                return {frozenset({apex} | {amb[v] for v in f}) for f in post}
+
+            ball = mk_ball()
+            if _touches_interior(ball, seen, current, set()):
+                relayer()
+                current = refresh_current()
+                seen |= current
+                ball = mk_ball()
+            surface = stellar_weld(surface, mv.vertex, mv.simplex)
+        if cap & ball:
+            raise ValueError("shell stack collided")
+        cap |= ball
+        current = refresh_current()
+        seen |= current
+
+    if scripted:
+        ends = [({s: amb[a[s]] for s in a}, {s: amb[b[s]] for s in b})
+                for a, b, _ in bands]
+        return cap | staircase_cap(ends, lk, alloc)
+
+    iso = (dict(zip(surface.vertices, cert.relabel)) if cert.relabel
+           else {v: v for v in surface.vertices})
+    back = {tv: amb[sv] for sv, tv in iso.items()}
+    secs = [{s: chart[(i, s)] for s in lk.vertices} for i in range(n)]
+    ref_tube = resolve_tube(target, secs, Complex(lk.facets))
+    ends = [({s: back[a[s]] for s in a}, {s: back[b[s]] for s in b})
+            for a, b in _oriented(ref_tube.edges)]
+    return cap | staircase_cap(ends, lk, alloc)
+
+
+def do_surgery_three_routes(m: Complex, sections, ball: Complex, center: int) -> Complex:
+    """Surgery that caps a plain tube straight with the staircase cap and
+    a twisted one through the scripted or the searched shell stack."""
+    tube = resolve_tube(m, sections, ball)
+    lk = ball.link([center])
+    verify_tube(m, tube, lk)
+    alloc = itertools.count(m.vertices[-1] + 1).__next__
+    if _is_plain_tube(tube):
+        cells = staircase_cap(_oriented(tube.edges), lk, alloc)
+    else:
+        cells = _shell_cap_two_closings(tube, lk, alloc)
+    return Complex((frozenset(m.facets) - tube.cells) | cells)

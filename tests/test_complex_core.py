@@ -594,9 +594,13 @@ def test_construction_errors_match_pairwise_check(facets):
         assert got[1] == want[1]
 
 
-@given(small_complexes())
-def test_f_vector_counts_the_face_table(cx):
-    assert cx.f_vector() == tuple(len(cx.faces(k)) for k in range(cx.dim + 1))
+@given(small_complexes(), st.booleans())
+def test_f_vector_counts_the_face_table(cx, table_first):
+    if table_first:
+        cx.faces_by_dim()
+    counts = cx.f_vector()
+    assert counts == tuple(len(cx.faces(k)) for k in range(cx.dim + 1))
+    assert counts == Complex(cx.facets).f_vector()
 
 
 @st.composite

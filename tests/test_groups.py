@@ -22,7 +22,8 @@ from plmarkov.invariants import homology
 from plmarkov.markov import realize_boundary
 from plmarkov import verdict as vd
 
-from oracles import tietze_simplify_reference
+from oracles import edge_path_presentation_by_combinations, tietze_simplify_reference
+from test_complex_core import small_complexes
 
 
 # -- words -------------------------------------------------------------
@@ -292,6 +293,21 @@ def test_edge_path_of_wedge_of_circles():
 def test_edge_path_requires_connected():
     with pytest.raises(ValueError):
         edge_path_presentation(validate([[0, 1], [2, 3]]))
+
+
+def _presentation_or_error(build, cx):
+    try:
+        return build(cx)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(small_complexes())
+@example(validate([[0, 1], [2, 3]]))
+@example(validate([[0, 1, 2], [3]]))
+def test_edge_path_matches_the_combinations_oracle(cx):
+    assert _presentation_or_error(edge_path_presentation, cx) == (
+        _presentation_or_error(edge_path_presentation_by_combinations, cx))
 
 
 def test_edge_path_deterministic():

@@ -66,14 +66,6 @@ class TestSubdivide:
         out = stellar_subdivide(simplex_sphere(2), [0, 1])
         assert out.vertices == (0, 1, 2, 3, 4)
 
-    def test_explicit_fresh_label(self):
-        out = stellar_subdivide(simplex_sphere(2), [0, 1], fresh=77)
-        assert 77 in out.vertices
-
-    def test_fresh_collision_rejected(self):
-        with pytest.raises(InvalidComplexError):
-            stellar_subdivide(simplex_sphere(2), [0, 1], fresh=2)
-
     def test_non_face_rejected(self):
         with pytest.raises(InvalidComplexError):
             stellar_subdivide(Complex([[0, 1], [1, 2]]), [0, 2])

@@ -1,20 +1,39 @@
 import hashlib
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
-from plmarkov import surgery
+from plmarkov import markov, surgery
+from plmarkov import verdict as vd
 from plmarkov.builders import ordered_product_with_chart, simplex_sphere
 from plmarkov.complex_core import Complex, to_text
+from plmarkov.fabric import double_lap_corridor
+from plmarkov.groups import parse_presentation
 from plmarkov.invariants import betti_numbers
+from plmarkov.stellar_moves import Certificate
 
-from oracles import staircase_cap_triple_loop
+from oracles import do_surgery_three_routes, staircase_cap_triple_loop
+
+ROTATION = {0: 0, 1: 2, 2: 3, 3: 1}
+
+# seam maps of the fiber fixing vertex 0: the plain gluing, a reflection
+# of its link (the lateral surface is then a Klein bottle, which no
+# move path joins to the reference torus) and the two rotations
+SEAMS = [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 0, 1: 2, 2: 1, 3: 3},
+         ROTATION, {0: 0, 1: 3, 2: 1, 3: 2}]
 
 
 def rotated_mapping_torus(m):
     """S1 x S2 as a ring of m fiber columns, the last glued back onto
     the first through a rotation of the link of fiber vertex 0."""
-    psi = {0: 0, 1: 2, 2: 3, 3: 1}
+    return mapping_torus(m, ROTATION)
+
+
+def mapping_torus(m, psi):
+    """A ring of m columns of the 2-sphere fiber, the last glued back
+    onto the first through psi, with the sections of the star of fiber
+    vertex 0 along it."""
     fiber = simplex_sphere(2)
     path = Complex([[t, t + 1] for t in range(m)])
     deck, chart = ordered_product_with_chart(path, fiber)
@@ -54,3 +73,48 @@ def test_staircase_cap_matches_the_triple_loop_oracle(d, n, rnd):
     cells = surgery.staircase_cap(bands, lk, itertools.count(100).__next__)
     apex = {s: 100 + r for r, s in enumerate(lk.vertices)}
     assert cells == staircase_cap_triple_loop(bands, lk, apex)
+
+
+def _outcome(build):
+    try:
+        return build().facets
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+@pytest.mark.parametrize("psi", SEAMS, ids=["plain", "reflection", "rotation", "inverse"])
+def test_mapping_torus_cap_matches_the_three_route_oracle(m, psi):
+    args = (*mapping_torus(m, psi), 0)
+    assert _outcome(lambda: surgery.do_surgery(*args)) == _outcome(
+        lambda: do_surgery_three_routes(*args))
+
+
+def test_pipeline_caps_match_the_three_route_oracle(monkeypatch):
+    checked = []
+
+    def both(*args, real=surgery.do_surgery):
+        out = real(*args)
+        assert out.facets == do_surgery_three_routes(*args).facets
+        checked.append(args)
+        return out
+
+    monkeypatch.setattr(markov, "do_surgery", both)
+    for text in ("|", "g|g", "g|gg", "a,b|a,b", "a,b|ab,b", "a,b|abAB"):
+        markov.realize_boundary(parse_presentation(text), 4)
+    assert len(checked) == 15
+
+
+def test_scripted_certificate_must_reach_the_plain_torus(monkeypatch):
+    monkeypatch.setattr(surgery, "_untwist_moves", lambda *args: [])
+    amb, secs, ball = double_lap_corridor()
+    with pytest.raises(ValueError, match="certificate missed the plain torus"):
+        surgery.do_surgery(amb, secs, ball, 0)
+
+
+def test_searched_certificate_must_reach_the_plain_torus(monkeypatch):
+    monkeypatch.setattr(surgery, "search_equivalence",
+                        lambda *args: vd.yes(witness=Certificate(())))
+    cx, secs, ball = rotated_mapping_torus(3)
+    with pytest.raises(ValueError, match="certificate missed the plain torus"):
+        surgery.do_surgery(cx, secs, ball, 0)

@@ -300,28 +300,6 @@ class Complex:
                         stack.append(g)
         return len(seen) == len(self._facets)
 
-    def is_connected(self) -> bool:
-        """Vertices connected through shared facets."""
-        vs = self.vertices
-        if len(vs) <= 1:
-            return True
-        adj: Dict[int, set] = {v: set() for v in vs}
-        for f in self._facets:
-            fl = sorted(f)
-            for a, b in zip(fl, fl[1:]):
-                adj[a].add(b)
-                adj[b].add(a)
-            # chain is enough: a facet is a clique, connectivity survives
-        seen = {vs[0]}
-        stack = [vs[0]]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(vs)
-
     def skeleton(self, k: int) -> "Complex":
         """All faces of dimension at most k."""
         if k < 0:
@@ -719,25 +697,13 @@ def derived_subdivision_raw(cx: Complex) -> Complex:
     if cx.is_empty:
         return cx
     face_id = {f: i for i, f in enumerate(cx.faces())}
-    out: List[Simplex] = []
-
-    def chains(top: Simplex) -> Iterator[Tuple[Simplex, ...]]:
-        # maximal chains below a facet: drop one vertex at a time
-        def go(cur: Simplex, acc: List[Simplex]):
-            acc.append(cur)
-            if len(cur) == 1:
-                yield tuple(acc)
-            else:
-                for v in sorted(cur):
-                    yield from go(cur - {v}, acc)
-            acc.pop()
-
-        yield from go(top, [])
-
-    for top in cx.facets:
-        for chain in chains(top):
-            out.append(frozenset(face_id[f] for f in chain))
-    return Complex._from_trusted(set(out))
+    # a maximal chain below a facet drops one vertex at a time: the
+    # suffixes of one ordering of the facet's vertices
+    return Complex._from_trusted({
+        frozenset(face_id[frozenset(p[i:])] for i in range(len(p)))
+        for top in cx.facets
+        for p in itertools.permutations(sorted(top))
+    })
 
 
 # -- serialization -----------------------------------------------------

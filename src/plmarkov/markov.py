@@ -54,10 +54,12 @@ class HandlePlan:
 class Marks:
     """Marked cells of a handle boundary: one core circle per summand.
     The section data records each core's product collar, one fiber
-    chart per ring column, which is what surgery routing consumes."""
+    chart per ring column, which is what surgery routing consumes.
+    ``untouched`` is the boundary as built, before any surgery."""
     cores: Tuple[Tuple[int, ...], ...]
     sections: Tuple[Tuple[Dict[int, int], ...], ...]
     model: Complex
+    untouched: Complex
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def handlebody_boundary(k: int, n: int) -> Tuple[Complex, Marks]:
     amb, cols, ball = handle_chain(k, n)
     cores = tuple(tuple(col[0] for col in gen) for gen in cols)
     sections = tuple(tuple(gen) for gen in cols)
-    return amb, Marks(cores, sections, ball)
+    return amb, Marks(cores, sections, ball, amb)
 
 
 def _check_edge_path(cx: Complex, path: Sequence[int]):
@@ -138,13 +140,6 @@ def _commutator_rotation(w: Word) -> Optional[Word]:
                 and abs(rot[0]) != abs(rot[1])):
             return rot
     return None
-
-
-def _pristine(m: Complex, k: int, n: int) -> bool:
-    # the corridor re-triangulations are charted against the untouched
-    # k-handle boundary; any prior surgery invalidates them
-    ref, _ = handlebody_boundary(k, n)
-    return set(m.facets) == set(ref.facets)
 
 
 def realize_curve(marked: Tuple[Complex, Marks], w: Word) -> PositionedCurve:
@@ -189,8 +184,10 @@ def realize_curve(marked: Tuple[Complex, Marks], w: Word) -> PositionedCurve:
         return PositionedCurve(w, path, ((w[0], (0, 3)),), "untwisted",
                                m, tuple(secs), marks.model, 0)
 
+    # the corridor re-triangulations are charted against the untouched
+    # k-handle boundary; any prior surgery invalidates them
     if len(w) == 2 and w[0] == w[1]:
-        if k != 1 or n != 4 or not _pristine(m, k, n):
+        if k != 1 or n != 4 or m != marks.untouched:
             raise DepthError(w, 2)
         amb, secs, ball = double_lap_corridor()
         path = tuple(s[0] for s in secs)
@@ -204,7 +201,7 @@ def realize_curve(marked: Tuple[Complex, Marks], w: Word) -> PositionedCurve:
 
     rot = _commutator_rotation(w)
     if rot is not None:
-        if k != 2 or n != 4 or not _pristine(m, k, n):
+        if k != 2 or n != 4 or m != marks.untouched:
             raise DepthError(w, 2)
         amb, secs, ball = commutator_corridor()
         path = tuple(s[0] for s in secs)

@@ -15,9 +15,10 @@ same convention, so recorded moves replay verbatim.
 Bistellar flips are the derived accelerator used by the search: a face
 A whose link is the boundary of a simplex B (with B not a face) can be
 exchanged for B with link boundary-of-A.  For 0 < dim A < d this is a
-subdivision at A followed by a weld at the fresh vertex with simplex B;
-the facet and vertex cases are a single subdivision or weld.  The
-search emits only stellar lines, never flip lines.
+subdivision at A followed by a weld at the fresh vertex with simplex B,
+and a facet flip is the single subdivision.  A vertex flip is a weld,
+so the flip set starts at dimension 1 and the welds cover dimension 0.
+The search emits only stellar lines, never flip lines.
 """
 
 from __future__ import annotations
@@ -175,10 +176,11 @@ def first_weld(cx: Complex) -> Optional[Tuple[int, Simplex]]:
 
 
 def flip_candidates(cx: Complex) -> Iterator[Tuple[Simplex, Simplex]]:
-    """Faces A with link the boundary of a missing simplex B, as (A, B);
-    requires a pure complex.  Ordered by (dim A, labels)."""
-    if cx.dim >= 1:
-        yield from _flips(cx, range(cx.dim + 1))
+    """Faces A of dimension >= 1 with link the boundary of a missing
+    simplex B, as (A, B); requires a pure complex.  Ordered by (dim A,
+    labels).  A vertex flip is the weld (v, B), which ``weld_candidates``
+    yields."""
+    yield from _flips(cx, range(1, cx.dim + 1))
 
 
 def _flips(cx: Complex, dims: Iterable[int]) -> Iterator[Tuple[Simplex, Simplex]]:
@@ -191,41 +193,25 @@ def _flips(cx: Complex, dims: Iterable[int]) -> Iterator[Tuple[Simplex, Simplex]
 
 
 def _flip_partner(cx: Complex, a: Simplex) -> Optional[Simplex]:
-    cof = cx.facets_containing(a)
-    if not cof:
-        return None
-    d = cx.dim
-    if len(a) == d + 1:
+    if len(a) == cx.dim + 1:
         # a is a facet; its flip is the cone subdivision, partner is a itself
         return a
-    link_facets = {f - a for f in cof}
-    verts = set().union(*link_facets)
-    m = len(verts)
-    if len(link_facets) != m or any(len(t) != m - 1 for t in link_facets):
-        return None
-    b = frozenset(verts)
-    # link must be the full boundary of b
-    if {b - {w} for w in b} != link_facets:
-        return None
-    if cx.has_face(b):
+    link_facets = {f - a for f in cx.facets_containing(a)}
+    b = frozenset().union(*link_facets)
+    # the weld condition with L empty: link(a) is the boundary of b
+    if _link_factor(link_facets, b) != {frozenset()} or cx.has_face(b):
         return None
     return b
 
 
 def apply_flip(cx: Complex, a: Simplex, b: Simplex) -> Tuple[Complex, List[StellarMove]]:
-    """Exchange the face a for b across the sphere (boundary a)*(boundary
-    b), emitted as one or two stellar moves."""
-    d = cx.dim
-    if len(a) == d + 1:
-        fresh = cx.vertices[-1] + 1
-        return stellar_subdivide(cx, a), [StellarMove("S", tuple(sorted(a)), fresh)]
-    if len(a) == 1:
-        v = next(iter(a))
-        return stellar_weld(cx, v, b), [StellarMove("W", tuple(sorted(b)), v)]
+    """Exchange the face a (dimension >= 1) for b across the sphere
+    (boundary a)*(boundary b), emitted as one or two stellar moves."""
     fresh = cx.vertices[-1] + 1
     mid = stellar_subdivide(cx, a)
-    out = stellar_weld(mid, fresh, b)
-    return out, [
+    if len(a) == cx.dim + 1:
+        return mid, [StellarMove("S", tuple(sorted(a)), fresh)]
+    return stellar_weld(mid, fresh, b), [
         StellarMove("S", tuple(sorted(a)), fresh),
         StellarMove("W", tuple(sorted(b)), fresh),
     ]
@@ -309,32 +295,6 @@ def _reducing_flip(cx: Complex) -> Optional[Tuple[Simplex, Simplex]]:
     return next(_flips(cx, range(1, (cx.dim + 1) // 2)), None)
 
 
-def simplify_complex(
-    cx: Complex, budget: vd.Budget, moves_out: Optional[List[StellarMove]] = None
-) -> Complex:
-    """Monotone descent: apply facet-count-reducing welds and flips in a
-    fixed order until none remain or the budget runs out."""
-    state = cx
-    while not budget.exhausted:
-        cand = first_weld(state)
-        if cand is not None:
-            v, s = cand
-            state = stellar_weld(state, v, s)
-            if moves_out is not None:
-                moves_out.append(StellarMove("W", tuple(sorted(s)), v))
-            budget.spend()
-            continue
-        flip = _reducing_flip(state)
-        if flip is not None:
-            state, recs = apply_flip(state, *flip)
-            if moves_out is not None:
-                moves_out.extend(recs)
-            budget.spend()
-            continue
-        break
-    return state
-
-
 def _sideways_flips(cx: Complex) -> Iterator[Tuple[Simplex, Simplex]]:
     # flips preserving the facet count: 2 * dim A = d (even d only)
     d = cx.dim
@@ -375,15 +335,31 @@ def _escape_plateau(
 def reduce_with_trace(
     cx: Complex, budget: vd.Budget
 ) -> Tuple[Complex, List[StellarMove]]:
-    """Descend as far as the budget allows, escaping plateaus through
-    sideways flips; returns the reduced state and the move trace."""
+    """Monotone descent as far as the budget allows: apply the first
+    weld, else the first facet-count-reducing flip, else escape the
+    plateau through sideways flips; returns the reduced state and the
+    move trace."""
+    state = cx
     moves: List[StellarMove] = []
-    state = simplify_complex(cx, budget, moves)
     while not budget.exhausted:
+        weld = first_weld(state)
+        if weld is not None:
+            v, s = weld
+            state = stellar_weld(state, v, s)
+            moves.append(StellarMove("W", tuple(sorted(s)), v))
+            budget.spend()
+            continue
+        flip = _reducing_flip(state)
+        if flip is not None:
+            state, recs = apply_flip(state, *flip)
+            moves.extend(recs)
+            budget.spend()
+            continue
+        # the escape spends its own budget, one unit per sideways flip
         jumped = _escape_plateau(state, budget, moves)
         if jumped is None:
             break
-        state = simplify_complex(jumped, budget, moves)
+        state = jumped
     return state, moves
 
 
@@ -413,38 +389,6 @@ def _invariant_obstruction(a: Complex, b: Complex) -> Optional[Tuple[str, dict]]
     return None
 
 
-class _InverseReplayer:
-    """Replays the inverse of a recorded move list onto another lineage.
-
-    ``phi`` maps replay-side labels to recorded-side labels and is kept
-    a bijection move by move; fresh labels on the replay side follow
-    the max+1 convention so the emitted lines replay verbatim.
-    """
-
-    def __init__(self, start: Complex, phi: Dict[int, int]):
-        self.state = start
-        self.phi = dict(phi)
-        self.lines: List[StellarMove] = []
-
-    def _inv(self) -> Dict[int, int]:
-        return {w: r for r, w in self.phi.items()}
-
-    def undo(self, move: StellarMove):
-        inv = self._inv()
-        s_replay = frozenset(inv[x] for x in move.simplex)
-        if move.kind == "S":
-            # the move created move.vertex; welding it away undoes it
-            v_replay = inv[move.vertex]
-            self.state = stellar_weld(self.state, v_replay, s_replay)
-            del self.phi[v_replay]
-            self.lines.append(StellarMove("W", tuple(sorted(s_replay)), v_replay))
-        else:
-            fresh = self.state.vertices[-1] + 1
-            self.state = stellar_subdivide(self.state, s_replay)
-            self.phi[fresh] = move.vertex
-            self.lines.append(StellarMove("S", tuple(sorted(s_replay)), fresh))
-
-
 def _stitch_certificate(
     a_moves: List[StellarMove],
     a_end: Complex,
@@ -454,23 +398,36 @@ def _stitch_certificate(
 ) -> Certificate:
     """Assemble A -> ... -> a_end, then the inverse of b_moves mapped
     through psi (a_end labels -> B-lineage labels), ending exactly at
-    b_start; the final relabel line carries the leftover bijection."""
-    rep = _InverseReplayer(a_end, dict(psi))
+    b_start; the final relabel line carries the leftover bijection.
+
+    ``inv`` maps B-lineage labels to replay labels and stays a bijection
+    move by move; fresh replay labels follow the max+1 convention, so
+    the emitted lines replay verbatim."""
+    state, lines = a_end, []
+    inv = {w: r for r, w in psi.items()}
     for m in reversed(b_moves):
-        rep.undo(m)
-    final_map = rep.phi
-    relabel = tuple(final_map[v] for v in rep.state.vertices)
-    check = rep.state.relabeled(dict(zip(rep.state.vertices, relabel)))
+        s = frozenset(inv[x] for x in m.simplex)
+        if m.kind == "S":
+            # the move created m.vertex; welding it away undoes it
+            v = inv.pop(m.vertex)
+            state = stellar_weld(state, v, s)
+            lines.append(StellarMove("W", tuple(sorted(s)), v))
+        else:
+            fresh = state.vertices[-1] + 1
+            state = stellar_subdivide(state, s)
+            inv[m.vertex] = fresh
+            lines.append(StellarMove("S", tuple(sorted(s)), fresh))
+    phi = {r: w for w, r in inv.items()}
+    relabel = tuple(phi[v] for v in state.vertices)
+    check = state.relabeled(dict(zip(state.vertices, relabel)))
     assert check == b_start, "certificate stitching lost the target"
-    return Certificate(tuple(a_moves) + tuple(rep.lines), relabel)
+    return Certificate(tuple(a_moves) + tuple(lines), relabel)
 
 
 def _neighbors_for_meet(cx: Complex, cap: int) -> Iterator[Tuple[Complex, List[StellarMove]]]:
     for v, s in weld_candidates(cx):
         yield stellar_weld(cx, v, s), [StellarMove("W", tuple(sorted(s)), v)]
     for a, b in flip_candidates(cx):
-        if len(a) == 1:
-            continue  # vertex flips are welds, already yielded
         delta = 2 * len(a) - 2 - cx.dim
         if len(cx.facets) + delta > cap:
             continue

@@ -14,9 +14,10 @@ from plmarkov.complex_core import (Complex, InvalidComplexError, IsoIndex, Simpl
 from plmarkov.groups import (FinitePresentation, Word, _substitute, abelianization,
                              cyclic_reduce, free_reduce, inverse_word)
 from plmarkov.invariants import homology
-from plmarkov.stellar_moves import (StellarMove, _link_factor, search_equivalence,
-                                    stellar_subdivide, stellar_weld, subdivision_candidates,
-                                    weld_candidates, weld_parts)
+from plmarkov.stellar_moves import (StellarMove, _escape_plateau, _link_factor, apply_flip,
+                                    first_weld, search_equivalence, stellar_subdivide,
+                                    stellar_weld, subdivision_candidates, weld_candidates,
+                                    weld_parts)
 from plmarkov.surgery import (_SEARCH_BUDGET, _chart_bands, _oriented, _touches_interior,
                               chunk, lateral_cells, resolve_tube, staircase_cap, verify_tube)
 
@@ -356,6 +357,29 @@ def subcomplex_classes_exhaustive(cx: Complex, max_faces: int = 10) -> int:
     return len(classes)
 
 
+def is_connected(cx: Complex) -> bool:
+    """Vertices connected through shared facets."""
+    vs = cx.vertices
+    if len(vs) <= 1:
+        return True
+    adj: Dict[int, set] = {v: set() for v in vs}
+    for f in cx.facets:
+        fl = sorted(f)
+        for a, b in zip(fl, fl[1:]):
+            adj[a].add(b)
+            adj[b].add(a)
+        # chain is enough: a facet is a clique, connectivity survives
+    seen = {vs[0]}
+    stack = [vs[0]]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(vs)
+
+
 def two_sphere_triangulations(max_facets: int):
     """Every triangulated 2-sphere with at most max_facets facets, up
     to isomorphism, by brute force over labeled triangle sets.
@@ -386,7 +410,7 @@ def two_sphere_triangulations(max_facets: int):
             if len(used) != nv:
                 continue
             cx = Complex(chosen)
-            if not cx.is_connected():
+            if not is_connected(cx):
                 continue
             link_ok = True
             for v in used:
@@ -395,7 +419,7 @@ def two_sphere_triangulations(max_facets: int):
                 for f in lk.facets:
                     for w in f:
                         degs[w] = degs.get(w, 0) + 1
-                if any(d != 2 for d in degs.values()) or not lk.is_connected():
+                if any(d != 2 for d in degs.values()) or not is_connected(lk):
                     link_ok = False
                     break
             if not link_ok:
@@ -951,6 +975,105 @@ def is_combinatorial_sphere_gates_first(cx: Complex, budget: int = 100000,
     return search_equivalence(cx, ref, budget)
 
 
+def derived_subdivision_recursive(cx: Complex) -> Complex:
+    """The derived subdivision by a recursive walk down each facet,
+    dropping one vertex at a time, with the face labels of
+    ``derived_subdivision_raw``."""
+    if cx.is_empty:
+        return cx
+    face_id = {f: i for i, f in enumerate(cx.faces())}
+    out: List[Simplex] = []
+
+    def chains(top: Simplex) -> Iterator[Tuple[Simplex, ...]]:
+        def go(cur: Simplex, acc: List[Simplex]):
+            acc.append(cur)
+            if len(cur) == 1:
+                yield tuple(acc)
+            else:
+                for v in sorted(cur):
+                    yield from go(cur - {v}, acc)
+            acc.pop()
+
+        yield from go(top, [])
+
+    for top in cx.facets:
+        for chain in chains(top):
+            out.append(frozenset(face_id[f] for f in chain))
+    return Complex._from_trusted(set(out))
+
+
+# -- the stellar kernel before one descent loop and one flip set ---------
+
+def _flip_partner_by_sizes(cx: Complex, a: Simplex) -> Optional[Simplex]:
+    cof = cx.facets_containing(a)
+    if not cof:
+        return None
+    d = cx.dim
+    if len(a) == d + 1:
+        return a
+    link_facets = {f - a for f in cof}
+    verts = set().union(*link_facets)
+    m = len(verts)
+    if len(link_facets) != m or any(len(t) != m - 1 for t in link_facets):
+        return None
+    b = frozenset(verts)
+    if {b - {w} for w in b} != link_facets:
+        return None
+    if cx.has_face(b):
+        return None
+    return b
+
+
+def _flips_by_sizes(cx: Complex, dims) -> Iterator[Tuple[Simplex, Simplex]]:
+    for k in dims:
+        for a in cx.faces(k):
+            b = _flip_partner_by_sizes(cx, a)
+            if b is not None:
+                yield (a, b)
+
+
+def flip_candidates_with_vertex_flips(cx: Complex) -> Iterator[Tuple[Simplex, Simplex]]:
+    """Every face A, vertices included, whose link is the boundary of a
+    missing simplex B, as (A, B), ordered by (dim A, labels); the link
+    is compared by its size and then facet by facet."""
+    if cx.dim >= 1:
+        yield from _flips_by_sizes(cx, range(cx.dim + 1))
+
+
+def reduce_with_trace_two_loops(
+    cx: Complex, budget: vd.Budget
+) -> Tuple[Complex, List[StellarMove]]:
+    """The descent as an inner loop of welds and reducing flips, run
+    again after each plateau escape by an outer loop."""
+
+    def simplify(state: Complex, moves_out: List[StellarMove]) -> Complex:
+        while not budget.exhausted:
+            cand = first_weld(state)
+            if cand is not None:
+                v, s = cand
+                state = stellar_weld(state, v, s)
+                moves_out.append(StellarMove("W", tuple(sorted(s)), v))
+                budget.spend()
+                continue
+            flip = next(_flips_by_sizes(state, range(1, (state.dim + 1) // 2)), None)
+            if flip is not None:
+                state, recs = apply_flip(state, *flip)
+                moves_out.extend(recs)
+                budget.spend()
+                continue
+            break
+        return state
+
+    moves: List[StellarMove] = []
+    state = simplify(cx, moves)
+    while not budget.exhausted:
+        jumped = _escape_plateau(state, budget, moves)
+        if jumped is None:
+            break
+        state = simplify(jumped, moves)
+    return state, moves
+
+
 # -- the old product, cap and connected-sum constructions --------------
 
 
@@ -1132,7 +1255,7 @@ def edge_path_presentation_by_combinations(cx: Complex) -> FinitePresentation:
     vertex pairs and connectivity checked by a separate walk."""
     if cx.is_empty:
         raise ValueError("empty complex has no fundamental group")
-    if not cx.is_connected():
+    if not is_connected(cx):
         raise ValueError("edge-path presentation needs a connected complex")
     verts = cx.vertices
     basepoint = verts[0]

@@ -34,6 +34,8 @@ from plmarkov.stellar_moves import (stellar_subdivide, stellar_weld,
 from oracles import (
     canonical_pair_unpruned,
     check_maximal_pairwise,
+    derived_subdivision_recursive,
+    is_connected,
     is_strongly_connected_own_map,
     iso_exhaustive,
     isomorphism_backtracking,
@@ -515,8 +517,8 @@ def test_skeleton():
 
 
 def test_connectivity():
-    assert simplex_sphere(2).is_connected()
-    assert not validate([[0, 1], [2, 3]]).is_connected()
+    assert is_connected(simplex_sphere(2))
+    assert not is_connected(validate([[0, 1], [2, 3]]))
 
 
 # -- serialization -----------------------------------------------------
@@ -592,6 +594,15 @@ def test_construction_errors_match_pairwise_check(facets):
     assert got[0] == want[0]
     if got[0] == "error":
         assert got[1] == want[1]
+
+
+@given(small_complexes())
+@example(simplex_sphere(0))
+@example(simplex_sphere(4))
+@example(sphere_product(1, 2))
+@example(validate([[0, 1, 2], [2, 3], [3, 4, 5, 6], [7]]))
+def test_derived_subdivision_matches_the_recursive_walk(cx):
+    assert derived_subdivision_raw(cx) == derived_subdivision_recursive(cx)
 
 
 @given(small_complexes(), st.booleans())

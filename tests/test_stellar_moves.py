@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plmarkov import verdict as vd
 from plmarkov.builders import (
@@ -24,9 +24,9 @@ from plmarkov.stellar_moves import (
     parse_certificate,
     reduce_with_trace,
     search_equivalence,
-    simplify_complex,
     stellar_subdivide,
     stellar_weld,
+    subdivision_candidates,
     weld_candidates,
     weld_parts,
 )
@@ -34,7 +34,9 @@ from plmarkov.complex_core import barycentric_subdivision
 
 from oracles import (
     facets_containing_linear,
+    flip_candidates_with_vertex_flips,
     has_face_linear,
+    reduce_with_trace_two_loops,
     weld_candidates_linear,
     weld_candidates_unpruned,
 )
@@ -242,9 +244,7 @@ class TestFlips:
 
 class TestReduction:
     def test_octahedron_reduces_to_tetrahedron_boundary(self):
-        budget = vd.Budget(1000)
-        moves = []
-        red = simplify_complex(OCTA, budget, moves)
+        red, moves = reduce_with_trace(OCTA, vd.Budget(1000))
         assert isomorphism(red, simplex_sphere(2)) is not None
         replay = apply_certificate(OCTA, Certificate(tuple(moves)))
         assert replay == red
@@ -355,3 +355,48 @@ def test_any_single_move_preserves_homology(idx, data):
         out = stellar_weld(cx, payload[0], payload[1])
     assert homology(out) == homology(cx)
     assert out.euler_characteristic() == cx.euler_characteristic()
+
+
+# The descent and the flip set against the two-loop descent and the flip
+# scan that included vertex flips.  The order of the plateau escape and
+# the reducing flip shows only in dimension 4 and up: below it a complex
+# has sideways flips or reducing flips, never both.
+SUBDIVISION_BASES = [simplex_sphere(2), simplex_sphere(3), OCTA, sphere_product(1, 1),
+                     sphere_product(1, 2), simplex_sphere(4)]
+
+
+# a weld, a reducing edge flip and two more welds take it back to the
+# boundary of the 5-simplex; an escape tried before that flip leaves
+# another trace
+S4_SUBDIVIDED = stellar_subdivide(
+    stellar_subdivide(stellar_subdivide(simplex_sphere(4), [0, 1, 2, 4, 5]), [2, 3, 4, 5]),
+    [0, 4])
+
+
+@st.composite
+def stellar_subdivisions(draw):
+    cx = draw(st.sampled_from(SUBDIVISION_BASES))
+    for _ in range(draw(st.integers(0, 4))):
+        cx = stellar_subdivide(cx, draw(st.sampled_from(list(subdivision_candidates(cx)))))
+    return cx
+
+
+@settings(max_examples=60, deadline=None)
+@given(stellar_subdivisions(), st.integers(0, 30))
+@example(S4_SUBDIVIDED, 30)
+def test_descent_matches_the_two_loop_descent(cx, budget):
+    new_budget, old_budget = vd.Budget(budget), vd.Budget(budget)
+    assert (reduce_with_trace(cx, new_budget)
+            == reduce_with_trace_two_loops(cx, old_budget))
+    assert new_budget.used == old_budget.used
+
+
+@settings(max_examples=60, deadline=None)
+@given(stellar_subdivisions())
+def test_flip_set_is_the_old_one_without_vertex_flips(cx):
+    old = list(flip_candidates_with_vertex_flips(cx))
+    assert list(flip_candidates(cx)) == [(a, b) for a, b in old if len(a) > 1]
+    welds = set(weld_candidates(cx))
+    for a, b in old:
+        if len(a) == 1:
+            assert (next(iter(a)), b) in welds

@@ -61,9 +61,6 @@ def parse_expression(text: str) -> cc.Complex:
     def err(msg, tok):
         raise ExpressionError("line 1, column %d: %s" % (tok[2] + 1, msg))
 
-    def peek():
-        return toks[idx[0]]
-
     def take(kind, what):
         tok = toks[idx[0]]
         if tok[0] != kind:

@@ -295,12 +295,6 @@ def _reducing_flip(cx: Complex) -> Optional[Tuple[Simplex, Simplex]]:
     return next(_flips(cx, range(1, (cx.dim + 1) // 2)), None)
 
 
-def _sideways_flips(cx: Complex) -> Iterator[Tuple[Simplex, Simplex]]:
-    # flips preserving the facet count: 2 * dim A = d (even d only)
-    d = cx.dim
-    return _flips(cx, [d // 2] if d > 0 and d % 2 == 0 else [])
-
-
 _PLATEAU_DEPTH = 3
 
 
@@ -309,14 +303,19 @@ def _escape_plateau(
 ) -> Optional[Complex]:
     """Search up to _PLATEAU_DEPTH facet-count-preserving flips deep
     for a state where the descent can continue; returns that smaller
-    state (with the connecting moves appended) or None."""
+    state (with the connecting moves appended) or None.  The flips
+    that keep the facet count have 2 * dim A = d, so only a positive
+    even dimension d has any."""
+    d = state.dim
+    if d <= 0 or d % 2:
+        return None
     seen = IsoIndex()
     seen.add(state)
     frontier: List[Tuple[Complex, List[StellarMove]]] = [(state, [])]
     for _ in range(_PLATEAU_DEPTH):
         nxt: List[Tuple[Complex, List[StellarMove]]] = []
         for cur, path in frontier:
-            for a, b in _sideways_flips(cur):
+            for a, b in _flips(cur, [d // 2]):
                 if not budget.spend():
                     return None
                 cand, recs = apply_flip(cur, a, b)

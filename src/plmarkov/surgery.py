@@ -10,11 +10,14 @@ seam needs no bookkeeping on the caller's side.
 Every tube is capped the same way.  A certificate of stellar moves from
 the tube's lateral torus to a plain torus replays as a stack of cone
 shells, one per move, and the plain torus is closed with staircase
-prisms over a fresh apex sphere.  A tube whose torus is already a plain
-product is the zero-move certificate: its cap is the staircase cap
-alone.  Every product cell here, of a tube, a prism layer or a cap,
-comes from ``builders.staircase``, and ``chunk`` collects them over the
-facets of a fiber.
+prisms over a fresh apex sphere.  A prism layer over the whole surface
+goes under any shell holding a face subdivided earlier: every face that
+left the surface holds a subdivided face or a welded vertex, and fresh
+vertices never reuse a welded one's label.  A tube whose torus is
+already a plain product is the zero-move certificate: its cap is the
+staircase cap alone.  Every product cell here, of a tube, a prism layer
+or a cap, comes from ``builders.staircase``, and ``chunk`` collects them
+over the facets of a fiber.
 
 Certificates for twisted tori mostly need no search.  Composing the edge
 pairings around the ring turns every band into an identity-paired
@@ -173,32 +176,21 @@ def verify_tube(m, tube, lk):
     if frozenset(nc.boundary().facets) != frozenset(torus.facets):
         raise ValueError("tube boundary is not the expected torus")
     nverts = set(nc.vertices)
-    interior = nc.face_set - torus.face_set
+    interior = _faces(tube.cells) - _faces(torus.facets)
     for f in m.facets:
-        if f in tube.cells:
-            continue
-        touch = f & nverts
-        for k in range(1, len(touch) + 1):
-            for sub in itertools.combinations(sorted(touch), k):
-                if frozenset(sub) in interior:
-                    raise ValueError(
-                        f"outside facet {sorted(f)} meets the tube interior"
-                    )
+        if f not in tube.cells and _faces([f & nverts]) & interior:
+            raise ValueError(f"outside facet {sorted(f)} meets the tube interior")
     return torus
 
 
-def _touches_interior(ball, seen, current, fresh):
-    """True when a cell face revisits a face that left the surface."""
-    for cell in ball:
+def _faces(cells):
+    """Every nonempty face of the cells."""
+    out = set()
+    for cell in cells:
         verts = sorted(cell)
         for k in range(1, len(verts) + 1):
-            for sub in itertools.combinations(verts, k):
-                fs = frozenset(sub)
-                if fs & fresh:
-                    continue
-                if fs in seen and fs not in current:
-                    return True
-    return False
+            out.update(map(frozenset, itertools.combinations(verts, k)))
+    return out
 
 
 def staircase_cap(bands, lk, alloc):
@@ -317,25 +309,23 @@ def shell_cap(tube, lk, torus, alloc):
     A move certificate from the torus to a plain torus replays as a
     stack of cone shells, one per move: a subdivision cones its star
     from a fresh apex, a weld cones the rebuilt cells from the welded
-    vertex.  Whenever stacking a shell would land on a face the stack
-    has already left, a fresh prism layer over the whole current surface
-    is inserted first, restarting the label space.  The plain torus is
-    then closed with the staircase cap.  A plain tube is the zero-move
-    certificate: its cap is the staircase cap alone.
+    vertex.  Whenever a shell would hold a face subdivided earlier, a
+    fresh prism layer over the whole current surface is inserted first,
+    restarting the label space.  That test is exact: a face leaves the
+    surface only by holding a subdivided face or a welded vertex, and a
+    welded vertex's label never returns.  The plain torus is then closed
+    with the staircase cap.  A plain tube is the zero-move certificate:
+    its cap is the staircase cap alone.
     """
     moves, relabel, bands = _certificate(tube, lk, torus)
     cap = set()
     surface = torus
     amb = {v: v for v in torus.vertices}
-
-    def image():
-        return {frozenset(amb[v] for v in f) for f in surface.face_set}
+    gone = set()
 
     def shell(top, cells):
         return {frozenset({amb[top]} | {amb[v] for v in f}) for f in cells}
 
-    current = torus.face_set
-    seen = set(current)
     for mv in moves:
         s = frozenset(mv.simplex)
         if mv.kind == "S":
@@ -345,31 +335,28 @@ def shell_cap(tube, lk, torus, alloc):
             nxt = stellar_subdivide(surface, s)
             top = nxt.vertices[-1]
             amb[top] = alloc()
-            fresh = {amb[top]}
         else:
             parts = weld_parts(surface, mv.vertex, s)
             if parts is None:
                 raise ValueError("certificate weld is not legal")
             cells = [s | t for t in parts]
             nxt = stellar_weld(surface, mv.vertex, s)
-            top, fresh = mv.vertex, set()
+            top = mv.vertex
         ball = shell(top, cells)
-        if _touches_interior(ball, seen, current, fresh):
+        if _faces(ball) & gone:
             # fresh prism layer over the whole surface; restarts the
             # label space so nothing can land on an interior face again
             layer = {v: alloc() for v in surface.vertices}
             for f in surface.facets:
                 cap.update(staircase([amb, layer], sorted(f, key=amb.get)))
             amb.update(layer)
-            current = image()
-            seen |= current
             ball = shell(top, cells)
         if cap & ball:
             raise ValueError("shell stack collided")
         cap |= ball
+        if mv.kind == "S":
+            gone.add(frozenset(amb[v] for v in s))
         surface = nxt
-        current = image()
-        seen |= current
 
     iso = dict(zip(surface.vertices, relabel or surface.vertices))
     end = {frozenset(iso[v] for v in f) for f in surface.facets}

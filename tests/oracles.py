@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from plmarkov import surgery
 from plmarkov import verdict as vd
 from plmarkov.builders import ordered_product_with_chart, simplex_sphere, staircase
 from plmarkov.complex_core import (Complex, InvalidComplexError, IsoIndex, Simplex,
@@ -18,8 +19,8 @@ from plmarkov.stellar_moves import (StellarMove, _escape_plateau, _link_factor, 
                                     first_weld, search_equivalence, stellar_subdivide,
                                     stellar_weld, subdivision_candidates, weld_candidates,
                                     weld_parts)
-from plmarkov.surgery import (_SEARCH_BUDGET, _chart_bands, _oriented, _touches_interior,
-                              chunk, lateral_cells, resolve_tube, staircase_cap, verify_tube)
+from plmarkov.surgery import (_SEARCH_BUDGET, _chart_bands, _oriented, chunk, lateral_cells,
+                              resolve_tube, staircase_cap, verify_tube)
 
 
 def iso_exhaustive(a: Complex, b: Complex, max_vertices: int = 8) -> bool:
@@ -1370,6 +1371,81 @@ def _untwist_moves_replayed(x0, bands, lk):
     if frozenset(surface.facets) != frozenset(want):
         raise ValueError("scripted moves missed the plain torus")
     return moves
+
+
+def _touches_interior(ball, seen, current, fresh):
+    """True when a cell face revisits a face that left the surface."""
+    for cell in ball:
+        verts = sorted(cell)
+        for k in range(1, len(verts) + 1):
+            for sub in itertools.combinations(verts, k):
+                fs = frozenset(sub)
+                if fs & fresh:
+                    continue
+                if fs in seen and fs not in current:
+                    return True
+    return False
+
+
+def shell_cap_full_rebuild(tube, lk, torus, alloc):
+    """``surgery.shell_cap`` tracking every face the stack has seen and
+    the surface's current faces, rebuilt in ambient labels after each
+    move, and layering whenever a shell face has been seen but is not
+    current (the shell's own fresh apex excepted)."""
+    moves, relabel, bands = surgery._certificate(tube, lk, torus)
+    cap = set()
+    surface = torus
+    amb = {v: v for v in torus.vertices}
+
+    def image():
+        return {frozenset(amb[v] for v in f) for f in surface.face_set}
+
+    def shell(top, cells):
+        return {frozenset({amb[top]} | {amb[v] for v in f}) for f in cells}
+
+    current = torus.face_set
+    seen = set(current)
+    for mv in moves:
+        s = frozenset(mv.simplex)
+        if mv.kind == "S":
+            cells = surface.facets_containing(s)
+            if not cells:
+                raise ValueError("certificate names a missing face")
+            nxt = stellar_subdivide(surface, s)
+            top = nxt.vertices[-1]
+            amb[top] = alloc()
+            fresh = {amb[top]}
+        else:
+            parts = weld_parts(surface, mv.vertex, s)
+            if parts is None:
+                raise ValueError("certificate weld is not legal")
+            cells = [s | t for t in parts]
+            nxt = stellar_weld(surface, mv.vertex, s)
+            top, fresh = mv.vertex, set()
+        ball = shell(top, cells)
+        if _touches_interior(ball, seen, current, fresh):
+            layer = {v: alloc() for v in surface.vertices}
+            for f in surface.facets:
+                cap.update(staircase([amb, layer], sorted(f, key=amb.get)))
+            amb.update(layer)
+            current = image()
+            seen |= current
+            ball = shell(top, cells)
+        if cap & ball:
+            raise ValueError("shell stack collided")
+        cap |= ball
+        surface = nxt
+        current = image()
+        seen |= current
+
+    iso = dict(zip(surface.vertices, relabel or surface.vertices))
+    end = {frozenset(iso[v] for v in f) for f in surface.facets}
+    if end != lateral_cells(bands, lk):
+        raise ValueError("certificate missed the plain torus")
+    back = {t: amb[v] for v, t in iso.items()}
+    ends = [({s: back[a[s]] for s in a}, {s: back[b[s]] for s in b})
+            for a, b in bands]
+    return cap | staircase_cap(ends, lk, alloc)
 
 
 def _shell_cap_two_closings(tube, lk, alloc):

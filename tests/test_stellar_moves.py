@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from plmarkov import complex_core
 from plmarkov import verdict as vd
 from plmarkov.builders import (
     cone,
@@ -16,6 +17,7 @@ from plmarkov.invariants import betti_numbers, homology
 from plmarkov.stellar_moves import (
     Certificate,
     StellarMove,
+    _escape_plateau,
     apply_certificate,
     apply_flip,
     first_weld,
@@ -400,3 +402,22 @@ def test_flip_set_is_the_old_one_without_vertex_flips(cx):
     for a, b in old:
         if len(a) == 1:
             assert (next(iter(a)), b) in welds
+
+
+@pytest.mark.parametrize("cx, fingerprinted", [(simplex_sphere(3), False),
+                                                (TORUS_9, True)],
+                         ids=["S3", "torus"])
+def test_plateau_escape_only_searches_even_dimensions(monkeypatch, cx, fingerprinted):
+    # a facet-count-preserving flip has 2 * dim A = d, so an odd-dimensional
+    # state returns at once, without fingerprinting it for the seen index
+    calls = []
+
+    def counting(c, real=complex_core.fingerprint):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(complex_core, "fingerprint", counting)
+    budget, moves = vd.Budget(5), []
+    assert _escape_plateau(cx, budget, moves) is None
+    assert bool(calls) == fingerprinted
+    assert (budget.used > 0) == fingerprinted and moves == []

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plmarkov import markov, surgery
 from plmarkov import verdict as vd
@@ -11,9 +11,11 @@ from plmarkov.complex_core import Complex, to_text
 from plmarkov.fabric import double_lap_corridor
 from plmarkov.groups import parse_presentation
 from plmarkov.invariants import betti_numbers
-from plmarkov.stellar_moves import Certificate
+from plmarkov.stellar_moves import (Certificate, StellarMove, stellar_subdivide,
+                                    subdivision_candidates)
 
-from oracles import do_surgery_three_routes, staircase_cap_triple_loop
+from oracles import (do_surgery_three_routes, shell_cap_full_rebuild,
+                     staircase_cap_triple_loop)
 
 ROTATION = {0: 0, 1: 2, 2: 3, 3: 1}
 
@@ -103,6 +105,43 @@ def test_pipeline_caps_match_the_three_route_oracle(monkeypatch):
     for text in ("|", "g|g", "g|gg", "a,b|a,b", "a,b|ab,b", "a,b|abAB"):
         markov.realize_boundary(parse_presentation(text), 4)
     assert len(checked) == 15
+
+
+def test_outside_facet_on_the_tube_interior_is_rejected():
+    cx, secs, ball = mapping_torus(3, SEAMS[0])
+    tube = surgery.resolve_tube(cx, secs, ball)
+    lk = ball.link([0])
+    surgery.verify_tube(cx, tube, lk)
+    # the core curve's vertices lie inside the tube, off its lateral torus
+    stray = Complex(list(cx.facets) + [[secs[0][0], 100, 101, 102]])
+    with pytest.raises(ValueError, match="meets the tube interior"):
+        surgery.verify_tube(stray, tube, lk)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.integers(1, 6), st.data())
+def test_shell_stack_matches_the_full_rebuild_oracle(m, k, data):
+    # k random subdivisions of the plain torus, then the k inverse welds
+    # in reverse order: every weld's shell holds the face its subdivision
+    # removed, so each walk back through the stack needs prism layers
+    cx, secs, ball = mapping_torus(m, SEAMS[0])
+    tube = surgery.resolve_tube(cx, secs, ball)
+    lk = ball.link([0])
+    torus = surgery.verify_tube(cx, tube, lk)
+    _, _, bands = surgery._certificate(tube, lk, torus)
+    surface, there = torus, []
+    for _ in range(k):
+        s = data.draw(st.sampled_from(list(subdivision_candidates(surface))))
+        surface = stellar_subdivide(surface, s)
+        there.append((tuple(sorted(s)), surface.vertices[-1]))
+    moves = ([StellarMove("S", s, v) for s, v in there]
+             + [StellarMove("W", s, v) for s, v in reversed(there)])
+    start = cx.vertices[-1] + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surgery, "_certificate", lambda *args: (moves, (), bands))
+        new = surgery.shell_cap(tube, lk, torus, itertools.count(start).__next__)
+        old = shell_cap_full_rebuild(tube, lk, torus, itertools.count(start).__next__)
+    assert new == old
 
 
 def test_scripted_certificate_must_reach_the_plain_torus(monkeypatch):

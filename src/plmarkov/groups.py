@@ -161,17 +161,19 @@ class AbelianGroup:
 @functools.lru_cache(maxsize=8)
 def abelianization(p: FinitePresentation) -> AbelianGroup:
     """Quotient by all commutators, via the normal form of the exponent
-    matrix (relators x generators).  Memoized: presentations and the
-    result are immutable, and one report abelianizes the same large
-    edge-path presentation several times."""
+    matrix (relators x generators), one sparse row of nonzero exponent
+    sums per relator.  Memoized: presentations and the result are
+    immutable, and one report abelianizes the same large edge-path
+    presentation several times."""
     if p.num_generators == 0:
         return AbelianGroup(0)
     rows = []
     for r in p.relators:
-        row = [0] * p.num_generators
+        row: Dict[int, int] = {}
         for x in r:
-            row[abs(x) - 1] += 1 if x > 0 else -1
-        rows.append(row)
+            g = abs(x) - 1
+            row[g] = row.get(g, 0) + (1 if x > 0 else -1)
+        rows.append(sorted((g, e) for g, e in row.items() if e))
     diag = smith_diagonal(rows) if rows else []
     rank = p.num_generators - len(diag)
     torsion = tuple(d for d in diag if d > 1)

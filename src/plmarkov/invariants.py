@@ -1,47 +1,47 @@
 """Integral invariants: Smith normal form and simplicial homology.
 
 All arithmetic is exact over Python ints, so torsion coefficients of
-any size are safe.  The elimination works on plain {column: value} row
-dicts with a column -> rows index, in two passes.  The unit pass walks
-the rows lowest first and, where a row has a +-1 entry, pivots on the
-one whose column holds the fewest rows (a Markowitz-style rule against
-fill-in): exact row steps clear the pivot's column, after which column
-steps would change only the pivot row, so the row is dropped with
-invariant factor 1.  Boundary and exponent matrices are almost all +-1,
-so this pass does nearly all the work.  The residual pass runs gcd steps
-on what is left, each time pivoting on an entry of smallest absolute
-value, and a pairwise gcd/lcm exchange puts the factors in divisibility
-order.  The invariant factors are unique, so neither pivot rule changes
-the result.
+any size are safe.  Matrices are sparse throughout: each row is a list
+of (column, value) pairs with distinct columns, ascending as every
+builder here emits them, and no dense matrix is ever built.  The
+elimination copies the rows into {column: value} dicts, skipping zero
+values, with a column -> rows index, and works in two passes.  The unit
+pass walks the rows lowest first and, where a row has a +-1 entry,
+pivots on the one whose column holds the fewest rows (a Markowitz-style
+rule against fill-in): exact row steps clear the pivot's column, after
+which column steps would change only the pivot row, so the row is
+dropped with invariant factor 1.  Boundary and exponent matrices are
+almost all +-1, so this pass does nearly all the work.  The residual
+pass runs gcd steps on what is left, each time pivoting on an entry of
+smallest absolute value, and a pairwise gcd/lcm exchange puts the
+factors in divisibility order.  The invariant factors are unique, so
+neither pivot rule changes the result.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .complex_core import Complex
 
+Row = List[Tuple[int, int]]  # (column, value) pairs, columns ascending
+
 
 # -- Smith normal form -------------------------------------------------
 
 
-def _row_dicts(rows: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
-    """Each dense row as a {column: nonzero value} dict."""
-    return [dict(zip(itertools.compress(itertools.count(), row), itertools.compress(row, row)))
-            for row in rows]
-
-
-def smith_diagonal(rows: Sequence[Sequence[int]]) -> List[int]:
+def smith_diagonal(rows: Sequence[Row]) -> List[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returns the nonzero invariant factors d_1 | d_2 | ... as positive
-    ints; zero columns/rows contribute nothing.  The input is a dense
-    list of rows (possibly empty).
+    ints; zero columns/rows contribute nothing.  The input is a list of
+    rows (possibly empty), each a list of (column, value) pairs with
+    distinct columns; pairs with value 0 are skipped.  The rows are
+    read, never changed.
     """
-    mat = _row_dicts(rows)
+    mat = [{c: v for c, v in row if v} for row in rows]
     at: Dict[int, set] = {}  # column -> rows with an entry there
     for i, row in enumerate(mat):
         for j in row:
@@ -116,29 +116,25 @@ def smith_diagonal(rows: Sequence[Sequence[int]]) -> List[int]:
 # -- boundary operators ------------------------------------------------
 
 
-def boundary_matrix(cx: Complex, k: int) -> List[List[int]]:
-    """Matrix of the k-th boundary operator in the bases of sorted
-    k-faces and (k-1)-faces, each simplex oriented by ascending labels."""
+def boundary_matrix(cx: Complex, k: int) -> List[Row]:
+    """The k-th boundary operator, one row per sorted (k-1)-face, in the
+    basis of sorted k-faces, each simplex oriented by ascending labels."""
     faces = cx.faces_by_dim()
-    rows_basis = faces.get(k - 1, ())
-    cols_basis = faces.get(k, ())
-    index = {f: i for i, f in enumerate(rows_basis)}
-    mat = [[0] * len(cols_basis) for _ in range(len(rows_basis))]
-    for j, f in enumerate(cols_basis):
-        fl = sorted(f)
-        for pos, v in enumerate(fl):
-            r = f - {v}
-            mat[index[r]][j] = (-1) ** pos
-    return mat
+    index = {f: i for i, f in enumerate(faces.get(k - 1, ()))}
+    rows: List[Row] = [[] for _ in index]
+    for j, f in enumerate(faces.get(k, ())):
+        for pos, v in enumerate(sorted(f)):
+            rows[index[f - {v}]].append((j, -1 if pos % 2 else 1))
+    return rows
 
 
-def _check_boundary_of_boundary(lower, upper) -> None:
-    """Assert that the product of two consecutive boundary matrices,
-    each given by its row dicts, is zero in every entry."""
+def _check_boundary_of_boundary(lower: List[Row], upper: List[Row]) -> None:
+    """Assert that the product of two consecutive boundary matrices is
+    zero in every entry."""
     for row in lower:
         acc: Dict[int, int] = {}
-        for i, a in row.items():
-            for j, b in upper[i].items():
+        for i, a in row:
+            for j, b in upper[i]:
                 acc[j] = acc.get(j, 0) + a * b
         assert not any(acc.values()), "boundary of boundary is not zero"
 
@@ -195,32 +191,29 @@ def homology(cx: Complex) -> HomologyProfile:
     """Unreduced integral simplicial homology in every degree.
 
     H_k = Z^betti + sum of Z/d for the invariant factors d > 1 of the
-    (k+1)-boundary.  On complexes of at most 200 facets every product of
-    consecutive boundary matrices is checked to be zero, which catches
-    sign bugs.  Torsion in the Euler characteristic cancels, which is
-    asserted as a cross-check.  The profile is cached on the complex,
-    so the computation and both checks run on the first call only.
+    (k+1)-boundary.  Unless Python runs with -O, every product of
+    consecutive boundary matrices is checked to be zero in every entry,
+    on every complex, which catches sign bugs.  Torsion in the Euler
+    characteristic cancels, which is asserted as a cross-check.  The
+    profile is cached on the complex, so the computation and both checks
+    run on the first call only.
     """
     if cx.is_empty:
         return HomologyProfile(())
     cached = cx._cache.get("homology")
     if cached is not None:
         return cached
-    check = __debug__ and len(cx.facets) <= 200
     top = cx.dim
     faces = cx.faces_by_dim()
     fvec = [len(faces[k]) for k in range(top + 1)]
     snf: Dict[int, List[int]] = {}
     lower = None
     for k in range(1, top + 1):
-        mat = boundary_matrix(cx, k)
-        if check:
-            upper = _row_dicts(mat)
-            if lower is not None:
-                _check_boundary_of_boundary(lower, upper)
-            lower = upper
-        snf[k] = smith_diagonal(mat)
-        del mat  # the dense matrix is large: free it before building the next
+        rows = boundary_matrix(cx, k)
+        if __debug__ and lower is not None:
+            _check_boundary_of_boundary(lower, rows)
+        lower = rows
+        snf[k] = smith_diagonal(rows)
     snf[0] = []
     snf[top + 1] = []
     groups = []

@@ -12,8 +12,8 @@ from plmarkov import verdict as vd
 from plmarkov.builders import ordered_product_with_chart, simplex_sphere, staircase
 from plmarkov.complex_core import (Complex, InvalidComplexError, IsoIndex, Simplex,
                                    as_simplex)
-from plmarkov.groups import (FinitePresentation, Word, _substitute, abelianization,
-                             cyclic_reduce, free_reduce, inverse_word)
+from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _substitute,
+                             abelianization, cyclic_reduce, free_reduce, inverse_word)
 from plmarkov.invariants import homology
 from plmarkov.stellar_moves import (StellarMove, _escape_plateau, _link_factor, apply_flip,
                                     first_weld, search_equivalence, stellar_subdivide,
@@ -698,6 +698,50 @@ def orientation_own_map(cx: Complex):
                         sign[g] = needed
                         stack.append(g)
     return sign
+
+
+# -- dense boundary and exponent matrices, before sparse rows ----------
+
+def boundary_matrix_dense(cx: Complex, k: int) -> List[List[int]]:
+    """Matrix of the k-th boundary operator as a dense list of rows, in
+    the bases of sorted k-faces and (k-1)-faces, each simplex oriented
+    by ascending labels."""
+    faces = cx.faces_by_dim()
+    rows_basis = faces.get(k - 1, ())
+    cols_basis = faces.get(k, ())
+    index = {f: i for i, f in enumerate(rows_basis)}
+    mat = [[0] * len(cols_basis) for _ in range(len(rows_basis))]
+    for j, f in enumerate(cols_basis):
+        fl = sorted(f)
+        for pos, v in enumerate(fl):
+            r = f - {v}
+            mat[index[r]][j] = (-1) ** pos
+    return mat
+
+
+def sparse_rows(dense: Sequence[Sequence[int]]) -> List[List[Tuple[int, int]]]:
+    """Each dense row as its (column, value) pairs of nonzero values."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in dense]
+
+
+def dense_rows(rows, ncols: int) -> List[List[int]]:
+    """Sparse (column, value) rows as dense rows of length ``ncols``."""
+    mat = [[0] * ncols for _ in rows]
+    for out, row in zip(mat, rows):
+        for j, v in row:
+            out[j] = v
+    return mat
+
+
+def abelianization_dense(p: FinitePresentation) -> AbelianGroup:
+    """Abelianization through the dense relators x generators exponent
+    matrix and the reference Smith kernel."""
+    mat = [[0] * p.num_generators for _ in p.relators]
+    for row, r in zip(mat, p.relators):
+        for x in r:
+            row[abs(x) - 1] += 1 if x > 0 else -1
+    diag = smith_diagonal_reference(mat)
+    return AbelianGroup(p.num_generators - len(diag), tuple(d for d in diag if d > 1))
 
 
 class _SparseMatrix:

@@ -22,7 +22,8 @@ from plmarkov.invariants import homology
 from plmarkov.markov import realize_boundary
 from plmarkov import verdict as vd
 
-from oracles import edge_path_presentation_by_combinations, tietze_simplify_reference
+from oracles import (abelianization_dense, edge_path_presentation_by_combinations,
+                     tietze_simplify_reference)
 from test_complex_core import small_complexes
 
 
@@ -147,6 +148,15 @@ def small_presentations(draw):
     words = st.lists(letters, max_size=9) if n else st.just([])
     relators = draw(st.lists(words, max_size=6))
     return FinitePresentation(n, tuple(tuple(r) for r in relators))
+
+
+@given(small_presentations())
+@example(parse_presentation("g|gg"))  # a repeated letter: exponent 2
+@example(parse_presentation("a,b|abAB"))  # every exponent cancels: an empty row
+@example(parse_presentation("a,b,c|aab,bAbb"))  # c is in no relator
+@example(parse_presentation("a,b|aaBaaBaB,bbb,AbbA"))  # exponents 4, -3, 3, -2, 2
+def test_abelianization_matches_the_dense_oracle(p):
+    assert abelianization(p) == abelianization_dense(p)
 
 
 @given(small_presentations(), st.sampled_from([1, 2, 3, 10000]))

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from plmarkov import invariants
 from plmarkov.complex_core import Complex, validate, barycentric_subdivision
+from plmarkov.groups import parse_presentation
 from plmarkov.invariants import (
     HomologyGroup,
     HomologyProfile,
@@ -14,9 +15,10 @@ from plmarkov.invariants import (
     homology,
     smith_diagonal,
 )
+from plmarkov.markov import realize_boundary
 
-from oracles import (betti_over_rationals, smith_diagonal_reference,
-                     snf_diagonal_via_minor_gcds)
+from oracles import (betti_over_rationals, boundary_matrix_dense, dense_rows,
+                     smith_diagonal_reference, snf_diagonal_via_minor_gcds, sparse_rows)
 
 
 def simplex_sphere(n):
@@ -48,13 +50,28 @@ def projective_plane_6():
 
 # -- Smith normal form -------------------------------------------------
 
+def smith_of_dense(mat):
+    return smith_diagonal(sparse_rows(mat))
+
+
 def test_smith_small_cases():
-    assert smith_diagonal([[1, 0], [0, 2]]) == [1, 2]
-    assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_diagonal([[2, 4], [4, 8]]) == [2]
-    assert smith_diagonal([[6, 4], [4, 6]]) == [2, 10]
-    assert smith_diagonal([[0, 0], [0, 0]]) == []
-    assert smith_diagonal([]) == []
+    assert smith_of_dense([[1, 0], [0, 2]]) == [1, 2]
+    assert smith_of_dense([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_of_dense([[2, 4], [4, 8]]) == [2]
+    assert smith_of_dense([[6, 4], [4, 6]]) == [2, 10]
+    assert smith_of_dense([[0, 0], [0, 0]]) == []
+    assert smith_of_dense([]) == []
+
+
+def test_smith_skips_zero_values_and_leaves_its_input_alone():
+    rows = [[(0, 0), (1, 2)], [(0, 3), (2, 0)], [(1, 0)]]
+    assert smith_diagonal(rows) == [1, 6]
+    assert rows == [[(0, 0), (1, 2)], [(0, 3), (2, 0)], [(1, 0)]]
+    cx = simplex_sphere(3)
+    d2 = boundary_matrix(cx, 2)
+    before = [list(row) for row in d2]
+    assert smith_diagonal(d2) == [1, 1, 1, 1, 1, 1]
+    assert d2 == before
 
 
 def test_smith_matches_minor_gcd_oracle_on_known_cases():
@@ -73,11 +90,11 @@ def test_smith_matches_minor_gcd_oracle_on_known_cases():
         [[1, 2, 3], [0, 4, 6], [0, 6, 8]],
     )
     for mat in cases:
-        assert smith_diagonal(mat) == snf_diagonal_via_minor_gcds(mat), mat
+        assert smith_of_dense(mat) == snf_diagonal_via_minor_gcds(mat), mat
 
 
 def test_smith_divisibility_chain():
-    diag = smith_diagonal([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    diag = smith_of_dense([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
 
@@ -90,13 +107,13 @@ def test_smith_divisibility_chain():
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_smith_matches_minor_gcd_oracle(rows):
-    assert smith_diagonal(rows) == snf_diagonal_via_minor_gcds(rows)
+    assert smith_of_dense(rows) == snf_diagonal_via_minor_gcds(rows)
 
 
 def test_integer_rank():
     # the rank is the number of invariant factors
-    assert len(smith_diagonal([[1, 2], [2, 4]])) == 1
-    assert len(smith_diagonal([[1, 0], [0, 1]])) == 2
+    assert len(smith_of_dense([[1, 2], [2, 4]])) == 1
+    assert len(smith_of_dense([[1, 0], [0, 1]])) == 2
 
 
 # entries are mostly 0 and +-1, as in boundary and exponent matrices,
@@ -119,7 +136,7 @@ def rectangular_matrices(draw):
 @example([[0, 2, 0], [3, 0, 0], [0, 0, 10 ** 30]])
 @example([[1, 1, 0], [1, -1, 0], [0, 0, 0]])
 def test_smith_matches_the_reference_kernel(rows):
-    assert smith_diagonal(rows) == smith_diagonal_reference(rows)
+    assert smith_of_dense(rows) == smith_diagonal_reference(rows)
 
 
 def _dense_unit_columns(rng, nrows, ncols):
@@ -149,21 +166,22 @@ def matrices_with_dense_unit_columns(draw):
 @example(_dense_unit_columns(random.Random(2), 12, 30))
 @example([[1, 1, 0], [1, 0, 1], [1, 1, 1]])
 def test_smith_matches_the_reference_kernel_with_dense_unit_columns(rows):
-    assert smith_diagonal(rows) == smith_diagonal_reference(rows)
+    assert smith_of_dense(rows) == smith_diagonal_reference(rows)
 
 
 def test_smith_handles_large_entries():
     big = 10 ** 30
     # entries 2 and big have gcd 2 and lcm big
-    assert smith_diagonal([[big, 0], [0, 2]]) == [2, big]
+    assert smith_of_dense([[big, 0], [0, 2]]) == [2, big]
 
 
 # -- boundary matrices -------------------------------------------------
 
 def test_boundary_squares_to_zero():
     cx = simplex_sphere(3)
-    d2 = boundary_matrix(cx, 2)
-    d3 = boundary_matrix(cx, 3)
+    fvec = cx.f_vector()
+    d2 = dense_rows(boundary_matrix(cx, 2), fvec[2])
+    d3 = dense_rows(boundary_matrix(cx, 3), fvec[3])
     prod = [
         [
             sum(d2[i][k] * d3[k][j] for k in range(len(d3)))
@@ -180,15 +198,32 @@ def test_homology_checks_every_column_of_every_boundary(monkeypatch, k):
     true_boundary = invariants.boundary_matrix
 
     def flipped(cx, d):
-        mat = true_boundary(cx, d)
+        rows = true_boundary(cx, d)
         if d == k:
-            i = next(i for i, row in enumerate(mat) if row[5])
-            mat[i][5] = -mat[i][5]
-        return mat
+            row = next(row for row in rows if any(j == 5 for j, _ in row))
+            row[:] = [(j, -v if j == 5 else v) for j, v in row]
+        return rows
 
     monkeypatch.setattr(invariants, "boundary_matrix", flipped)
     with pytest.raises(AssertionError, match="boundary of boundary"):
         homology(simplex_sphere(4))
+
+
+def test_homology_checks_boundaries_above_200_facets(monkeypatch):
+    # the check used to stop at 200 facets; M(a,b|ab,b) has 450
+    m = Complex(realize_boundary(parse_presentation("a,b|ab,b"), 4).facets)
+    assert len(m.facets) > 200
+    true_boundary = invariants.boundary_matrix
+
+    def flipped(cx, d):
+        rows = true_boundary(cx, d)
+        if d == 3:
+            rows[0][0] = (rows[0][0][0], -rows[0][0][1])
+        return rows
+
+    monkeypatch.setattr(invariants, "boundary_matrix", flipped)
+    with pytest.raises(AssertionError, match="boundary of boundary"):
+        homology(m)
 
 
 # -- homology ----------------------------------------------------------
@@ -255,11 +290,27 @@ def test_betti_match_rational_rank_oracle(cx):
     assert list(homology(cx).betti_numbers()) == betti_over_rationals(cx)
 
 
+def assert_boundaries_match_the_dense_oracle(cx):
+    faces = cx.faces_by_dim()
+    for k in range(1, cx.dim + 1):
+        rows = boundary_matrix(cx, k)
+        dense = boundary_matrix_dense(cx, k)
+        assert all(row == sorted(row) for row in rows)  # columns ascending
+        assert dense_rows(rows, len(faces[k])) == dense
+        assert smith_diagonal(rows) == smith_diagonal_reference(dense)
+
+
 @given(small_complexes())
 def test_smith_matches_the_reference_kernel_on_boundaries(cx):
-    for k in range(1, cx.dim + 1):
-        mat = boundary_matrix(cx, k)
-        assert smith_diagonal(mat) == smith_diagonal_reference(mat)
+    assert_boundaries_match_the_dense_oracle(cx)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: simplex_sphere(4),
+    lambda: realize_boundary(parse_presentation("a,b|ab,b"), 4),
+], ids=["simplex_sphere(4)", "M(a,b|ab,b)"])
+def test_sparse_boundaries_match_the_dense_oracle(build):
+    assert_boundaries_match_the_dense_oracle(Complex(build().facets))
 
 
 @given(small_complexes())

@@ -18,7 +18,7 @@ import functools
 import itertools
 import string
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import verdict as vd
 from .complex_core import Complex
@@ -227,8 +227,9 @@ def tietze_simplify(
     the least generator occurring once.  Every move is therefore the one
     that renumbering after each elimination would choose, and a trace
     line names the generator by that current index.  An elimination
-    rewrites only the relators that contain the generator; the others
-    are cyclically reduced already and would come back unchanged.
+    rewrites only the relators that hold +-g, read in (length, word)
+    order off a generator -> relators index; the others are cyclically
+    reduced already and would come back unchanged.
     """
     before = abelianization(p)
     eliminated: List[int] = []  # original labels, ascending
@@ -237,6 +238,7 @@ def tietze_simplify(
     relators: List[Word] = []  # sorted by _order, one relator per key
     owner: Dict[Word, Word] = {}  # key -> the relator holding it
     facts: Dict[Word, Tuple[Word, int]] = {}  # word -> (key, least once-generator or 0)
+    holding: Dict[int, Set[Word]] = {}  # generator -> relators holding it or its inverse
 
     def fact(r: Word) -> Tuple[Word, int]:
         if r not in facts:
@@ -250,6 +252,8 @@ def tietze_simplify(
     def drop(r: Word) -> None:
         del relators[bisect.bisect_left(relators, _order(r), key=_order)]
         del owner[fact(r)[0]]
+        for g in set(map(abs, r)):
+            holding[g].discard(r)
 
     def add(r: Word) -> None:
         if not r:
@@ -261,6 +265,8 @@ def tietze_simplify(
             drop(held)
         owner[fact(r)[0]] = r
         bisect.insort(relators, r, key=_order)
+        for g in set(map(abs, r)):
+            holding.setdefault(g, set()).add(r)
 
     for r in p.relators:
         add(cyclic_reduce(r))
@@ -279,7 +285,7 @@ def tietze_simplify(
                 image = free_reduce(v + u)
             drop(r)
             # no rewrite holds g, so none displaces a relator still to rewrite
-            for w in [w for w in relators if g in w or -g in w]:
+            for w in sorted(holding[g], key=_order):
                 drop(w)
                 add(cyclic_reduce(_substitute(w, g, image)))
             index = g - bisect.bisect_left(eliminated, g)

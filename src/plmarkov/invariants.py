@@ -15,14 +15,16 @@ almost all +-1, so this pass does nearly all the work.  The residual
 pass runs gcd steps on what is left, each time pivoting on an entry of
 smallest absolute value, and a pairwise gcd/lcm exchange puts the
 factors in divisibility order.  The invariant factors are unique, so
-neither pivot rule changes the result.
+neither pivot rule changes the result.  Homology drops rows across
+degrees: column steps behind a unit pivot in column j of d_k change only
+row j of d_{k+1}, which d_k d_{k+1} = 0 makes zero, so it is left out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .complex_core import Complex
 
@@ -32,14 +34,15 @@ Row = List[Tuple[int, int]]  # (column, value) pairs, columns ascending
 # -- Smith normal form -------------------------------------------------
 
 
-def smith_diagonal(rows: Sequence[Row]) -> List[int]:
+def smith_diagonal(rows: Sequence[Row], units: Optional[Set[int]] = None) -> List[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returns the nonzero invariant factors d_1 | d_2 | ... as positive
     ints; zero columns/rows contribute nothing.  The input is a list of
     rows (possibly empty), each a list of (column, value) pairs with
     distinct columns; pairs with value 0 are skipped.  The rows are
-    read, never changed.
+    read, never changed.  Given a set ``units``, the unit pass adds the
+    column of each of its pivots to it.
     """
     mat = [{c: v for c, v in row if v} for row in rows]
     at: Dict[int, set] = {}  # column -> rows with an entry there
@@ -75,14 +78,16 @@ def smith_diagonal(rows: Sequence[Row]) -> List[int]:
 
     # unit pass: once a unit pivot's column is clear, column steps would
     # change only its own row, so the row is dropped with a factor of 1
-    units = 0
+    ones = 0
     for i, row in enumerate(mat):
         j = min((c for c, v in row.items() if v == 1 or v == -1),
                 key=lambda c: len(at[c]), default=None)
         if j is not None:
             clear_column(i, j)
             drop(i)
-            units += 1
+            ones += 1
+            if units is not None:
+                units.add(j)
     # residual pass: pivot on an entry of smallest |value| until its row
     # and column are clear; every remainder left is smaller than the pivot
     diag: List[int] = []
@@ -110,7 +115,7 @@ def smith_diagonal(rows: Sequence[Row]) -> List[int]:
                 g = math.gcd(a, b)
                 diag[i], diag[j] = g, a // g * b
     diag.sort()
-    return [1] * units + diag
+    return [1] * ones + diag
 
 
 # -- boundary operators ------------------------------------------------
@@ -191,12 +196,13 @@ def homology(cx: Complex) -> HomologyProfile:
     """Unreduced integral simplicial homology in every degree.
 
     H_k = Z^betti + sum of Z/d for the invariant factors d > 1 of the
-    (k+1)-boundary.  Unless Python runs with -O, every product of
-    consecutive boundary matrices is checked to be zero in every entry,
-    on every complex, which catches sign bugs.  Torsion in the Euler
-    characteristic cancels, which is asserted as a cross-check.  The
-    profile is cached on the complex, so the computation and both checks
-    run on the first call only.
+    (k+1)-boundary less its rows at the k-boundary's unit pivot columns,
+    which d_k d_{k+1} = 0 makes redundant (see above).  Unless Python
+    runs with -O, every product of consecutive boundary matrices is
+    checked to be zero in every entry, on every complex, which catches
+    sign bugs.  Torsion in the Euler characteristic cancels, which is
+    asserted as a cross-check.  The profile is cached on the complex, so
+    the computation and both checks run on the first call only.
     """
     if cx.is_empty:
         return HomologyProfile(())
@@ -208,12 +214,15 @@ def homology(cx: Complex) -> HomologyProfile:
     fvec = [len(faces[k]) for k in range(top + 1)]
     snf: Dict[int, List[int]] = {}
     lower = None
+    units: Set[int] = set()  # unit pivot columns of d_{k-1}
     for k in range(1, top + 1):
         rows = boundary_matrix(cx, k)
         if __debug__ and lower is not None:
             _check_boundary_of_boundary(lower, rows)
         lower = rows
-        snf[k] = smith_diagonal(rows)
+        kept = [row for i, row in enumerate(rows) if i not in units]
+        units = set()
+        snf[k] = smith_diagonal(kept, units)
     snf[0] = []
     snf[top + 1] = []
     groups = []

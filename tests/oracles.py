@@ -2,6 +2,8 @@
 values.  Everything here favors obviousness over speed and is only run
 on tiny inputs."""
 
+import bisect
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -12,9 +14,10 @@ from plmarkov import verdict as vd
 from plmarkov.builders import ordered_product_with_chart, simplex_sphere, staircase
 from plmarkov.complex_core import (Complex, InvalidComplexError, IsoIndex, Simplex,
                                    as_simplex)
-from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _substitute,
+from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _order, _substitute,
                              abelianization, cyclic_reduce, free_reduce, inverse_word)
-from plmarkov.invariants import homology
+from plmarkov.invariants import (HomologyGroup, HomologyProfile, boundary_matrix, homology,
+                                 smith_diagonal)
 from plmarkov.stellar_moves import (StellarMove, _escape_plateau, _link_factor, apply_flip,
                                     first_weld, search_equivalence, stellar_subdivide,
                                     stellar_weld, subdivision_candidates, weld_candidates,
@@ -599,6 +602,113 @@ def tietze_simplify_reference(
     return out, trace
 
 
+def tietze_simplify_scan(
+    p: FinitePresentation, budget: int = 10000
+) -> Tuple[FinitePresentation, List[str]]:
+    """``groups.tietze_simplify`` before its generator -> relators index:
+    each elimination scans every relator for the ones holding +-g."""
+    before = abelianization(p)
+    eliminated: List[int] = []  # original labels, ascending
+    trace: List[str] = []
+    spent = 0
+    relators: List[Word] = []  # sorted by _order, one relator per key
+    owner: Dict[Word, Word] = {}  # key -> the relator holding it
+    facts: Dict[Word, Tuple[Word, int]] = {}  # word -> (key, least once-generator or 0)
+
+    def fact(r: Word) -> Tuple[Word, int]:
+        if r not in facts:
+            counts = collections.Counter(map(abs, r))
+            facts[r] = (
+                min(w[i:] + w[:i] for w in (r, inverse_word(r)) for i in range(len(r))),
+                min((g for g, c in counts.items() if c == 1), default=0),
+            )
+        return facts[r]
+
+    def drop(r: Word) -> None:
+        del relators[bisect.bisect_left(relators, _order(r), key=_order)]
+        del owner[fact(r)[0]]
+
+    def add(r: Word) -> None:
+        if not r:
+            return
+        held = owner.get(fact(r)[0])
+        if held is not None:
+            if _order(held) <= _order(r):
+                return
+            drop(held)
+        owner[fact(r)[0]] = r
+        bisect.insort(relators, r, key=_order)
+
+    for r in p.relators:
+        add(cyclic_reduce(r))
+    while spent < budget:
+        move = next(((r, fact(r)[1]) for r in relators if fact(r)[1]), None)
+        if move:
+            r, g = move
+            i = next(j for j, x in enumerate(r) if abs(x) == g)
+            u, x, v = r[:i], r[i], r[i + 1 :]
+            if x > 0:
+                image = free_reduce(inverse_word(u) + inverse_word(v))
+            else:
+                image = free_reduce(v + u)
+            drop(r)
+            for w in [w for w in relators if g in w or -g in w]:
+                drop(w)
+                add(cyclic_reduce(_substitute(w, g, image)))
+            index = g - bisect.bisect_left(eliminated, g)
+            bisect.insort(eliminated, g)
+            trace.append(f"eliminate generator {index} using relator of length {len(r)}")
+            spent += 1
+            continue
+        move = None
+        for r1 in relators:
+            if len(r1) < 2:
+                continue
+            variants = set()
+            for w in (r1, inverse_word(r1)):
+                for i in range(len(w)):
+                    variants.add(w[i:] + w[:i])
+            half = len(r1) // 2 + 1
+            for r2 in relators:
+                if r2 == r1 or len(r2) < half:
+                    continue
+                for var in sorted(variants):
+                    piece, rest = var[:half], var[half:]
+                    for j in range(len(r2) - half + 1):
+                        if r2[j : j + half] == piece:
+                            new = free_reduce(
+                                r2[:j] + inverse_word(rest) + r2[j + half :]
+                            )
+                            if len(new) < len(r2):
+                                move = (r2, cyclic_reduce(new))
+                                break
+                    if move:
+                        break
+                if move:
+                    break
+            if move:
+                break
+        if move:
+            old, new = move
+            drop(old)
+            add(new)
+            trace.append(f"shorten relator {len(old)} -> {len(new)}")
+            spent += 1
+            continue
+        break
+
+    gone = set(eliminated)
+    alive = [g for g in range(1, p.num_generators + 1) if g not in gone]
+    rank = {g: i for i, g in enumerate(alive, 1)}
+    out = FinitePresentation(
+        len(rank),
+        tuple(tuple(rank[x] if x > 0 else -rank[-x] for x in r) for r in relators),
+    )
+    if abelianization(out) != before:
+        raise AssertionError("simplification changed the abelianization")
+    return out, trace
+
+
 def check_maximal_pairwise(facets) -> None:
     """The old construction check: duplicates first, then every facet
     against every larger facet kept so far, in size-descending order."""
@@ -731,6 +841,23 @@ def dense_rows(rows, ncols: int) -> List[List[int]]:
         for j, v in row:
             out[j] = v
     return mat
+
+
+def homology_per_degree(cx: Complex) -> HomologyProfile:
+    """``invariants.homology`` before it dropped rows across degrees:
+    the full boundary matrix in every degree, and no cache."""
+    if cx.is_empty:
+        return HomologyProfile(())
+    top = cx.dim
+    faces = cx.faces_by_dim()
+    fvec = [len(faces[k]) for k in range(top + 1)]
+    snf = {0: [], top + 1: []}
+    for k in range(1, top + 1):
+        snf[k] = smith_diagonal(boundary_matrix(cx, k))
+    return HomologyProfile(tuple(
+        HomologyGroup(k, fvec[k] - len(snf[k]) - len(snf[k + 1]),
+                      tuple(d for d in snf[k + 1] if d > 1))
+        for k in range(top + 1)))
 
 
 def abelianization_dense(p: FinitePresentation) -> AbelianGroup:

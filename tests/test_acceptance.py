@@ -298,3 +298,22 @@ REALIZED_SHA256 = {
 def test_realized_manifolds_are_pinned(markov_manifolds, text):
     blob = to_text(markov_manifolds[text]).encode()
     assert hashlib.sha256(blob).hexdigest() == REALIZED_SHA256[text]
+
+
+# sha256 of report_to_text(reduction_report(P, 4)): gate 8 compares the
+# reports only within one run, so these pins catch a change that alters
+# every run alike
+REPORT_SHA256 = {
+    "|": "710dc126de2d7d60eae610402b7a868e845e54ddf955821b8b3dc3ba5ba21684",
+    "g|g": "5da8c823f9bc24727f9cc676067d92b96e1bf315157fe1605dbbaa5e350145b6",
+    "g|gg": "600c791b50b453f6c0dc3815a2f4ea23e0bd57349723effe2ebaba3930e1c4ac",
+    "a,b|a,b": "c19b0f9e0f45d0b829dbac24d7c5d20e0e02048fc9d789ac0d3a83c6776c0096",
+    "a,b|ab,b": "c630b366047adc2c8fb9bdbb09ad47c3e760f3452de1a5a74f20ce16a60ad989",
+    "a,b|abAB": "befbf2e8fb3f0c9152246766c4a29d1067c1b4a7d01adb5b1c41116c534ad7ed",
+}
+
+
+@pytest.mark.parametrize("text", PRESENTATIONS)
+def test_gate4_reports_are_pinned(markov_reports, text):
+    blob = markov_reports.texts[text].encode()
+    assert hashlib.sha256(blob).hexdigest() == REPORT_SHA256[text]

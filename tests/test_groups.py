@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from plmarkov import groups
 from plmarkov.complex_core import Complex, validate
 from plmarkov.groups import (
     AbelianGroup,
@@ -23,7 +24,7 @@ from plmarkov.markov import realize_boundary
 from plmarkov import verdict as vd
 
 from oracles import (abelianization_dense, edge_path_presentation_by_combinations,
-                     tietze_simplify_reference)
+                     tietze_simplify_reference, tietze_simplify_scan)
 from test_complex_core import small_complexes
 
 
@@ -159,6 +160,23 @@ def test_abelianization_matches_the_dense_oracle(p):
     assert abelianization(p) == abelianization_dense(p)
 
 
+def test_abelianization_calls_smith_without_a_pivot_set(monkeypatch):
+    calls = []
+    smith_diagonal = groups.smith_diagonal
+
+    def recording(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return smith_diagonal(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "smith_diagonal", recording)
+    abelianization.cache_clear()
+    try:
+        assert abelianization(parse_presentation("a,b|abAB,aa")) == AbelianGroup(1, (2,))
+    finally:
+        abelianization.cache_clear()
+    assert calls == [(1, {})]
+
+
 @given(small_presentations(), st.sampled_from([1, 2, 3, 10000]))
 def test_simplify_matches_reference_loop(p, budget):
     # budgets 1-3 stop the loop early; the partial result is renumbered too
@@ -200,6 +218,21 @@ def test_simplify_matches_reference_loop_on_edge_path_presentations(build):
     p = edge_path_presentation(build())
     got = tietze_simplify(p)
     assert got == tietze_simplify_reference(p)
+    assert got[1]
+
+
+@settings(max_examples=300)
+@given(small_presentations() | colliding_presentations(),
+       st.integers(0, 12) | st.just(10000))
+def test_simplify_matches_the_scan_oracle(p, budget):
+    assert tietze_simplify(p, budget) == tietze_simplify_scan(p, budget)
+
+
+@pytest.mark.parametrize("text", ["g|g", "g|gg", "a,b|a,b", "a,b|ab,b", "a,b|abAB"])
+def test_simplify_matches_the_scan_oracle_on_edge_path_presentations(text):
+    p = edge_path_presentation(realize_boundary(parse_presentation(text), 4))
+    got = tietze_simplify(p)
+    assert got == tietze_simplify_scan(p)
     assert got[1]
 
 

@@ -18,7 +18,8 @@ from plmarkov.invariants import (
 from plmarkov.markov import realize_boundary
 
 from oracles import (betti_over_rationals, boundary_matrix_dense, dense_rows,
-                     smith_diagonal_reference, snf_diagonal_via_minor_gcds, sparse_rows)
+                     homology_per_degree, smith_diagonal_reference,
+                     snf_diagonal_via_minor_gcds, sparse_rows)
 
 
 def simplex_sphere(n):
@@ -169,6 +170,20 @@ def test_smith_matches_the_reference_kernel_with_dense_unit_columns(rows):
     assert smith_of_dense(rows) == smith_diagonal_reference(rows)
 
 
+@given(rectangular_matrices())
+@example([[1, 1, 0], [1, -1, 0], [0, 0, 0]])
+@example([[0, 2, 0], [3, 0, 0], [0, 0, 10 ** 30]])
+def test_smith_collects_unit_pivot_columns_and_changes_nothing_else(dense):
+    rows = sparse_rows(dense)
+    before = [list(row) for row in rows]
+    units = set()
+    diag = smith_diagonal(rows, units)
+    assert diag == smith_diagonal(rows)
+    assert rows == before
+    assert units <= {j for row in rows for j, _ in row}
+    assert len(units) <= diag.count(1)
+
+
 def test_smith_handles_large_entries():
     big = 10 ** 30
     # entries 2 and big have gcd 2 and lcm big
@@ -311,6 +326,72 @@ def test_smith_matches_the_reference_kernel_on_boundaries(cx):
 ], ids=["simplex_sphere(4)", "M(a,b|ab,b)"])
 def test_sparse_boundaries_match_the_dense_oracle(build):
     assert_boundaries_match_the_dense_oracle(Complex(build().facets))
+
+
+# -- rows dropped across degrees ---------------------------------------
+
+@st.composite
+def medium_complexes(draw):
+    n = draw(st.integers(min_value=3, max_value=8))
+    facets = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=min(5, n), unique=True),
+        min_size=1, max_size=10))
+    return Complex.generated_by(facets)
+
+
+def kept_and_full_boundaries(cx):
+    """Per degree k, the rows of d_k that homology reduces (without the
+    rows at d_{k-1}'s unit pivot columns) and all rows of d_k."""
+    units = set()
+    for k in range(1, cx.dim + 1):
+        rows = boundary_matrix(cx, k)
+        kept = [row for i, row in enumerate(rows) if i not in units]
+        units = set()
+        smith_diagonal(kept, units)
+        yield k, kept, rows
+
+
+def assert_dropped_rows_keep_the_invariant_factors(cx) -> int:
+    """Check every degree; return the number of rows dropped."""
+    dropped = 0
+    for k, kept, rows in kept_and_full_boundaries(cx):
+        assert smith_diagonal(kept) == smith_diagonal(rows), k
+        dropped += len(rows) - len(kept)
+    return dropped
+
+
+NAMED_COMPLEXES = {
+    "M(g|gg)": lambda: realize_boundary(parse_presentation("g|gg"), 4),
+    "M(a,b|abAB)": lambda: realize_boundary(parse_presentation("a,b|abAB"), 4),
+    **{f"simplex_sphere({n})": (lambda n=n: simplex_sphere(n)) for n in (1, 2, 3, 4)},
+}
+
+
+@given(st.one_of(small_complexes(), medium_complexes()))
+def test_homology_matches_the_per_degree_oracle(cx):
+    expect = homology_per_degree(cx)
+    assert homology(cx) == expect
+
+
+@pytest.mark.parametrize("name", NAMED_COMPLEXES)
+def test_homology_matches_the_per_degree_oracle_on_named_complexes(name):
+    cx = Complex(NAMED_COMPLEXES[name]().facets)
+    expect = homology_per_degree(cx)
+    assert homology(cx) == expect
+    if name == "M(g|gg)":
+        assert expect.group(1).torsion == (2,) and expect.group(2).torsion == (2,)
+
+
+@given(st.one_of(small_complexes(), medium_complexes()))
+def test_dropped_rows_keep_the_invariant_factors(cx):
+    assert_dropped_rows_keep_the_invariant_factors(cx)
+
+
+@pytest.mark.parametrize("name", NAMED_COMPLEXES)
+def test_dropped_rows_keep_the_invariant_factors_on_named_complexes(name):
+    cx = Complex(NAMED_COMPLEXES[name]().facets)
+    dropped = assert_dropped_rows_keep_the_invariant_factors(cx)
+    assert (dropped > 0) == (cx.dim > 1)
 
 
 @given(small_complexes())

@@ -40,13 +40,21 @@ an equal twin earlier in search order and the first leaf reaching the
 minimum is never skipped: the canonical form, the canonical mapping and
 the signature are exactly those of the unpruned search.
 
-``isomorphism`` runs no search of its own: it compares the two
-canonical forms and composes one canonical mapping with the inverse of
-the other.
+A search given targets, the canonical encodings of other complexes,
+stops at the first leaf whose encoding is a target.  Equal encodings
+mean isomorphic complexes, so that leaf is minimal; the traversal up to
+it is the full search's, so it is the first minimal leaf and the form
+and mapping are the same.  Only a search run to the end caches its
+automorphisms; ``automorphisms`` runs one when they are missing.
+
+``isomorphism`` compares the two canonical forms and composes one
+canonical mapping with the inverse of the other; a side whose form is
+not cached is searched against the other side's encoding.
 
 ``IsoIndex`` groups complexes up to isomorphism in ``fingerprint``
-buckets confirmed by ``isomorphism``; signature strings are built only
-where they are output.
+buckets, each a dict from canonical encoding to class: a lookup is one
+search targeted at the bucket's encodings and one dict lookup.
+Signature strings are built only where they are output.
 """
 
 from __future__ import annotations
@@ -384,16 +392,23 @@ class Complex:
         self._cache["colors"] = color
         return color
 
-    def _canonical_code(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    def _canonical_code(self, targets=()) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
         """The smallest encoding (each facet as its ascending canonical
         labels, the facets sorted) and the vertices in canonical-label
         order.  Cached as plain tuples rather than as the relabelled
-        ``Complex``, which keeps the cached forms small."""
-        if "canonical" in self._cache:
-            return self._cache["canonical"]
+        ``Complex``, which keeps the cached forms small.
+
+        A search with ``targets`` (canonical encodings of other
+        complexes) stops at the first leaf whose encoding is one of
+        them, with the same result; see the module docstring."""
+        if "canonical" not in self._cache:
+            self._search(targets)
+        return self._cache["canonical"]
+
+    def _search(self, targets) -> None:
         if not self._facets:
             self._cache["canonical"], self._cache["autos"] = ((), ()), ()
-            return self._cache["canonical"]
+            return
         color = self._refinement_colors()
         facets = self._facets
         verts = self.vertices
@@ -413,20 +428,22 @@ class Complex:
         # the first leaf and the best leaf so far: (encoding, labelled order)
         refs: List[Tuple[tuple, Tuple[int, ...]]] = []
 
-        def leaf() -> None:
+        def leaf() -> bool:
+            """Record the leaf; True when its encoding is a target."""
             enc = tuple(sorted(part))
             if not refs:
                 refs.extend([(enc, tuple(order))] * 2)
-                return
+                return enc in targets
             for ref_enc, ref_order in refs:
                 if enc == ref_enc:
                     # lab_ref^-1 o lab carries facets onto facets
                     sigma = dict(zip(order, ref_order))
                     if any(v != w for v, w in sigma.items()):
                         autos.append(sigma)
-                    return
+                    return False
             if enc < refs[1][0]:
                 refs[1] = (enc, tuple(order))
+            return enc in targets
 
         def ties() -> List[int]:
             """Unlabelled vertices minimizing (no labelled neighbour?,
@@ -445,11 +462,12 @@ class Complex:
                     best_vs.append(v)
             return best_vs
 
-        def visit(f0: Simplex, slots: List[List[int]]) -> None:
-            """Depth-first over the labellings that start in f0.  The
-            children still to try at each depth sit on an explicit
-            stack, so the depth is not bounded by the recursion limit;
-            leaving a depth unlabels the vertex above it."""
+        def visit(f0: Simplex, slots: List[List[int]]) -> bool:
+            """Depth-first over the labellings that start in f0, until a
+            leaf meets a target.  The children still to try at each
+            depth sit on an explicit stack, so the depth is not bounded
+            by the recursion limit; leaving a depth unlabels the vertex
+            above it."""
 
             def act(g: Dict[int, int]):
                 # read when the next child is drawn: order is then the
@@ -483,10 +501,12 @@ class Complex:
                 for i in at[c]:
                     part[i] += (k,)
                 if k + 1 == n:
-                    leaf()
+                    if leaf():
+                        return True
                     stack.append(iter(()))
                 else:
                     stack.append(pending())
+            return False
 
         def act_on_seeds(g: Dict[int, int]):
             return ((f, frozenset(g[v] for v in f)) for f in seeds)
@@ -495,15 +515,18 @@ class Complex:
             classes: Dict[int, List[int]] = {}
             for v in sorted(f0):
                 classes.setdefault(color[v], []).append(v)
-            visit(f0, [classes[c] for c in sorted(classes) for _ in classes[c]])
-        self._cache["canonical"], self._cache["autos"] = refs[1], tuple(autos)
-        return refs[1]
+            if visit(f0, [classes[c] for c in sorted(classes) for _ in classes[c]]):
+                break
+        else:
+            self._cache["autos"] = tuple(autos)
+        self._cache["canonical"] = refs[1]
 
     def automorphisms(self) -> Tuple[Dict[int, int], ...]:
-        """The non-identity automorphisms, as vertex maps, that the
-        canonical search met.  They may generate only a subgroup of
+        """The non-identity automorphisms, as vertex maps, that the full
+        canonical search meets.  They may generate only a subgroup of
         Aut(self); the empty complex gives ()."""
-        self._canonical_code()
+        if "autos" not in self._cache:
+            self._search(())
         return self._cache["autos"]
 
     def canonical(self) -> "Complex":
@@ -607,8 +630,13 @@ def isomorphism(a: Complex, b: Complex) -> Optional[Dict[int, int]]:
     """
     if a.f_vector() != b.f_vector():
         return None
-    enc_a, order_a = a._canonical_code()
-    enc_b, order_b = b._canonical_code()
+    # search a side with no cached form against the other's encoding
+    if "canonical" in b._cache:
+        enc_b, order_b = b._canonical_code()
+        enc_a, order_a = a._canonical_code((enc_b,))
+    else:
+        enc_a, order_a = a._canonical_code()
+        enc_b, order_b = b._canonical_code((enc_a,))
     if enc_a != enc_b:
         return None
     return dict(zip(order_a, order_b))
@@ -617,21 +645,28 @@ def isomorphism(a: Complex, b: Complex) -> Optional[Dict[int, int]]:
 class IsoIndex:
     """Complexes up to isomorphism.  Each class keeps its first member
     and a caller value, at its class index in ``members`` and
-    ``values``.  Classes are bucketed by ``fingerprint`` and a member is
-    confirmed by ``isomorphism``, so a complex whose fingerprint is new
-    computes no canonical form."""
+    ``values``.  Classes are bucketed by ``fingerprint``, and a bucket
+    maps each class's canonical encoding to its index.  A lookup runs
+    one canonical search that stops at the first leaf matching an
+    encoding of the bucket, and then one dict lookup.  A bucket's first
+    class is encoded only when a second complex reaches the bucket, so a
+    complex whose fingerprint is new computes no canonical form."""
 
     def __init__(self):
         self.members: List[Complex] = []
         self.values: List[object] = []
-        self._buckets: Dict[tuple, List[int]] = {}
+        # fingerprint -> {encoding: class index}; None while unencoded
+        self._buckets: Dict[tuple, Dict[Optional[tuple], int]] = {}
 
     def _lookup(self, cx: Complex) -> Tuple[tuple, Optional[int]]:
         key = fingerprint(cx)
-        for i in self._buckets.get(key, ()):
-            if isomorphism(self.members[i], cx) is not None:
-                return key, i
-        return key, None
+        bucket = self._buckets.get(key)
+        if not bucket:
+            return key, None
+        if None in bucket:
+            i = bucket.pop(None)
+            bucket[self.members[i]._canonical_code()[0]] = i
+        return key, bucket.get(cx._canonical_code(bucket)[0])
 
     def find(self, cx: Complex) -> Optional[int]:
         """The index of cx's class, or None."""
@@ -642,7 +677,9 @@ class IsoIndex:
         key, i = self._lookup(cx)
         if i is not None:
             return i, False
-        self._buckets.setdefault(key, []).append(len(self.members))
+        bucket = self._buckets.setdefault(key, {})
+        # a bucket that held a class has searched cx to the end already
+        bucket[cx._canonical_code()[0] if bucket else None] = len(self.members)
         self.members.append(cx)
         self.values.append(value)
         return len(self.members) - 1, True

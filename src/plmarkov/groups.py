@@ -227,9 +227,9 @@ def tietze_simplify(
     the least generator occurring once.  Every move is therefore the one
     that renumbering after each elimination would choose, and a trace
     line names the generator by that current index.  An elimination
-    rewrites only the relators that hold +-g, read in (length, word)
-    order off a generator -> relators index; the others are cyclically
-    reduced already and would come back unchanged.
+    rewrites only the relators that hold +-g, read off a generator ->
+    relators index; the others are cyclically reduced already and would
+    come back unchanged.
     """
     before = abelianization(p)
     eliminated: List[int] = []  # original labels, ascending
@@ -284,8 +284,10 @@ def tietze_simplify(
             else:
                 image = free_reduce(v + u)
             drop(r)
-            # no rewrite holds g, so none displaces a relator still to rewrite
-            for w in sorted(holding[g], key=_order):
+            # in any order: no rewrite holds g, so none displaces a
+            # relator still to rewrite, and a key collision keeps the
+            # smaller (length, word) whichever comes first
+            for w in list(holding[g]):
                 drop(w)
                 add(cyclic_reduce(_substitute(w, g, image)))
             index = g - bisect.bisect_left(eliminated, g)

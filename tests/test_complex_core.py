@@ -28,6 +28,8 @@ from plmarkov.complex_core import (
     to_text,
     validate,
 )
+from plmarkov.groups import parse_presentation
+from plmarkov.markov import realize_boundary
 from plmarkov.stellar_moves import (stellar_subdivide, stellar_weld,
                                     subdivision_candidates, weld_candidates)
 
@@ -484,6 +486,99 @@ def test_isomorphism_matches_the_backtracking_search(pair):
     assert (m is None) == (isomorphism_backtracking(a, b) is None)
     if m is not None:
         assert a.relabeled(m) == b
+
+
+def _fresh(cx):
+    return Complex._from_trusted(cx.facets)
+
+
+def _items(maps):
+    # the maps with their entry order
+    return [list(g.items()) for g in maps]
+
+
+def _encoding(cx):
+    return _fresh(cx)._canonical_code()[0]
+
+
+def assert_targeted_search_matches(cx, *target_sets):
+    """Search a fresh copy of cx against each set of canonical
+    encodings: the same form and mapping as the unpruned oracle and a
+    fresh full search, stopping exactly when a target is met, and the
+    full search's automorphisms afterwards."""
+    full = _fresh(cx)
+    code, autos = full._canonical_code(), _items(full.automorphisms())
+    canon, mapping = canonical_pair_unpruned(cx)
+    for targets in target_sets:
+        hit = _fresh(cx)
+        assert hit._canonical_code(targets) == code
+        assert hit.canonical().facets == canon.facets
+        assert list(hit.canonical_mapping().items()) == list(mapping.items())
+        if code[0] in targets:
+            assert "autos" not in hit._cache
+        else:
+            assert _items(hit._cache["autos"]) == autos
+        assert _items(hit.automorphisms()) == autos
+
+
+@given(st.one_of(relabeled_pairs(), complex_pairs()), small_complexes())
+@example((K33, PRISM), PRISM)
+@example((validate(MOEBIUS), validate(ANNULUS)), validate(MOEBIUS))
+def test_targeted_search_matches_the_full_search(pair, third):
+    a, b = pair
+    assert_targeted_search_matches(a, {_encoding(b)}, {_encoding(b), _encoding(third)})
+
+
+def _link_classes(cx):
+    index = IsoIndex()
+    for v in cx.vertices:
+        index.add(cx.link([v]))
+    return index.members
+
+
+TARGETED_CASES = {
+    **{"S%d" % n: (lambda n=n: [simplex_sphere(n), stellar_subdivide(
+        simplex_sphere(n), range(n + 1))]) for n in range(1, 5)},
+    "M(a,b|ab,b) links": lambda: _link_classes(
+        realize_boundary(parse_presentation("a,b|ab,b"), 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGETED_CASES))
+def test_targeted_search_matches_the_full_search_on_named_complexes(name):
+    # pairwise non-isomorphic complexes, each searched as a relabelled
+    # copy against itself, against the others and against all of them
+    cxs = TARGETED_CASES[name]()
+    codes = [_encoding(cx) for cx in cxs]
+    rng = random.Random(name)
+    for cx, code in zip(cxs, codes):
+        assert_targeted_search_matches(
+            _relabeled_randomly(cx, rng), {code}, set(codes) - {code}, set(codes))
+
+
+def test_a_search_that_meets_its_target_stops_early():
+    # a search stopped at its target caches the code but not the
+    # automorphisms, which only a search run to the end collects
+    s3 = simplex_sphere(3)
+    s3._canonical_code()
+    copy = _relabeled_randomly(s3, random.Random(3))
+    assert isomorphism(copy, s3) is not None
+    assert "canonical" in copy._cache and "autos" not in copy._cache
+    assert "autos" in s3._cache
+    # K33 and PRISM share a fingerprint: the second opens a class in
+    # the first one's bucket by a full search, and a repeat of either
+    # stops at its class's encoding
+    index = IsoIndex()
+    k33, prism = _fresh(K33), _fresh(PRISM)
+    assert index.add(k33) == (0, True)
+    assert "canonical" not in k33._cache
+    assert index.add(prism) == (1, True)
+    assert "autos" in k33._cache and "autos" in prism._cache
+    rng = random.Random(4)
+    for i, cx in [(1, PRISM), (0, K33), (1, PRISM)]:
+        repeat = _relabeled_randomly(cx, rng)
+        assert index.add(repeat) == (i, False)
+        assert "canonical" in repeat._cache and "autos" not in repeat._cache
 
 
 @given(small_complexes())

@@ -132,6 +132,14 @@ def _load(path: str) -> cc.Complex:
         raise click.ClickException("%s: %s" % (path, e))
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise click.ClickException("cannot write %s: %s" % (path, e.strerror or e))
+
+
 def _echo_json(obj):
     click.echo(json.dumps(obj, sort_keys=True, indent=2))
 
@@ -154,8 +162,7 @@ def build(expr, output):
         raise click.ClickException(str(e))
     text = cc.to_text(cx)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        _write(output, text)
     else:
         click.echo(text, nl=False)
 
@@ -205,8 +212,7 @@ def search_equiv(file_a, file_b, budget, emit_cert):
     a, b = _load(file_a), _load(file_b)
     v = search_equivalence(a, b, budget)
     if v.is_yes and emit_cert:
-        with open(emit_cert, "w") as fh:
-            fh.write(format_certificate(v.witness))
+        _write(emit_cert, format_certificate(v.witness))
     _echo_json({"verdict": v.to_json()})
 
 

@@ -19,6 +19,21 @@ subdivision at A followed by a weld at the fresh vertex with simplex B,
 and a facet flip is the single subdivision.  A vertex flip is a weld,
 so the flip set starts at dimension 1 and the welds cover dimension 0.
 The search emits only stellar lines, never flip lines.
+
+Each weld and flip test has a local half and a global half.  The local
+half is the link condition: whether link(v) splits as (boundary of s) *
+L, and whether link(A) is the boundary of B.  It depends only on the
+vertex or face and its star, so it is a pure function of (v, star of v)
+or (A, star of A), and its answer holds in every complex that has that
+star.  The global half is whether s or B is a face, which depends on the
+whole complex.  ``reduce_with_trace`` keeps the local answers in a table
+keyed by (vertex or face, star), in the ``_cache`` of the complex the
+descent starts from, and judges only the global half again in each
+state.  The table needs no invalidation.  When the descent ends it
+keeps only the stars of that complex, so a later descent from it (the
+memoized reference sphere, say) starts with its answers while the
+states left behind are freed.  The public scans judge both halves
+afresh.
 """
 
 from __future__ import annotations
@@ -99,9 +114,14 @@ def stellar_weld(cx: Complex, vertex: int, s) -> Complex:
         raise InvalidComplexError(
             f"welding vertex {vertex} with simplex {sorted(s)} is not legal"
         )
+    return _weld(cx, vertex, s, rest)
+
+
+def _weld(cx: Complex, vertex: int, s: Simplex, rest: Iterable[Simplex]) -> Complex:
+    """The weld (vertex, s), which must be legal with L given by its
+    facets ``rest``."""
     out = {f for f in cx.facets if vertex not in f}
-    for t in rest:
-        out.add(s | t)
+    out.update(s | t for t in rest)
     return Complex._from_trusted(out)
 
 
@@ -140,23 +160,42 @@ def weld_candidates(cx: Complex) -> Iterator[Tuple[int, Simplex]]:
     lies in exactly N - |L| of them and |s| = N / |L|, so the degree of
     w in the link fixes |s| and the subset is drawn from the vertices
     of that same degree; this is a necessary condition, so no weld is
-    lost.  The link of each vertex is built once and the link condition
-    is tested on it first, since almost every candidate fails it;
-    ``weld_parts`` judges the few that pass.
+    lost.  The link condition, a pure function of v and its star (see
+    the module docstring), is tested first, since almost every
+    candidate fails it; ``weld_parts`` judges the few that pass.  The
+    descent keeps the link conditions in its star-keyed table; this
+    scan works them out afresh.
     """
     for v in cx.vertices:
-        yield from _vertex_welds(cx, v)
+        for s, _ in _link_splits(v, cx._incidence()[v]):
+            if weld_parts(cx, v, s) is not None:
+                yield (v, s)
 
 
-def _vertex_welds(cx: Complex, v: int) -> Iterator[Tuple[int, Simplex]]:
-    """The legal welds at v, in the order of ``weld_candidates``."""
-    link_set = {f - {v} for f in cx.facets_containing([v])}
+_UNSEEN = object()
+
+
+def _judged(table: dict, judge, x, star):
+    """``judge(x, star)``, the local half of a move test at the vertex
+    or face x with that star, computed once per table."""
+    key = (x, star)
+    hit = table.get(key, _UNSEEN)
+    if hit is _UNSEEN:
+        hit = table[key] = judge(x, star)
+    return hit
+
+
+def _link_splits(v: int, star: Iterable[Simplex]) -> Tuple[Tuple[Simplex, set], ...]:
+    """The link condition of every weld at v, given the facets of its
+    star: the pairs (s, L) in the order of ``weld_candidates``."""
+    link_set = {f - {v} for f in star}
     f0 = min(link_set, key=lambda t: tuple(sorted(t)))
     if not f0:
-        return
+        return ()
     n = len(link_set)
     degree = Counter(u for t in link_set for u in t)
     f0l = sorted(f0)
+    out = []
     for w in sorted(degree.keys() - f0):
         factor = n - degree[w]
         if n % factor:
@@ -164,9 +203,10 @@ def _vertex_welds(cx: Complex, v: int) -> Iterator[Tuple[int, Simplex]]:
         pool = [u for u in f0l if degree[u] == degree[w]]
         for a in itertools.combinations(pool, n // factor - 1):
             s = frozenset(a) | {w}
-            if (_link_factor(link_set, s) is not None
-                    and weld_parts(cx, v, s) is not None):
-                yield (v, s)
+            rest = _link_factor(link_set, s)
+            if rest is not None:
+                out.append((s, rest))
+    return tuple(out)
 
 
 def first_weld(cx: Complex) -> Optional[Tuple[int, Simplex]]:
@@ -175,43 +215,69 @@ def first_weld(cx: Complex) -> Optional[Tuple[int, Simplex]]:
     return None
 
 
+def _first_weld(cx: Complex, table: dict) -> Optional[Tuple[int, Simplex, set]]:
+    """``first_weld`` with the link conditions from ``table``, and the
+    factor L of the weld it finds.  A star is keyed as the tuple of its
+    facets in facet order, as the incidence index holds it."""
+    at = cx._incidence()
+    for v in cx.vertices:
+        for s, rest in _judged(table, _link_splits, v, at[v]):
+            if not cx.has_face(s):
+                return v, s, rest
+    return None
+
+
 def flip_candidates(cx: Complex) -> Iterator[Tuple[Simplex, Simplex]]:
     """Faces A of dimension >= 1 with link the boundary of a missing
     simplex B, as (A, B); requires a pure complex.  Ordered by (dim A,
     labels).  A vertex flip is the weld (v, B), which ``weld_candidates``
     yields."""
-    yield from _flips(cx, range(1, cx.dim + 1))
+    yield from _flips(cx, range(1, cx.dim + 1), {})
 
 
-def _flips(cx: Complex, dims: Iterable[int]) -> Iterator[Tuple[Simplex, Simplex]]:
-    """The flips (A, B) with dim A in dims, in that order, then by labels."""
+def _flips(cx: Complex, dims: Iterable[int], table: dict) -> Iterator[Tuple[Simplex, Simplex]]:
+    """The flips (A, B) with dim A in dims, in that order, then by
+    labels; the link conditions come from ``table``."""
     for k in dims:
         for a in cx.faces(k):
-            b = _flip_partner(cx, a)
+            b = _flip_partner(cx, a, table)
             if b is not None:
                 yield (a, b)
 
 
-def _flip_partner(cx: Complex, a: Simplex) -> Optional[Simplex]:
+def _flip_partner(cx: Complex, a: Simplex, table: dict) -> Optional[Simplex]:
     if len(a) == cx.dim + 1:
         # a is a facet; its flip is the cone subdivision, partner is a itself
         return a
-    link_facets = {f - a for f in cx.facets_containing(a)}
+    b = _judged(table, _link_sphere, a, cx.facets_containing(a))
+    if b is None or cx.has_face(b):
+        return None
+    return b
+
+
+def _link_sphere(a: Simplex, star: Iterable[Simplex]) -> Optional[Simplex]:
+    """The simplex b when link(a) is the boundary of b, given the
+    facets of the star of a; otherwise None."""
+    link_facets = {f - a for f in star}
     b = frozenset().union(*link_facets)
-    # the weld condition with L empty: link(a) is the boundary of b
-    if _link_factor(link_facets, b) != {frozenset()} or cx.has_face(b):
+    # the weld condition with L empty
+    if _link_factor(link_facets, b) != {frozenset()}:
         return None
     return b
 
 
 def apply_flip(cx: Complex, a: Simplex, b: Simplex) -> Tuple[Complex, List[StellarMove]]:
     """Exchange the face a (dimension >= 1) for b across the sphere
-    (boundary a)*(boundary b), emitted as one or two stellar moves."""
+    (boundary a)*(boundary b), emitted as one or two stellar moves.
+    (a, b) must be a flip of cx, as ``flip_candidates`` yields it.  The
+    subdivision at a gives the fresh vertex the link (boundary a) *
+    (boundary b), so the weld with b has L = boundary of a and its link
+    is not judged again."""
     fresh = cx.vertices[-1] + 1
     mid = stellar_subdivide(cx, a)
     if len(a) == cx.dim + 1:
         return mid, [StellarMove("S", tuple(sorted(a)), fresh)]
-    return stellar_weld(mid, fresh, b), [
+    return _weld(mid, fresh, b, [a - {u} for u in a]), [
         StellarMove("S", tuple(sorted(a)), fresh),
         StellarMove("W", tuple(sorted(b)), fresh),
     ]
@@ -289,23 +355,40 @@ def apply_certificate(cx: Complex, cert: Certificate) -> Complex:
 # -- greedy reduction --------------------------------------------------
 
 
-def _reducing_flip(cx: Complex) -> Optional[Tuple[Simplex, Simplex]]:
+def _reducing_flip(cx: Complex, table: dict) -> Optional[Tuple[Simplex, Simplex]]:
     """First flip that strictly lowers the facet count: dim A below
     half the dimension (welds are the dim-0 case, found separately)."""
-    return next(_flips(cx, range(1, (cx.dim + 1) // 2)), None)
+    return next(_flips(cx, range(1, (cx.dim + 1) // 2), table), None)
 
 
 _PLATEAU_DEPTH = 3
 
 
+def _star_table(cx: Complex) -> dict:
+    """The link-condition table of the descents that start at cx."""
+    return cx._cache.setdefault("star_table", {})
+
+
+def _keep_own_stars(cx: Complex, table: dict) -> None:
+    """Drop the entries whose star is not a star of cx: they would
+    keep the facets of the states the descent left behind alive for as
+    long as cx lives."""
+    at = cx._incidence()
+    for key in list(table):
+        x, star = key
+        own = at.get(x) if isinstance(x, int) else cx.facets_containing(x)
+        if own != star:
+            del table[key]
+
+
 def _escape_plateau(
-    state: Complex, budget: vd.Budget, moves_out: List[StellarMove]
+    state: Complex, budget: vd.Budget, moves_out: List[StellarMove], table: dict
 ) -> Optional[Complex]:
     """Search up to _PLATEAU_DEPTH facet-count-preserving flips deep
     for a state where the descent can continue; returns that smaller
     state (with the connecting moves appended) or None.  The flips
     that keep the facet count have 2 * dim A = d, so only a positive
-    even dimension d has any."""
+    even dimension d has any.  Link conditions come from ``table``."""
     d = state.dim
     if d <= 0 or d % 2:
         return None
@@ -315,13 +398,14 @@ def _escape_plateau(
     for _ in range(_PLATEAU_DEPTH):
         nxt: List[Tuple[Complex, List[StellarMove]]] = []
         for cur, path in frontier:
-            for a, b in _flips(cur, [d // 2]):
+            for a, b in _flips(cur, [d // 2], table):
                 if not budget.spend():
                     return None
                 cand, recs = apply_flip(cur, a, b)
                 if not seen.add(cand)[1]:
                     continue
-                if first_weld(cand) is not None or _reducing_flip(cand) is not None:
+                if (_first_weld(cand, table) is not None
+                        or _reducing_flip(cand, table) is not None):
                     moves_out.extend(path + recs)
                     return cand
                 nxt.append((cand, path + recs))
@@ -337,28 +421,33 @@ def reduce_with_trace(
     """Monotone descent as far as the budget allows: apply the first
     weld, else the first facet-count-reducing flip, else escape the
     plateau through sideways flips; returns the reduced state and the
-    move trace."""
+    move trace.  Every link condition is judged once, in the star-keyed
+    table kept on cx (see the module docstring); each state judges only
+    whether s or B is a face, and a weld is built from the factor L
+    the table holds."""
+    table = _star_table(cx)
     state = cx
     moves: List[StellarMove] = []
     while not budget.exhausted:
-        weld = first_weld(state)
+        weld = _first_weld(state, table)
         if weld is not None:
-            v, s = weld
-            state = stellar_weld(state, v, s)
+            v, s, rest = weld
+            state = _weld(state, v, s, rest)
             moves.append(StellarMove("W", tuple(sorted(s)), v))
             budget.spend()
             continue
-        flip = _reducing_flip(state)
+        flip = _reducing_flip(state, table)
         if flip is not None:
             state, recs = apply_flip(state, *flip)
             moves.extend(recs)
             budget.spend()
             continue
         # the escape spends its own budget, one unit per sideways flip
-        jumped = _escape_plateau(state, budget, moves)
+        jumped = _escape_plateau(state, budget, moves, table)
         if jumped is None:
             break
         state = jumped
+    _keep_own_stars(cx, table)
     return state, moves
 
 

@@ -18,10 +18,9 @@ from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _order, _su
                              abelianization, cyclic_reduce, free_reduce, inverse_word)
 from plmarkov.invariants import (HomologyGroup, HomologyProfile, boundary_matrix, homology,
                                  smith_diagonal)
-from plmarkov.stellar_moves import (StellarMove, _escape_plateau, _link_factor, apply_flip,
-                                    first_weld, search_equivalence, stellar_subdivide,
-                                    stellar_weld, subdivision_candidates, weld_candidates,
-                                    weld_parts)
+from plmarkov.stellar_moves import (StellarMove, _link_factor, search_equivalence,
+                                    stellar_subdivide, stellar_weld, subdivision_candidates,
+                                    weld_candidates, weld_parts)
 from plmarkov.surgery import (_SEARCH_BUDGET, _chart_bands, _oriented, chunk, lateral_cells,
                               resolve_tube, staircase_cap, verify_tube)
 
@@ -199,7 +198,10 @@ def weld_candidates_linear(cx: Complex) -> list:
     ``weld_candidates``: per vertex, s is a nonempty subset of the first
     link facet plus one link vertex outside it, and each candidate is
     judged by ``weld_parts_linear`` on its own."""
-    out = []
+    return list(_welds_linear(cx))
+
+
+def _welds_linear(cx: Complex) -> Iterator[Tuple[int, Simplex]]:
     for v in cx.vertices:
         link_facets = sorted(
             {f - {v} for f in facets_containing_linear(cx, [v])},
@@ -214,8 +216,7 @@ def weld_candidates_linear(cx: Complex) -> list:
                 for a in itertools.combinations(f0, k):
                     s = frozenset(a) | {w}
                     if weld_parts_linear(cx, v, s) is not None:
-                        out.append((v, s))
-    return out
+                        yield (v, s)
 
 
 def canonical_pair_unpruned(cx: Complex):
@@ -1212,15 +1213,58 @@ def flip_candidates_with_vertex_flips(cx: Complex) -> Iterator[Tuple[Simplex, Si
         yield from _flips_by_sizes(cx, range(cx.dim + 1))
 
 
+def _apply_flip_by_moves(cx: Complex, a: Simplex, b: Simplex):
+    """A flip as the checked stellar moves it is recorded as."""
+    fresh = cx.vertices[-1] + 1
+    out = stellar_subdivide(cx, a)
+    recs = [StellarMove("S", tuple(sorted(a)), fresh)]
+    if len(a) < cx.dim + 1:
+        out = stellar_weld(out, fresh, b)
+        recs.append(StellarMove("W", tuple(sorted(b)), fresh))
+    return out, recs
+
+
+def _escape_plateau_by_sizes(state: Complex, budget: vd.Budget,
+                             moves_out: List[StellarMove]) -> Optional[Complex]:
+    """The plateau escape: breadth-first through up to three
+    facet-count-preserving flips (2 dim A = d) for a state with a weld
+    or a reducing flip."""
+    d = state.dim
+    if d <= 0 or d % 2:
+        return None
+    seen = IsoIndex()
+    seen.add(state)
+    frontier = [(state, [])]
+    for _ in range(3):
+        nxt = []
+        for cur, path in frontier:
+            for a, b in _flips_by_sizes(cur, [d // 2]):
+                if not budget.spend():
+                    return None
+                cand, recs = _apply_flip_by_moves(cur, a, b)
+                if not seen.add(cand)[1]:
+                    continue
+                if (next(_welds_linear(cand), None) is not None
+                        or next(_flips_by_sizes(cand, range(1, (d + 1) // 2)), None)
+                        is not None):
+                    moves_out.extend(path + recs)
+                    return cand
+                nxt.append((cand, path + recs))
+        frontier = nxt
+    return None
+
+
 def reduce_with_trace_two_loops(
     cx: Complex, budget: vd.Budget
 ) -> Tuple[Complex, List[StellarMove]]:
     """The descent as an inner loop of welds and reducing flips, run
-    again after each plateau escape by an outer loop."""
+    again after each plateau escape by an outer loop.  Every weld and
+    flip is judged from scratch in each state (``weld_candidates_linear``,
+    ``_flips_by_sizes``) and applied by the checked moves."""
 
     def simplify(state: Complex, moves_out: List[StellarMove]) -> Complex:
         while not budget.exhausted:
-            cand = first_weld(state)
+            cand = next(_welds_linear(state), None)
             if cand is not None:
                 v, s = cand
                 state = stellar_weld(state, v, s)
@@ -1229,7 +1273,7 @@ def reduce_with_trace_two_loops(
                 continue
             flip = next(_flips_by_sizes(state, range(1, (state.dim + 1) // 2)), None)
             if flip is not None:
-                state, recs = apply_flip(state, *flip)
+                state, recs = _apply_flip_by_moves(state, *flip)
                 moves_out.extend(recs)
                 budget.spend()
                 continue
@@ -1239,7 +1283,7 @@ def reduce_with_trace_two_loops(
     moves: List[StellarMove] = []
     state = simplify(cx, moves)
     while not budget.exhausted:
-        jumped = _escape_plateau(state, budget, moves)
+        jumped = _escape_plateau_by_sizes(state, budget, moves)
         if jumped is None:
             break
         state = simplify(jumped, moves)

@@ -317,3 +317,29 @@ REPORT_SHA256 = {
 def test_gate4_reports_are_pinned(markov_reports, text):
     blob = markov_reports.texts[text].encode()
     assert hashlib.sha256(blob).hexdigest() == REPORT_SHA256[text]
+
+
+# sha256 of the sphere certificates of the distinct vertex links of each
+# gate-2 manifold, in the order of distinct_links, each headed by
+# "# link <index>"; the descent's move choices all enter these bytes
+LINK_CERT_SHA256 = {
+    "simplex-boundary": "31091b974d760a38b18d2cbb14a546b6873a8b7b87062d970e1ab6130282c38a",
+    "torus": "4a5f844cc4b788cb3d34746aacbd324e5dd6fd3b7ada19be45bd0af89b50d7ad",
+    "s1-x-s3": "d022a3fb5b87f243cbfef125492976e8a95f0169532e0da717c19ca408655a86",
+    "s2-x-s2": "6677c324646d39cdc677e7dc451380b54ca62da7c99229526de0fbcd82c37998",
+    "ref-2-4": "6cf6fd152f1f5a6859340cb31144a7793d13d8a6bbd992c6dd1de184027f41ca",
+    "m(|)": "ff4ded61917c706f5cbb48c1145fd53c99da2885d4f9cfd3e247e679f30c615e",
+    "m(g|g)": "cbee699b807c0e68ce99ceb60a086062aa37f721b61baacf72770cd653579bda",
+    "m(g|gg)": "d0441941e8443d1adf95ce3352c1ee5ea46ddcbfd89143ebf09fb68ab2a0847a",
+    "m(a,b|a,b)": "37235824feb02f13dbd13f36cddc30bd12577110f115b69d394a5ff104b16872",
+    "m(a,b|ab,b)": "bd308f5587931c9b14bd7c75a4aae73a85ec2d713d48d1fafabcdd193ed9f349",
+    "m(a,b|abAB)": "5631bc1d3c4661927cf66fcab8400803a60b5444fa13d2242cee6a51dfaef27b",
+}
+
+
+@pytest.mark.parametrize("name", LINK_CERT_SHA256)
+def test_gate_2_link_certificates_are_pinned(closed_check, name):
+    texts = [format_certificate(is_combinatorial_sphere(lk, BUDGET).witness)
+             for lk in distinct_links(closed_check.yes[name])]
+    blob = "".join("# link %d\n%s" % (i, t) for i, t in enumerate(texts)).encode()
+    assert hashlib.sha256(blob).hexdigest() == LINK_CERT_SHA256[name]

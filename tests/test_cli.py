@@ -64,6 +64,13 @@ class TestBuild:
         assert r.exit_code == 0
         assert cc.loads(out.read_text()) == simplex_sphere(2)
 
+    def test_unwritable_output_is_a_named_error(self, runner, tmp_path):
+        out = tmp_path / "missing" / "t.cx"
+        r = runner.invoke(main, ["build", "sphere(2)", "-o", str(out)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output.startswith("Error: cannot write %s: " % out)
+
     def test_bad_expression_fails_with_position(self, runner):
         r = runner.invoke(main, ["build", "sphere(,2)"])
         assert r.exit_code == 1
@@ -162,6 +169,15 @@ class TestSearchEquiv:
         assert json.loads(r.output)["verdict"]["status"] == "yes"
         parsed = parse_certificate(cert.read_text())
         assert len(parsed.moves) >= 1
+
+    def test_unwritable_certificate_is_a_named_error(self, runner, sphere_file,
+                                                     tmp_path):
+        cert = tmp_path / "missing" / "moves.cert"
+        r = runner.invoke(main, ["search-equiv", sphere_file, sphere_file,
+                                 "--budget", "100", "--emit-cert", str(cert)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output.startswith("Error: cannot write %s: " % cert)
 
 
 class TestMarkovVerb:

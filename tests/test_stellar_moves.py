@@ -1,13 +1,15 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plmarkov import complex_core
+from plmarkov import complex_core, stellar_moves
 from plmarkov import verdict as vd
 from plmarkov.builders import (
     cone,
     ordered_product,
+    reference_manifold,
     simplex_sphere,
     sphere_product,
     standard_simplex,
@@ -375,6 +377,14 @@ S4_SUBDIVIDED = stellar_subdivide(
     [0, 4])
 
 
+# descents that meet a star twice: the derived 2-sphere revisits weld
+# stars, and the largest vertex link of the gate-2 manifold T(2, 4)
+# revisits weld and flip stars
+SD_S2 = barycentric_subdivision(simplex_sphere(2))
+REF_LINK = max((reference_manifold(2, 4).link([v]) for v in reference_manifold(2, 4).vertices),
+               key=lambda lk: len(lk.facets))
+
+
 @st.composite
 def stellar_subdivisions(draw):
     cx = draw(st.sampled_from(SUBDIVISION_BASES))
@@ -386,11 +396,39 @@ def stellar_subdivisions(draw):
 @settings(max_examples=60, deadline=None)
 @given(stellar_subdivisions(), st.integers(0, 30))
 @example(S4_SUBDIVIDED, 30)
+@example(SD_S2, 1000)
+@example(REF_LINK, 1000)
 def test_descent_matches_the_two_loop_descent(cx, budget):
     new_budget, old_budget = vd.Budget(budget), vd.Budget(budget)
     assert (reduce_with_trace(cx, new_budget)
             == reduce_with_trace_two_loops(cx, old_budget))
     assert new_budget.used == old_budget.used
+
+
+def test_each_link_condition_is_judged_once_per_descent(monkeypatch):
+    # the link condition of a weld depends only on the star of its
+    # vertex, and a flip's only on the star of its face: the descent
+    # tests each (link, s) once, and a second descent from the same
+    # complex finds every answer it needs in the table
+    calls = Counter()
+
+    def counting(link_facets, s, real=stellar_moves._link_factor):
+        calls[frozenset(link_facets), s] += 1
+        return real(link_facets, s)
+
+    monkeypatch.setattr(stellar_moves, "_link_factor", counting)
+    for cx in (SD_S2, REF_LINK):
+        calls.clear()
+        red, _ = reduce_with_trace(Complex(cx.facets), vd.Budget(1000))
+        assert isomorphism(red, simplex_sphere(cx.dim)) is not None
+        assert calls and max(calls.values()) == 1
+    s3 = Complex(simplex_sphere(3).facets)
+    calls.clear()
+    assert reduce_with_trace(s3, vd.Budget(1000)) == (s3, [])
+    assert calls
+    calls.clear()
+    assert reduce_with_trace(s3, vd.Budget(1000)) == (s3, [])
+    assert not calls
 
 
 @settings(max_examples=60, deadline=None)
@@ -418,6 +456,6 @@ def test_plateau_escape_only_searches_even_dimensions(monkeypatch, cx, fingerpri
 
     monkeypatch.setattr(complex_core, "fingerprint", counting)
     budget, moves = vd.Budget(5), []
-    assert _escape_plateau(cx, budget, moves) is None
+    assert _escape_plateau(cx, budget, moves, {}) is None
     assert bool(calls) == fingerprinted
     assert (budget.used > 0) == fingerprinted and moves == []

@@ -249,8 +249,12 @@ def enumerate_cmd(kind, dim, max_facets):
     if kind == "spheres":
         if max_facets is None:
             raise click.ClickException("--max-facets is required for spheres")
-        for sig in mk.enumerate_spheres(dim, max_facets):
-            click.echo(sig)
+        try:
+            for sig in mk.enumerate_spheres(dim, max_facets):
+                click.echo(sig)
+        except ValueError as e:
+            # the generator checks its cap when first advanced
+            raise click.ClickException(str(e))
     else:
         for sig in mk.enumerate_subcomplexes(standard_simplex(dim)):
             click.echo(sig)

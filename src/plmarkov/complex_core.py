@@ -172,12 +172,6 @@ class Complex:
             return table.get(k, ())
         return tuple(itertools.chain.from_iterable(table[d] for d in sorted(table)))
 
-    @property
-    def face_set(self) -> FrozenSet[Simplex]:
-        if "face_set" not in self._cache:
-            self._cache["face_set"] = frozenset(self.faces())
-        return self._cache["face_set"]
-
     def has_face(self, s: Iterable[int]) -> bool:
         s = frozenset(s)
         return any(s <= f for f in self._facets_through(s))

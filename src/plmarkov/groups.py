@@ -5,20 +5,22 @@ Words are tuples of nonzero ints: letter +k is the k-th generator
 per generator and the matching uppercase letter for its inverse, e.g.
 ``a,b|abAB,aa`` presents <a, b | aba^-1b^-1, a^2>.
 
-Everything here is deterministic: simplification applies the first
-applicable rewrite in a fixed scan order, so equal inputs yield equal
-traces and results.
+The fundamental group of a complex is presented relative to a
+contractible 2-subcomplex grown from a spanning tree, so few generators
+reach Tietze simplification, a plain loop that rewrites every relator
+after each move.  Everything here is deterministic: simplification
+applies the first applicable rewrite in a fixed scan order, so equal
+inputs yield equal traces and results.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
 import functools
 import itertools
 import string
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import verdict as vd
 from .complex_core import Complex
@@ -183,10 +185,6 @@ def abelianization(p: FinitePresentation) -> AbelianGroup:
 # -- Tietze simplification ---------------------------------------------
 
 
-def _order(r: Word) -> Tuple[int, Word]:
-    return len(r), r
-
-
 def _substitute(word: Word, gen: int, image: Word) -> Word:
     """Replace generator ``gen`` by ``image`` (and its inverse
     accordingly), then freely reduce."""
@@ -202,78 +200,65 @@ def _substitute(word: Word, gen: int, image: Word) -> Word:
     return free_reduce(out)
 
 
+def _once(r: Word) -> int:
+    """The least generator occurring exactly once in ``r``, or 0."""
+    counts = collections.Counter(map(abs, r))
+    return min((g for g, c in counts.items() if c == 1), default=0)
+
+
+def _sorted_unique(relators: Iterable[Word]) -> List[Word]:
+    """The nonempty relators sorted by (length, word), keeping the first
+    of each key: the least rotation of the word or of its inverse."""
+    seen: Set[Word] = set()
+    out = []
+    for r in sorted(relators, key=lambda r: (len(r), r)):
+        key = min((w[i:] + w[:i] for w in (r, inverse_word(r)) for i in range(len(r))),
+                  default=())
+        if r and key not in seen:
+            seen.add(key)
+            out.append(r)
+    return out
+
+
+def _shortenings(relators: List[Word]) -> Iterator[Tuple[Word, Word]]:
+    """(r2, shorter r2) for each rewrite of r2 by a relator r1 of which
+    over half appears inside r2, in scan order."""
+    for r1 in relators:
+        if len(r1) < 2:
+            continue
+        variants = sorted({w[i:] + w[:i] for w in (r1, inverse_word(r1)) for i in range(len(w))})
+        half = len(r1) // 2 + 1
+        for r2 in relators:
+            if r2 == r1 or len(r2) < half:
+                continue
+            for var in variants:
+                piece, rest = var[:half], var[half:]
+                for j in range(len(r2) - half + 1):
+                    if r2[j : j + half] == piece:
+                        new = free_reduce(r2[:j] + inverse_word(rest) + r2[j + half :])
+                        if len(new) < len(r2):
+                            yield r2, cyclic_reduce(new)
+
+
 def tietze_simplify(
     p: FinitePresentation, budget: int = 10000
 ) -> Tuple[FinitePresentation, List[str]]:
-    """Deterministic greedy simplification.
+    """Deterministic greedy simplification, in a plain loop that
+    rewrites, renumbers and re-sorts every relator after each move.
 
     Moves, in scan priority: discard empty and duplicate relators;
     cyclically reduce; eliminate a generator that occurs exactly once in
-    some relator (shortest relator first); shorten a relator using
-    another whose content overlaps more than half of it.  The budget
-    counts applied moves.  The abelianization is recomputed and compared
-    at the end as a safety net.  Relators live in one list sorted by
-    (length, word), one per key (the least rotation of the word or of
-    its inverse), beside a key -> relator dict.  A move takes out only
-    the relators it rewrites and bisects the rewrites back in, keeping
-    the smaller (length, word) on a key collision, as a full
-    sort-and-dedupe would.  Each word's key and least once-occurring
-    generator are cached.
-
-    Generators keep their original labels until the loop ends and are
-    renumbered once, in the output.  Renumbering keeps signs and the
-    order of |x|, so it is strictly increasing on letters: it keeps the
-    (length, word) order of relators, the least rotation of each, and
-    the least generator occurring once.  Every move is therefore the one
-    that renumbering after each elimination would choose, and a trace
-    line names the generator by that current index.  An elimination
-    rewrites only the relators that hold +-g, read off a generator ->
-    relators index; the others are cyclically reduced already and would
-    come back unchanged.
+    some relator (shortest relator first, least such generator);
+    shorten a relator using another whose content overlaps more than
+    half of it.  The budget counts applied moves.  The abelianization is
+    recomputed and compared at the end as a safety net.
     """
     before = abelianization(p)
-    eliminated: List[int] = []  # original labels, ascending
+    num = p.num_generators
+    relators = _sorted_unique(cyclic_reduce(r) for r in p.relators)
     trace: List[str] = []
-    spent = 0
-    relators: List[Word] = []  # sorted by _order, one relator per key
-    owner: Dict[Word, Word] = {}  # key -> the relator holding it
-    facts: Dict[Word, Tuple[Word, int]] = {}  # word -> (key, least once-generator or 0)
-    holding: Dict[int, Set[Word]] = {}  # generator -> relators holding it or its inverse
-
-    def fact(r: Word) -> Tuple[Word, int]:
-        if r not in facts:
-            counts = collections.Counter(map(abs, r))
-            facts[r] = (
-                min(w[i:] + w[:i] for w in (r, inverse_word(r)) for i in range(len(r))),
-                min((g for g, c in counts.items() if c == 1), default=0),
-            )
-        return facts[r]
-
-    def drop(r: Word) -> None:
-        del relators[bisect.bisect_left(relators, _order(r), key=_order)]
-        del owner[fact(r)[0]]
-        for g in set(map(abs, r)):
-            holding[g].discard(r)
-
-    def add(r: Word) -> None:
-        if not r:
-            return
-        held = owner.get(fact(r)[0])
-        if held is not None:
-            if _order(held) <= _order(r):
-                return
-            drop(held)
-        owner[fact(r)[0]] = r
-        bisect.insort(relators, r, key=_order)
-        for g in set(map(abs, r)):
-            holding.setdefault(g, set()).add(r)
-
-    for r in p.relators:
-        add(cyclic_reduce(r))
-    while spent < budget:
-        # 1) a generator occurring exactly once in some relator can be
-        #    solved for and removed; the shortest such relator goes first
-        move = next(((r, fact(r)[1]) for r in relators if fact(r)[1]), None)
+    while len(trace) < budget:
+        move = next(((r, g) for r in relators for g in [_once(r)] if g), None)
         if move:
             r, g = move
             i = next(j for j, x in enumerate(r) if abs(x) == g)
@@ -283,69 +268,23 @@ def tietze_simplify(
                 image = free_reduce(inverse_word(u) + inverse_word(v))
             else:
                 image = free_reduce(v + u)
-            drop(r)
-            # in any order: no rewrite holds g, so none displaces a
-            # relator still to rewrite, and a key collision keeps the
-            # smaller (length, word) whichever comes first
-            for w in list(holding[g]):
-                drop(w)
-                add(cyclic_reduce(_substitute(w, g, image)))
-            index = g - bisect.bisect_left(eliminated, g)
-            bisect.insort(eliminated, g)
-            trace.append(f"eliminate generator {index} using relator of length {len(r)}")
-            spent += 1
+            # letters above g move down one place
+            relators = _sorted_unique(
+                tuple(y - (y > g) + (y < -g) for y in cyclic_reduce(_substitute(w, g, image)))
+                for w in relators if w != r
+            )
+            num -= 1
+            trace.append(f"eliminate generator {g} using relator of length {len(r)}")
             continue
-        # 2) overlap shortening: rewrite r2 with r1 when over half of r1
-        #    appears inside r2
-        move = None
-        for r1 in relators:
-            if len(r1) < 2:
-                continue
-            variants = set()
-            for w in (r1, inverse_word(r1)):
-                for i in range(len(w)):
-                    variants.add(w[i:] + w[:i])
-            half = len(r1) // 2 + 1
-            for r2 in relators:
-                if r2 == r1 or len(r2) < half:
-                    continue
-                for var in sorted(variants):
-                    piece, rest = var[:half], var[half:]
-                    for j in range(len(r2) - half + 1):
-                        if r2[j : j + half] == piece:
-                            new = free_reduce(
-                                r2[:j] + inverse_word(rest) + r2[j + half :]
-                            )
-                            if len(new) < len(r2):
-                                move = (r2, cyclic_reduce(new))
-                                break
-                    if move:
-                        break
-                if move:
-                    break
-            if move:
-                break
-        if move:
-            old, new = move
-            drop(old)
-            add(new)
-            trace.append(f"shorten relator {len(old)} -> {len(new)}")
-            spent += 1
-            continue
-        break
+        move = next(_shortenings(relators), None)
+        if move is None:
+            break
+        old, new = move
+        relators = _sorted_unique([new if w == old else w for w in relators])
+        trace.append(f"shorten relator {len(old)} -> {len(new)}")
 
-    gone = set(eliminated)
-    alive = [g for g in range(1, p.num_generators + 1) if g not in gone]
-    rank = {g: i for i, g in enumerate(alive, 1)}
-    # renumbering keeps the (length, word) order of the list
-    out = FinitePresentation(
-        len(rank),
-        tuple(tuple(rank[x] if x > 0 else -rank[-x] for x in r) for r in relators),
-    )
-    after = abelianization(out)
-    assert after == before, (
-        "simplification changed the abelianization"
-    )
+    out = FinitePresentation(num, tuple(relators))
+    assert abelianization(out) == before, "simplification changed the abelianization"
     return out, trace
 
 
@@ -455,12 +394,21 @@ def semi_decide_trivial(p: FinitePresentation, budget: int = 20000) -> vd.Verdic
 
 def edge_path_presentation(cx: Complex) -> FinitePresentation:
     """Edge-path presentation of the fundamental group of a connected
-    complex, based at its smallest vertex.
+    complex, based at its smallest vertex, relative to a contractible
+    2-subcomplex.
 
-    A breadth-first spanning tree from that vertex collapses; each
-    non-tree edge of the 1-skeleton becomes a generator, and each
-    triangle contributes the relator spelled by its three sides.  The
-    result depends only on the complex, not on dict ordering.
+    A breadth-first spanning tree from that vertex grows into the
+    subcomplex: once two sides of a triangle lie in it, the triangle
+    and its third side join it (an elementary expansion; in the group,
+    the triangle's relator eliminates the third side).  A worklist over
+    an edge -> triangles index runs this to its fixpoint, a monotone
+    closure that does not depend on the order of the moves.  This is
+    the spanning-tree half of a discrete gradient (Brendel, Dlotko,
+    Ellis, Juda and Mrozek, "Computing fundamental groups from point
+    clouds", AAECC 26, 2015).  Each edge left outside becomes a
+    generator, in label order, and each triangle with a side outside
+    contributes the relator spelled by its three sides.  The result
+    depends only on the complex, not on dict ordering.
     """
     if cx.is_empty:
         raise ValueError("empty complex has no fundamental group")
@@ -486,21 +434,26 @@ def edge_path_presentation(cx: Complex) -> FinitePresentation:
                 order.append(w)
     if len(order) != len(verts):
         raise ValueError("edge-path presentation needs a connected complex")
-    tree = {tuple(sorted((v, parent[v]))) for v in parent if parent[v] != v}
-    chords = [e for e in edges if e not in tree]
-    gen_of = {e: i + 1 for i, e in enumerate(chords)}
-
-    def step(a: int, b: int) -> Tuple[int, ...]:
-        e = (a, b) if a < b else (b, a)
-        if e in tree:
-            return ()
-        g = gen_of[e]
-        return (g,) if (a, b) == e else (-g,)
-
+    trivial = {tuple(sorted((v, parent[v]))) for v in order[1:]}
+    triangles = [tuple(sorted(t)) for t in cx.faces(2)]
+    cofaces: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
+    for t in triangles:
+        a, b, c = t
+        for e in ((a, b), (b, c), (a, c)):
+            cofaces.setdefault(e, []).append(t)
+    work = list(trivial)
+    while work:
+        for a, b, c in cofaces.get(work.pop(), ()):
+            left = [e for e in ((a, b), (b, c), (a, c)) if e not in trivial]
+            if len(left) == 1:
+                trivial.add(left[0])
+                work.append(left[0])
+    gen_of = {e: i for i, e in enumerate((e for e in edges if e not in trivial), 1)}
     relators = []
-    for t in cx.faces(2):
-        a, b, c = sorted(t)
-        w = free_reduce(step(a, b) + step(b, c) + step(c, a))
+    for a, b, c in triangles:
+        # the boundary a -> b -> c -> a, skipping the sides inside
+        w = tuple(sign * gen_of[e] for sign, e in ((1, (a, b)), (1, (b, c)), (-1, (a, c)))
+                  if e in gen_of)
         if w:
             relators.append(w)
-    return FinitePresentation(len(chords), tuple(relators))
+    return FinitePresentation(len(gen_of), tuple(relators))

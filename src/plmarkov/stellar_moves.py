@@ -209,16 +209,11 @@ def _link_splits(v: int, star: Iterable[Simplex]) -> Tuple[Tuple[Simplex, set], 
     return tuple(out)
 
 
-def first_weld(cx: Complex) -> Optional[Tuple[int, Simplex]]:
-    for cand in weld_candidates(cx):
-        return cand
-    return None
-
-
 def _first_weld(cx: Complex, table: dict) -> Optional[Tuple[int, Simplex, set]]:
-    """``first_weld`` with the link conditions from ``table``, and the
-    factor L of the weld it finds.  A star is keyed as the tuple of its
-    facets in facet order, as the incidence index holds it."""
+    """The first of ``weld_candidates``, with the link conditions from
+    ``table``, and the factor L of the weld it finds.  A star is keyed
+    as the tuple of its facets in facet order, as the incidence index
+    holds it."""
     at = cx._incidence()
     for v in cx.vertices:
         for s, rest in _judged(table, _link_splits, v, at[v]):

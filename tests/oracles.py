@@ -14,7 +14,7 @@ from plmarkov import verdict as vd
 from plmarkov.builders import ordered_product_with_chart, simplex_sphere, staircase
 from plmarkov.complex_core import (Complex, InvalidComplexError, IsoIndex, Simplex,
                                    as_simplex)
-from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _order, _substitute,
+from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _substitute,
                              abelianization, cyclic_reduce, free_reduce, inverse_word)
 from plmarkov.invariants import (HomologyGroup, HomologyProfile, boundary_matrix, homology,
                                  smith_diagonal)
@@ -470,6 +470,10 @@ def mod2_triangle_boundary(cx: Complex, cycle_edges) -> bool:
 
 
 # -- Tietze simplification --------------------------------------------
+
+
+def _order(r: Word) -> Tuple[int, Word]:
+    return len(r), r
 
 
 def _drop_generator(relators: List[Word], gen: int, num: int) -> Tuple[List[Word], int]:
@@ -1515,6 +1519,80 @@ def edge_path_presentation_by_combinations(cx: Complex) -> FinitePresentation:
     return FinitePresentation(len(chords), tuple(relators))
 
 
+def edge_path_presentation_spanning_tree(cx: Complex) -> FinitePresentation:
+    """The edge-path presentation relative to a breadth-first spanning
+    tree alone: each non-tree edge is a generator and each triangle
+    contributes the relator spelled by its three sides."""
+    if cx.is_empty:
+        raise ValueError("empty complex has no fundamental group")
+    verts = cx.vertices
+    basepoint = verts[0]
+    edges = [tuple(sorted(e)) for e in cx.faces(1)]
+    adj: Dict[int, List[int]] = {v: [] for v in verts}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent: Dict[int, int] = {basepoint: basepoint}
+    order = [basepoint]
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    if len(order) != len(verts):
+        raise ValueError("edge-path presentation needs a connected complex")
+    tree = {tuple(sorted((v, parent[v]))) for v in parent if parent[v] != v}
+    chords = [e for e in edges if e not in tree]
+    gen_of = {e: i + 1 for i, e in enumerate(chords)}
+
+    def step(a: int, b: int) -> Tuple[int, ...]:
+        e = (a, b) if a < b else (b, a)
+        if e in tree:
+            return ()
+        g = gen_of[e]
+        return (g,) if (a, b) == e else (-g,)
+
+    relators = []
+    for t in cx.faces(2):
+        a, b, c = sorted(t)
+        w = free_reduce(step(a, b) + step(b, c) + step(c, a))
+        if w:
+            relators.append(w)
+    return FinitePresentation(len(chords), tuple(relators))
+
+
+def edge_path_presentation_collapsed(cx: Complex) -> FinitePresentation:
+    """The spanning-tree presentation with the chords that the
+    triangles absorb deleted.  Each triangle's relator holds one letter
+    per chord side, so a triangle absorbs its last chord side when its
+    relator has one letter left after deleting the absorbed chords.
+    Naive full passes over every relator run until one absorbs nothing;
+    the absorbed chords are then deleted from every relator, each is
+    freely reduced, empty ones are dropped and the generators left are
+    renumbered in chord order."""
+    p = edge_path_presentation_spanning_tree(cx)
+    absorbed = set()
+    changed = True
+    while changed:
+        changed = False
+        for r in p.relators:
+            left = [x for x in r if abs(x) not in absorbed]
+            if len(left) == 1:
+                absorbed.add(abs(left[0]))
+                changed = True
+    alive = [g for g in range(1, p.num_generators + 1) if g not in absorbed]
+    rank = {g: i for i, g in enumerate(alive, 1)}
+    relators = []
+    for r in p.relators:
+        w = free_reduce(rank[x] if x > 0 else -rank[-x] for x in r if abs(x) in rank)
+        if w:
+            relators.append(w)
+    return FinitePresentation(len(alive), tuple(relators))
+
+
 # -- surgery caps by three routes ----------------------------------------
 
 
@@ -1613,12 +1691,12 @@ def shell_cap_full_rebuild(tube, lk, torus, alloc):
     amb = {v: v for v in torus.vertices}
 
     def image():
-        return {frozenset(amb[v] for v in f) for f in surface.face_set}
+        return {frozenset(amb[v] for v in f) for f in frozenset(surface.faces())}
 
     def shell(top, cells):
         return {frozenset({amb[top]} | {amb[v] for v in f}) for f in cells}
 
-    current = torus.face_set
+    current = frozenset(torus.faces())
     seen = set(current)
     for mv in moves:
         s = frozenset(mv.simplex)
@@ -1685,7 +1763,7 @@ def _shell_cap_two_closings(tube, lk, alloc):
     cap = set()
     surface = x0
     amb = {v: v for v in x0.vertices}
-    current = x0.face_set
+    current = frozenset(x0.faces())
     seen = set(current)
 
     def relayer():
@@ -1696,7 +1774,7 @@ def _shell_cap_two_closings(tube, lk, alloc):
         amb.update(fresh)
 
     def refresh_current():
-        return {frozenset(amb[v] for v in f) for f in surface.face_set}
+        return {frozenset(amb[v] for v in f) for f in frozenset(surface.faces())}
 
     for mv in cert_moves:
         if mv.kind == "S":

@@ -26,7 +26,8 @@ from plmarkov.recognition import (classify_links, is_closed_manifold,
                                   is_combinatorial_sphere)
 from plmarkov.stellar_moves import (apply_certificate, format_certificate,
                                     search_equivalence, weld_candidates)
-from oracles import (is_combinatorial_sphere_gates_first,
+from oracles import (edge_path_presentation_collapsed,
+                     is_combinatorial_sphere_gates_first,
                      subcomplex_classes_exhaustive, weld_candidates_unpruned)
 
 BUDGET = 100000
@@ -209,6 +210,25 @@ def test_criterion_5_edge_path_cross_oracle(standard_complexes,
     for name, cx in corpus.items():
         got = abelianization(edge_path_presentation(cx))
         assert (got.rank, got.torsion) == h1_of(cx), name
+
+
+# (generators, relators) of edge_path_presentation(M): the spanning
+# tree alone left 10, 164, 1,676, 322, 322 and 843 generators
+EDGE_PATH_SIZES = {
+    "|": (0, 0),
+    "g|g": (0, 0),
+    "g|gg": (158, 637),
+    "a,b|a,b": (0, 0),
+    "a,b|ab,b": (0, 0),
+    "a,b|abAB": (178, 664),
+}
+
+
+@pytest.mark.parametrize("text", PRESENTATIONS)
+def test_gate4_edge_path_presentations_match_the_collapse_oracle(markov_manifolds, text):
+    got = edge_path_presentation(markov_manifolds[text])
+    assert got == edge_path_presentation_collapsed(markov_manifolds[text])
+    assert (got.num_generators, len(got.relators)) == EDGE_PATH_SIZES[text]
 
 
 def synthetic_pairs():

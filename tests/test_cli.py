@@ -229,6 +229,14 @@ class TestEnumerateVerb:
                                  "--dim", "1"])
         assert r.exit_code == 1
 
+    def test_cap_below_the_minimal_sphere_is_a_named_error(self, runner):
+        r = runner.invoke(main, ["enumerate", "--kind", "spheres",
+                                 "--dim", "2", "--max-facets", "3"])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.stdout == ""
+        assert r.stderr == "Error: cap must admit the minimal sphere\n"
+
     def test_edge_subcomplexes(self, runner):
         r = runner.invoke(main, ["enumerate", "--kind", "subcomplexes",
                                  "--dim", "1"])

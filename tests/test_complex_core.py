@@ -761,7 +761,7 @@ def test_counting_faces_builds_no_face_table():
     assert isomorphism(a, b) is not None
     assert isomorphism(a, c) is None
     for cx in (a, b, c):
-        assert "faces" not in cx._cache and "face_set" not in cx._cache
+        assert "faces" not in cx._cache
 
 
 def boundary_via_generated_by(cx):

@@ -24,6 +24,7 @@ from plmarkov.markov import realize_boundary
 from plmarkov import verdict as vd
 
 from oracles import (abelianization_dense, edge_path_presentation_by_combinations,
+                     edge_path_presentation_collapsed, edge_path_presentation_spanning_tree,
                      tietze_simplify_reference, tietze_simplify_scan)
 from test_complex_core import small_complexes
 
@@ -208,14 +209,20 @@ def test_simplify_matches_reference_loop_on_colliding_relators(p, budget):
     assert tietze_simplify(p, budget) == tietze_simplify_reference(p, budget)
 
 
+def _spanning_tree_of_m(text):
+    # M(g|g), M(a,b|a,b) and M(a,b|ab,b) collapse to no generator at
+    # all, so their Tietze tests take the spanning-tree presentation
+    return edge_path_presentation_spanning_tree(realize_boundary(parse_presentation(text), 4))
+
+
 @pytest.mark.parametrize("build", [
-    lambda: torus_9(),
-    lambda: projective_plane_6(),
-    lambda: realize_boundary(parse_presentation("g|g"), 4),
-    lambda: realize_boundary(parse_presentation("a,b|ab,b"), 4),
+    lambda: edge_path_presentation(torus_9()),
+    lambda: edge_path_presentation(projective_plane_6()),
+    lambda: _spanning_tree_of_m("g|g"),
+    lambda: _spanning_tree_of_m("a,b|ab,b"),
 ], ids=["torus_9", "projective_plane_6", "M(g|g)", "M(a,b|ab,b)"])
 def test_simplify_matches_reference_loop_on_edge_path_presentations(build):
-    p = edge_path_presentation(build())
+    p = build()
     got = tietze_simplify(p)
     assert got == tietze_simplify_reference(p)
     assert got[1]
@@ -230,7 +237,11 @@ def test_simplify_matches_the_scan_oracle(p, budget):
 
 @pytest.mark.parametrize("text", ["g|g", "g|gg", "a,b|a,b", "a,b|ab,b", "a,b|abAB"])
 def test_simplify_matches_the_scan_oracle_on_edge_path_presentations(text):
-    p = edge_path_presentation(realize_boundary(parse_presentation(text), 4))
+    if text in ("g|gg", "a,b|abAB"):
+        # the collapsed forms keep 158 and 178 generators
+        p = edge_path_presentation(realize_boundary(parse_presentation(text), 4))
+    else:
+        p = _spanning_tree_of_m(text)
     got = tietze_simplify(p)
     assert got == tietze_simplify_scan(p)
     assert got[1]
@@ -349,8 +360,18 @@ def _presentation_or_error(build, cx):
 @example(validate([[0, 1], [2, 3]]))
 @example(validate([[0, 1, 2], [3]]))
 def test_edge_path_matches_the_combinations_oracle(cx):
-    assert _presentation_or_error(edge_path_presentation, cx) == (
+    assert _presentation_or_error(edge_path_presentation_spanning_tree, cx) == (
         _presentation_or_error(edge_path_presentation_by_combinations, cx))
+
+
+@given(small_complexes())
+@example(validate([[0, 1], [2, 3]]))
+@example(torus_9())
+@example(projective_plane_6())
+def test_edge_path_matches_the_collapse_oracle(cx):
+    assert _presentation_or_error(edge_path_presentation, cx) == (
+        _presentation_or_error(edge_path_presentation_collapsed, cx))
+
 
 
 def test_edge_path_deterministic():

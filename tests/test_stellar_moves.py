@@ -22,7 +22,6 @@ from plmarkov.stellar_moves import (
     _escape_plateau,
     apply_certificate,
     apply_flip,
-    first_weld,
     flip_candidates,
     format_certificate,
     parse_certificate,

@@ -373,7 +373,6 @@ def test_edge_path_matches_the_collapse_oracle(cx):
         _presentation_or_error(edge_path_presentation_collapsed, cx))
 
 
-
 def test_edge_path_deterministic():
     a = edge_path_presentation(torus_9())
     b = edge_path_presentation(torus_9())

@@ -250,11 +250,11 @@ def enumerate_cmd(kind, dim, max_facets):
         if max_facets is None:
             raise click.ClickException("--max-facets is required for spheres")
         try:
-            for sig in mk.enumerate_spheres(dim, max_facets):
-                click.echo(sig)
+            sigs = mk.enumerate_spheres(dim, max_facets)
         except ValueError as e:
-            # the generator checks its cap when first advanced
             raise click.ClickException(str(e))
+        for sig in sigs:
+            click.echo(sig)
     else:
         for sig in mk.enumerate_subcomplexes(standard_simplex(dim)):
             click.echo(sig)

@@ -7,10 +7,10 @@ per generator and the matching uppercase letter for its inverse, e.g.
 
 The fundamental group of a complex is presented relative to a
 contractible 2-subcomplex grown from a spanning tree, so few generators
-reach Tietze simplification, a plain loop that rewrites every relator
-after each move.  Everything here is deterministic: simplification
-applies the first applicable rewrite in a fixed scan order, so equal
-inputs yield equal traces and results.
+reach Tietze simplification, a plain loop that rewrites the relators
+a move touches and re-sorts them all.  Everything here is
+deterministic: simplification applies the first applicable rewrite in
+a fixed scan order, so equal inputs yield equal traces and results.
 """
 
 from __future__ import annotations
@@ -206,18 +206,34 @@ def _once(r: Word) -> int:
     return min((g for g, c in counts.items() if c == 1), default=0)
 
 
-def _sorted_unique(relators: Iterable[Word]) -> List[Word]:
-    """The nonempty relators sorted by (length, word), keeping the first
-    of each key: the least rotation of the word or of its inverse."""
+def _renumber(w: Word, g: int) -> Word:
+    """``w`` with the letters above generator ``g`` moved down one place."""
+    return tuple(y - (y > g) + (y < -g) for y in w)
+
+
+def _order(r: Word) -> Tuple[int, Word]:
+    return len(r), r
+
+
+def _rotations(r: Word) -> Set[Word]:
+    """The rotations of ``r`` and of its inverse: the least is its key."""
+    return {w[i:] + w[:i] for w in (r, inverse_word(r)) for i in range(len(r))}
+
+
+def _merge(kept: List[Word], fresh: List[Word]) -> List[Word]:
+    """The nonempty relators of both lists sorted by (length, word),
+    keeping the first of each key.  ``kept`` must be sorted and unique
+    already: only its relators sharing a key with a fresh one are keyed
+    again."""
+    taken = set().union(*map(_rotations, fresh))
+    out = [w for w in kept if w not in taken]
     seen: Set[Word] = set()
-    out = []
-    for r in sorted(relators, key=lambda r: (len(r), r)):
-        key = min((w[i:] + w[:i] for w in (r, inverse_word(r)) for i in range(len(r))),
-                  default=())
+    for r in sorted(fresh + [w for w in kept if w in taken], key=_order):
+        key = min(_rotations(r), default=())
         if r and key not in seen:
             seen.add(key)
             out.append(r)
-    return out
+    return sorted(out, key=_order)
 
 
 def _shortenings(relators: List[Word]) -> Iterator[Tuple[Word, Word]]:
@@ -226,7 +242,7 @@ def _shortenings(relators: List[Word]) -> Iterator[Tuple[Word, Word]]:
     for r1 in relators:
         if len(r1) < 2:
             continue
-        variants = sorted({w[i:] + w[:i] for w in (r1, inverse_word(r1)) for i in range(len(w))})
+        variants = sorted(_rotations(r1))
         half = len(r1) // 2 + 1
         for r2 in relators:
             if r2 == r1 or len(r2) < half:
@@ -244,7 +260,7 @@ def tietze_simplify(
     p: FinitePresentation, budget: int = 10000
 ) -> Tuple[FinitePresentation, List[str]]:
     """Deterministic greedy simplification, in a plain loop that
-    rewrites, renumbers and re-sorts every relator after each move.
+    rewrites the relators a move touches, then renumbers and re-sorts.
 
     Moves, in scan priority: discard empty and duplicate relators;
     cyclically reduce; eliminate a generator that occurs exactly once in
@@ -255,7 +271,7 @@ def tietze_simplify(
     """
     before = abelianization(p)
     num = p.num_generators
-    relators = _sorted_unique(cyclic_reduce(r) for r in p.relators)
+    relators = _merge([], [cyclic_reduce(r) for r in p.relators])
     trace: List[str] = []
     while len(trace) < budget:
         move = next(((r, g) for r in relators for g in [_once(r)] if g), None)
@@ -268,11 +284,13 @@ def tietze_simplify(
                 image = free_reduce(inverse_word(u) + inverse_word(v))
             else:
                 image = free_reduce(v + u)
-            # letters above g move down one place
-            relators = _sorted_unique(
-                tuple(y - (y > g) + (y < -g) for y in cyclic_reduce(_substitute(w, g, image)))
-                for w in relators if w != r
-            )
+            # only the relators holding +-g are rewritten; letters above
+            # g move down one place, which keeps the order and keys of
+            # the others
+            held = {w for w in relators if g in w or -g in w}
+            relators = _merge(
+                [_renumber(w, g) for w in relators if w not in held],
+                [_renumber(cyclic_reduce(_substitute(w, g, image)), g) for w in held if w != r])
             num -= 1
             trace.append(f"eliminate generator {g} using relator of length {len(r)}")
             continue
@@ -280,7 +298,7 @@ def tietze_simplify(
         if move is None:
             break
         old, new = move
-        relators = _sorted_unique([new if w == old else w for w in relators])
+        relators = _merge([w for w in relators if w != old], [new])
         trace.append(f"shorten relator {len(old)} -> {len(new)}")
 
     out = FinitePresentation(num, tuple(relators))

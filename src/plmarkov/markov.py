@@ -437,9 +437,15 @@ def enumerate_spheres(n: int, max_facets: int) -> Iterator[str]:
     under its cached automorphisms.  The first neighbour in each
     isomorphism class is the first of its orbit, so the output is that
     of applying every move, even if the automorphisms span a subgroup.
+    A cap below the minimal sphere raises ValueError at the call, not
+    when the iterator is first advanced.
     """
     if n < 1 or max_facets < n + 2:
         raise ValueError("cap must admit the minimal sphere")
+    return _sphere_closure(n, max_facets)
+
+
+def _sphere_closure(n: int, max_facets: int) -> Iterator[str]:
     start = simplex_sphere(n)
     seen = IsoIndex()
     seen.add(start)

@@ -216,11 +216,14 @@ def _spanning_tree_of_m(text):
 
 
 @pytest.mark.parametrize("build", [
+    lambda: edge_path_presentation_spanning_tree(torus_9()),
+    lambda: edge_path_presentation_spanning_tree(projective_plane_6()),
     lambda: edge_path_presentation(torus_9()),
     lambda: edge_path_presentation(projective_plane_6()),
     lambda: _spanning_tree_of_m("g|g"),
     lambda: _spanning_tree_of_m("a,b|ab,b"),
-], ids=["torus_9", "projective_plane_6", "M(g|g)", "M(a,b|ab,b)"])
+], ids=["torus_9", "projective_plane_6", "torus_9-collapsed",
+        "projective_plane_6-collapsed", "M(g|g)", "M(a,b|ab,b)"])
 def test_simplify_matches_reference_loop_on_edge_path_presentations(build):
     p = build()
     got = tietze_simplify(p)

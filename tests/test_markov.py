@@ -364,6 +364,10 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_spheres(2, 3))
 
+    def test_tight_cap_rejected_before_the_first_signature(self):
+        with pytest.raises(ValueError, match="cap must admit the minimal sphere"):
+            enumerate_spheres(2, 3)
+
     def test_edge_subcomplexes(self):
         sigs = list(enumerate_subcomplexes(standard_simplex(1)))
         assert len(sigs) == len(set(sigs)) == 3

@@ -122,10 +122,12 @@ def parse_expression(text: str) -> cc.Complex:
 
 def _load(path: str) -> cc.Complex:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise click.ClickException(str(e))
+    except UnicodeDecodeError as e:
+        raise click.ClickException("%s: not UTF-8 text: %s" % (path, e))
     try:
         return cc.loads(text)
     except (cc.InvalidComplexError, ValueError) as e:

@@ -4,8 +4,9 @@ A complex is stored by its facets (inclusion-maximal simplices); every
 face is a nonempty subset of a facet and is materialized on demand.
 ``Complex`` objects are immutable: all operations return new instances
 and cache derived data on first use, each table built in one place:
-the f-vector (counted without the sorted face table, which only the
-callers that need ordered faces build), the vertex-to-facets
+the face table of ascending label tuples (``face_tuples``; only the
+callers that need ordered faces build it, and the f-vector is counted
+without it), the vertex-to-facets
 incidence, the ridge-to-facets index behind ridge degrees, strong
 connectivity and orientation, the refinement colours, the canonical
 form, and the homology profile computed by ``invariants.homology``.
@@ -152,44 +153,46 @@ class Complex:
     def is_empty(self) -> bool:
         return not self._facets
 
-    def faces_by_dim(self) -> Dict[int, Tuple[Simplex, ...]]:
+    def face_tuples(self) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
+        """The face table: per dimension, every face as its ascending
+        label tuple, in label order (the facet order within a dimension).
+        Built once and cached; homology, the boundary matrices and the
+        edge-path presentation read it directly."""
         if "faces" not in self._cache:
-            table: Dict[int, set] = {}
-            for f in self._facets:
-                fl = sorted(f)
-                for k in range(1, len(fl) + 1):
-                    bucket = table.setdefault(k - 1, set())
-                    for c in itertools.combinations(fl, k):
-                        bucket.add(frozenset(c))
-            self._cache["faces"] = {
-                k: tuple(sorted(v, key=_facet_sort_key)) for k, v in sorted(table.items())
-            }
+            self._cache["faces"] = {k: tuple(sorted(s)) for k, s in enumerate(self._face_sets())}
         return self._cache["faces"]
 
+    def _face_sets(self) -> List[set]:
+        """Every face as a label tuple, in one set per dimension."""
+        faces: List[set] = [set() for _ in range(self.dim + 1)]
+        for f in self._facets:
+            fl = sorted(f)
+            for k in range(1, len(fl) + 1):
+                faces[k - 1].update(itertools.combinations(fl, k))
+        return faces
+
+    def faces_by_dim(self) -> Dict[int, Tuple[Simplex, ...]]:
+        """The face table with each face as a frozenset, built afresh
+        on every call from ``face_tuples``."""
+        return {k: tuple(map(frozenset, fs)) for k, fs in self.face_tuples().items()}
+
     def faces(self, k: Optional[int] = None) -> Tuple[Simplex, ...]:
-        table = self.faces_by_dim()
-        if k is not None:
-            return table.get(k, ())
-        return tuple(itertools.chain.from_iterable(table[d] for d in sorted(table)))
+        """The k-faces (all faces when k is None, by dimension) as
+        frozensets in label order, built afresh from ``face_tuples``."""
+        table = self.face_tuples()
+        fs = table.get(k, ()) if k is not None else itertools.chain.from_iterable(table.values())
+        return tuple(map(frozenset, fs))
 
     def has_face(self, s: Iterable[int]) -> bool:
         s = frozenset(s)
         return any(s <= f for f in self._facets_through(s))
 
     def f_vector(self) -> Tuple[int, ...]:
-        """Face counts per dimension; counts the sorted face table when
-        one is built and otherwise builds none."""
+        """Face counts per dimension; counts the face table when one is
+        built and otherwise builds none."""
         if "f_vector" not in self._cache:
-            if "faces" in self._cache:
-                counts = tuple(map(len, self._cache["faces"].values()))
-            else:
-                faces: List[set] = [set() for _ in range(self.dim + 1)]
-                for f in self._facets:
-                    fl = sorted(f)
-                    for k in range(1, len(fl) + 1):
-                        faces[k - 1].update(itertools.combinations(fl, k))
-                counts = tuple(len(s) for s in faces)
-            self._cache["f_vector"] = counts
+            table = self._cache.get("faces")
+            self._cache["f_vector"] = tuple(map(len, table.values() if table else self._face_sets()))
         return self._cache["f_vector"]
 
     def euler_characteristic(self) -> int:
@@ -686,12 +689,15 @@ def validate(facets: Iterable[Iterable[int]]) -> Complex:
     """Check raw facet data and return the complex it describes.
 
     Raises InvalidComplexError on an empty facet list, an empty facet,
-    non-integer labels, duplicate facets, or a facet contained in
-    another.  Labels are preserved.
+    a facet that repeats a vertex, non-integer labels, duplicate facets,
+    or a facet contained in another.  Labels are preserved.
     """
-    facets = list(facets)
+    facets = [list(f) for f in facets]
     if not facets:
         raise InvalidComplexError("a complex needs at least one facet")
+    for f in facets:
+        if len(set(f)) != len(f):
+            raise InvalidComplexError(f"facet {f} repeats a vertex")
     return Complex(facets)
 
 

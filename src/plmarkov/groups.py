@@ -432,9 +432,10 @@ def edge_path_presentation(cx: Complex) -> FinitePresentation:
         raise ValueError("empty complex has no fundamental group")
     verts = cx.vertices
     basepoint = verts[0]
-    # the face table lists the edges in label order, so every adjacency
-    # list comes out ascending
-    edges = [tuple(sorted(e)) for e in cx.faces(1)]
+    # the face table lists the edges as label tuples in label order, so
+    # every adjacency list comes out ascending
+    faces = cx.face_tuples()
+    edges = faces.get(1, ())
     adj: Dict[int, List[int]] = {v: [] for v in verts}
     for a, b in edges:
         adj[a].append(b)
@@ -453,7 +454,7 @@ def edge_path_presentation(cx: Complex) -> FinitePresentation:
     if len(order) != len(verts):
         raise ValueError("edge-path presentation needs a connected complex")
     trivial = {tuple(sorted((v, parent[v]))) for v in order[1:]}
-    triangles = [tuple(sorted(t)) for t in cx.faces(2)]
+    triangles = faces.get(2, ())
     cofaces: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
     for t in triangles:
         a, b, c = t

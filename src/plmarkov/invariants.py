@@ -3,8 +3,10 @@
 All arithmetic is exact over Python ints, so torsion coefficients of
 any size are safe.  Matrices are sparse throughout: each row is a list
 of (column, value) pairs with distinct columns, ascending as every
-builder here emits them, and no dense matrix is ever built.  The
-elimination copies the rows into {column: value} dicts, skipping zero
+builder here emits them, and no dense matrix is ever built.  Boundary
+matrices and face counts are read off the complex's one face table
+(``Complex.face_tuples``): each face is its ascending label tuple, in
+label order, and its own faces are its slices.  The elimination copies the rows into {column: value} dicts, skipping zero
 values, with a column -> rows index, and works in two passes.  The unit
 pass walks the rows lowest first and, where a row has a +-1 entry,
 pivots on the one whose column holds the fewest rows (a Markowitz-style
@@ -122,14 +124,16 @@ def smith_diagonal(rows: Sequence[Row], units: Optional[Set[int]] = None) -> Lis
 
 
 def boundary_matrix(cx: Complex, k: int) -> List[Row]:
-    """The k-th boundary operator, one row per sorted (k-1)-face, in the
-    basis of sorted k-faces, each simplex oriented by ascending labels."""
-    faces = cx.faces_by_dim()
+    """The k-th boundary operator, one row per (k-1)-face, in the basis
+    of k-faces, each in the order of the face table and oriented by
+    ascending labels; dropping position i of a face tuple gives the face
+    of sign (-1)^i."""
+    faces = cx.face_tuples()
     index = {f: i for i, f in enumerate(faces.get(k - 1, ()))}
     rows: List[Row] = [[] for _ in index]
     for j, f in enumerate(faces.get(k, ())):
-        for pos, v in enumerate(sorted(f)):
-            rows[index[f - {v}]].append((j, -1 if pos % 2 else 1))
+        for i in range(len(f)):
+            rows[index[f[:i] + f[i + 1:]]].append((j, -1 if i % 2 else 1))
     return rows
 
 
@@ -210,8 +214,7 @@ def homology(cx: Complex) -> HomologyProfile:
     if cached is not None:
         return cached
     top = cx.dim
-    faces = cx.faces_by_dim()
-    fvec = [len(faces[k]) for k in range(top + 1)]
+    fvec = [len(fs) for fs in cx.face_tuples().values()]
     snf: Dict[int, List[int]] = {}
     lower = None
     units: Set[int] = set()  # unit pivot columns of d_{k-1}

@@ -66,10 +66,25 @@ def orientable_exhaustive(cx: Complex, max_facets: int = 12) -> bool:
     return False
 
 
+def faces_by_dim_key_sorted(cx: Complex) -> Dict[int, Tuple[Simplex, ...]]:
+    """``Complex.faces_by_dim`` before the tuple face table: every face
+    of every facet as a frozenset, sorted per dimension under the facet
+    sort key (size, then ascending labels)."""
+    table: Dict[int, set] = {}
+    for f in cx.facets:
+        fl = sorted(f)
+        for k in range(1, len(fl) + 1):
+            bucket = table.setdefault(k - 1, set())
+            for c in itertools.combinations(fl, k):
+                bucket.add(frozenset(c))
+    return {k: tuple(sorted(v, key=lambda f: (len(f), tuple(sorted(f)))))
+            for k, v in sorted(table.items())}
+
+
 def betti_over_rationals(cx: Complex) -> list:
     """Rational Betti numbers from boundary-matrix ranks via exact
     Gaussian elimination over the rationals (no torsion information)."""
-    faces = cx.faces_by_dim()
+    faces = faces_by_dim_key_sorted(cx)
     dims = sorted(faces)
     index = {d: {f: i for i, f in enumerate(faces[d])} for d in dims}
 
@@ -821,7 +836,7 @@ def boundary_matrix_dense(cx: Complex, k: int) -> List[List[int]]:
     """Matrix of the k-th boundary operator as a dense list of rows, in
     the bases of sorted k-faces and (k-1)-faces, each simplex oriented
     by ascending labels."""
-    faces = cx.faces_by_dim()
+    faces = faces_by_dim_key_sorted(cx)
     rows_basis = faces.get(k - 1, ())
     cols_basis = faces.get(k, ())
     index = {f: i for i, f in enumerate(rows_basis)}
@@ -854,7 +869,7 @@ def homology_per_degree(cx: Complex) -> HomologyProfile:
     if cx.is_empty:
         return HomologyProfile(())
     top = cx.dim
-    faces = cx.faces_by_dim()
+    faces = faces_by_dim_key_sorted(cx)
     fvec = [len(faces[k]) for k in range(top + 1)]
     snf = {0: [], top + 1: []}
     for k in range(1, top + 1):

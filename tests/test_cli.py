@@ -101,6 +101,21 @@ class TestInvariants:
         assert r.exit_code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["invariants", "{}"],
+    ["check", "{}", "--what", "closed", "--budget", "10"],
+    ["convert", "{}", "--to", "text"],
+    ["search-equiv", "{}", "{}", "--budget", "10"],
+], ids=["invariants", "check", "convert", "search-equiv"])
+def test_a_file_that_is_not_utf8_is_a_named_error(runner, tmp_path, args):
+    path = tmp_path / "bad.cx"
+    path.write_bytes(b"\xff\xfe0 1")
+    r = runner.invoke(main, [str(path) if a == "{}" else a for a in args])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("Error: %s: not UTF-8 text: " % path)
+
+
 class TestCheck:
     def test_closed_yes(self, runner, sphere_file):
         r = runner.invoke(main, ["check", sphere_file,

@@ -37,6 +37,7 @@ from oracles import (
     canonical_pair_unpruned,
     check_maximal_pairwise,
     derived_subdivision_recursive,
+    faces_by_dim_key_sorted,
     is_connected,
     is_strongly_connected_own_map,
     iso_exhaustive,
@@ -707,6 +708,36 @@ def test_f_vector_counts_the_face_table(cx, table_first):
     counts = cx.f_vector()
     assert counts == tuple(len(cx.faces(k)) for k in range(cx.dim + 1))
     assert counts == Complex(cx.facets).f_vector()
+
+
+def gate4_manifold(text):
+    return realize_boundary(parse_presentation(text), 4)
+
+
+@given(small_complexes())
+@example(Complex(()))
+@example(validate([[0, 1, 2], [2, 3], [3, 4, 5, 6], [7]]))
+@example(gate4_manifold("|"))
+@example(gate4_manifold("g|g"))
+@example(gate4_manifold("g|gg"))
+@example(gate4_manifold("a,b|a,b"))
+@example(gate4_manifold("a,b|ab,b"))
+@example(gate4_manifold("a,b|abAB"))
+def test_face_table_matches_the_key_sorted_oracle(cx):
+    cx = Complex._from_trusted(cx.facets)  # a fresh cache
+    want = faces_by_dim_key_sorted(cx)
+    by_dim = cx.faces_by_dim()
+    assert list(by_dim) == list(want) and by_dim == want
+    # one cached table, of ascending label tuples in the same order
+    assert list(cx._cache) == ["faces"]
+    table = cx.face_tuples()
+    assert list(table) == list(want)
+    for k, fs in want.items():
+        assert table[k] == tuple(tuple(sorted(f)) for f in fs)
+    assert cx.faces() == tuple(itertools.chain.from_iterable(want.values()))
+    for k in range(-1, cx.dim + 2):
+        assert cx.faces(k) == want.get(k, ())
+    assert list(cx._cache) == ["faces"]
 
 
 @st.composite

@@ -162,3 +162,22 @@ def test_deeply_nested_json_is_an_invalid_complex():
 def test_deeply_nested_expression_is_an_expression_error():
     with pytest.raises(ExpressionError, match="nested too deeply"):
         parse_expression("cone(" * 3000 + "ball(1)" + ")" * 3000)
+
+
+# A facet that lists a label twice is rejected, not read as a smaller
+# simplex.
+
+@pytest.mark.parametrize("text", [
+    "0 0 1",
+    "0 1 2\n3 4 3",
+    '{"facets": [[0, 0, 1]]}',
+    '{"facets": [[0, 1, 2], [3, 4, 3]]}',
+])
+def test_a_facet_that_repeats_a_vertex_is_an_invalid_complex(text):
+    with pytest.raises(InvalidComplexError, match=r"repeats a vertex"):
+        loads(text)
+
+
+def test_the_repeated_facet_is_named():
+    with pytest.raises(InvalidComplexError, match=r"^facet \[0, 0, 1\] repeats a vertex$"):
+        from_text("0 0 1")

@@ -180,8 +180,9 @@ class Complex:
         """The k-faces (all faces when k is None, by dimension) as
         frozensets in label order, built afresh from ``face_tuples``."""
         table = self.face_tuples()
-        fs = table.get(k, ()) if k is not None else itertools.chain.from_iterable(table.values())
-        return tuple(map(frozenset, fs))
+        if k is not None:
+            return tuple(map(frozenset, table.get(k, ())))
+        return tuple(map(frozenset, itertools.chain.from_iterable(table.values())))
 
     def has_face(self, s: Iterable[int]) -> bool:
         s = frozenset(s)
@@ -192,7 +193,8 @@ class Complex:
         built and otherwise builds none."""
         if "f_vector" not in self._cache:
             table = self._cache.get("faces")
-            self._cache["f_vector"] = tuple(map(len, table.values() if table else self._face_sets()))
+            sets = table.values() if table is not None else self._face_sets()
+            self._cache["f_vector"] = tuple(map(len, sets))
         return self._cache["f_vector"]
 
     def euler_characteristic(self) -> int:

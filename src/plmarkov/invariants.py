@@ -6,8 +6,9 @@ of (column, value) pairs with distinct columns, ascending as every
 builder here emits them, and no dense matrix is ever built.  Boundary
 matrices and face counts are read off the complex's one face table
 (``Complex.face_tuples``): each face is its ascending label tuple, in
-label order, and its own faces are its slices.  The elimination copies the rows into {column: value} dicts, skipping zero
-values, with a column -> rows index, and works in two passes.  The unit
+label order, and its own faces are its slices.  The elimination
+copies the rows into {column: value} dicts, skipping zero values, with
+a column -> rows index, and works in two passes.  The unit
 pass walks the rows lowest first and, where a row has a +-1 entry,
 pivots on the one whose column holds the fewest rows (a Markowitz-style
 rule against fill-in): exact row steps clear the pivot's column, after

@@ -102,15 +102,15 @@ class TestInvariants:
 
 
 @pytest.mark.parametrize("args", [
-    ["invariants", "{}"],
-    ["check", "{}", "--what", "closed", "--budget", "10"],
-    ["convert", "{}", "--to", "text"],
-    ["search-equiv", "{}", "{}", "--budget", "10"],
+    ["invariants", "FILE"],
+    ["check", "FILE", "--what", "closed", "--budget", "10"],
+    ["convert", "FILE", "--to", "text"],
+    ["search-equiv", "FILE", "FILE", "--budget", "10"],
 ], ids=["invariants", "check", "convert", "search-equiv"])
 def test_a_file_that_is_not_utf8_is_a_named_error(runner, tmp_path, args):
     path = tmp_path / "bad.cx"
     path.write_bytes(b"\xff\xfe0 1")
-    r = runner.invoke(main, [str(path) if a == "{}" else a for a in args])
+    r = runner.invoke(main, [str(path) if a == "FILE" else a for a in args])
     assert r.exit_code == 1
     assert isinstance(r.exception, SystemExit)
     assert r.output.startswith("Error: %s: not UTF-8 text: " % path)

@@ -167,17 +167,13 @@ def test_deeply_nested_expression_is_an_expression_error():
 # A facet that lists a label twice is rejected, not read as a smaller
 # simplex.
 
-@pytest.mark.parametrize("text", [
-    "0 0 1",
-    "0 1 2\n3 4 3",
-    '{"facets": [[0, 0, 1]]}',
-    '{"facets": [[0, 1, 2], [3, 4, 3]]}',
+@pytest.mark.parametrize("text, facet", [
+    ("0 0 1", "[0, 0, 1]"),
+    ("0 1 2\n3 4 3", "[3, 4, 3]"),
+    ('{"facets": [[0, 0, 1]]}', "[0, 0, 1]"),
+    ('{"facets": [[0, 1, 2], [3, 4, 3]]}', "[3, 4, 3]"),
 ])
-def test_a_facet_that_repeats_a_vertex_is_an_invalid_complex(text):
-    with pytest.raises(InvalidComplexError, match=r"repeats a vertex"):
+def test_a_facet_that_repeats_a_vertex_is_an_invalid_complex(text, facet):
+    with pytest.raises(InvalidComplexError) as e:
         loads(text)
-
-
-def test_the_repeated_facet_is_named():
-    with pytest.raises(InvalidComplexError, match=r"^facet \[0, 0, 1\] repeats a vertex$"):
-        from_text("0 0 1")
+    assert str(e.value) == "facet %s repeats a vertex" % facet

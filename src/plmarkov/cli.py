@@ -122,7 +122,7 @@ def parse_expression(text: str) -> cc.Complex:
 
 def _load(path: str) -> cc.Complex:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as e:
         raise click.ClickException(str(e))

@@ -97,19 +97,21 @@ class Complex:
             if f in seen:
                 raise InvalidComplexError(f"duplicate facet {sorted(f)}")
             seen.add(f)
-        # A facet strictly contained in another is not maximal.  Every
-        # superset of f lies in the incidence list of each vertex of f,
-        # and the lists grow in size-descending order, so the first hit
-        # is the first superset in that order.
-        at: Dict[int, List[Simplex]] = {}
-        for f in sorted(raw, key=len, reverse=True):
-            for g in min((at.get(v, ()) for v in f), key=len):
-                if f < g:
-                    raise InvalidComplexError(
-                        f"facet {sorted(f)} is contained in facet {sorted(g)}"
-                    )
-            for v in f:
-                at.setdefault(v, []).append(f)
+        # A facet strictly contained in another is not maximal.  A strict
+        # subset is smaller, so facets of one size cannot nest and need
+        # no scan.  Otherwise every superset of f lies in the incidence
+        # list of each vertex of f, and the lists grow in size-descending
+        # order, so the first hit is the first superset in that order.
+        if len({len(f) for f in raw}) > 1:
+            at: Dict[int, List[Simplex]] = {}
+            for f in sorted(raw, key=len, reverse=True):
+                for g in min((at.get(v, ()) for v in f), key=len):
+                    if f < g:
+                        raise InvalidComplexError(
+                            f"facet {sorted(f)} is contained in facet {sorted(g)}"
+                        )
+                for v in f:
+                    at.setdefault(v, []).append(f)
         self._facets: Tuple[Simplex, ...] = tuple(sorted(raw, key=_facet_sort_key))
         self._cache: dict = {}
 

@@ -222,10 +222,11 @@ def surgery(m: Complex, c: PositionedCurve) -> Complex:
     curve x link is kept and refilled with cone(curve) x link, which
     raises the Euler characteristic by 2 in even ambient dimension.
     The curve's ambient may be a re-triangulation of m; the two are
-    sanity-checked by Euler characteristic before cutting.
+    sanity-checked by Euler characteristic before cutting.  An ambient
+    that is m itself needs no recount.
     """
     amb = c.ambient
-    if amb.euler_characteristic() != m.euler_characteristic():
+    if amb is not m and amb.euler_characteristic() != m.euler_characteristic():
         raise ValueError("curve ambient does not match the given complex")
     return do_surgery(amb, list(c.sections), c.model, c.center)
 

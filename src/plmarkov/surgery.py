@@ -17,7 +17,9 @@ vertices never reuse a welded one's label.  A tube whose torus is
 already a plain product is the zero-move certificate: its cap is the
 staircase cap alone.  Every product cell here, of a tube, a prism layer
 or a cap, comes from ``builders.staircase``, and ``chunk`` collects them
-over the facets of a fiber.
+over the facets of a fiber.  Cells are frozensets, but the face sets
+that the tube check and the shell stack compare hold each face as its
+ascending label tuple, the form of ``Complex.face_tuples``.
 
 Certificates for twisted tori mostly need no search.  Composing the edge
 pairings around the ring turns every band into an identity-paired
@@ -135,8 +137,10 @@ def resolve_tube(m, sections, ball):
     not in product position there.
     """
     n = len(sections)
-    have = frozenset(m.facets)
-    idx = _coface_index(have)
+    # every key _detect_hi looks up is a set of section vertices, so
+    # facets missing them all add no key it could ask for
+    near = {v for sec in sections for v in sec.values()}
+    idx = _coface_index(f for f in m.facets if not near.isdisjoint(f))
     edges = []
     cells = set()
     for i in range(n):
@@ -177,19 +181,21 @@ def verify_tube(m, tube, lk):
         raise ValueError("tube boundary is not the expected torus")
     nverts = set(nc.vertices)
     interior = _faces(tube.cells) - _faces(torus.facets)
+    # a facet missing the tube's vertices shares no face with it
     for f in m.facets:
-        if f not in tube.cells and _faces([f & nverts]) & interior:
+        if (not nverts.isdisjoint(f) and f not in tube.cells
+                and _faces([f & nverts]) & interior):
             raise ValueError(f"outside facet {sorted(f)} meets the tube interior")
     return torus
 
 
 def _faces(cells):
-    """Every nonempty face of the cells."""
+    """Every nonempty face of the cells, as an ascending label tuple."""
     out = set()
     for cell in cells:
         verts = sorted(cell)
         for k in range(1, len(verts) + 1):
-            out.update(map(frozenset, itertools.combinations(verts, k)))
+            out.update(itertools.combinations(verts, k))
     return out
 
 
@@ -355,7 +361,7 @@ def shell_cap(tube, lk, torus, alloc):
             raise ValueError("shell stack collided")
         cap |= ball
         if mv.kind == "S":
-            gone.add(frozenset(amb[v] for v in s))
+            gone.add(tuple(sorted(amb[v] for v in s)))
         surface = nxt
 
     iso = dict(zip(surface.vertices, relabel or surface.vertices))

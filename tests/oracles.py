@@ -21,8 +21,8 @@ from plmarkov.invariants import (HomologyGroup, HomologyProfile, boundary_matrix
 from plmarkov.stellar_moves import (StellarMove, _link_factor, search_equivalence,
                                     stellar_subdivide, stellar_weld, subdivision_candidates,
                                     weld_candidates, weld_parts)
-from plmarkov.surgery import (_SEARCH_BUDGET, _chart_bands, _oriented, chunk, lateral_cells,
-                              resolve_tube, staircase_cap, verify_tube)
+from plmarkov.surgery import (_SEARCH_BUDGET, Tube, _chart_bands, _coface_index, _detect_hi,
+                              _oriented, chunk, lateral_cells, staircase_cap)
 
 
 def iso_exhaustive(a: Complex, b: Complex, max_vertices: int = 8) -> bool:
@@ -1845,18 +1845,71 @@ def _shell_cap_two_closings(tube, lk, alloc):
            else {v: v for v in surface.vertices})
     back = {tv: amb[sv] for sv, tv in iso.items()}
     secs = [{s: chart[(i, s)] for s in lk.vertices} for i in range(n)]
-    ref_tube = resolve_tube(target, secs, Complex(lk.facets))
+    ref_tube = resolve_tube_full_index(target, secs, Complex(lk.facets))
     ends = [({s: back[a[s]] for s in a}, {s: back[b[s]] for s in b})
             for a, b in _oriented(ref_tube.edges)]
     return cap | staircase_cap(ends, lk, alloc)
 
 
+def resolve_tube_full_index(m: Complex, sections, ball: Complex) -> Tube:
+    """``surgery.resolve_tube`` with the coface index over every facet
+    of m."""
+    n = len(sections)
+    have = frozenset(m.facets)
+    idx = _coface_index(have)
+    edges = []
+    cells = set()
+    for i in range(n):
+        lo = sections[i]
+        vnext = frozenset(sections[(i + 1) % n].values())
+        hit = None
+        for forward in (True, False):
+            found = _detect_hi(idx, lo, vnext, ball, forward)
+            if len(found) > 1:
+                raise ValueError(f"ambiguous continuation at edge {i}")
+            if found:
+                hit = (found[0], 1 if forward else -1)
+                break
+        if hit is None:
+            raise ValueError(f"curve is not in product position at edge {i}")
+        hi, flag = hit
+        ch = chunk([lo, hi] if flag > 0 else [hi, lo], ball.facets)
+        edges.append((lo, hi, flag))
+        cells |= ch
+    return Tube(edges, cells)
+
+
+def _frozenset_faces(cells) -> set:
+    """Every nonempty face of the cells, as a frozenset."""
+    out = set()
+    for cell in cells:
+        verts = sorted(cell)
+        for k in range(1, len(verts) + 1):
+            out.update(map(frozenset, itertools.combinations(verts, k)))
+    return out
+
+
+def verify_tube_frozenset_faces(m: Complex, tube: Tube, lk: Complex) -> Complex:
+    """``surgery.verify_tube`` with frozenset faces, testing every
+    outside facet of m."""
+    torus = Complex(lateral_cells(_oriented(tube.edges), lk))
+    nc = Complex(tube.cells)
+    if frozenset(nc.boundary().facets) != frozenset(torus.facets):
+        raise ValueError("tube boundary is not the expected torus")
+    nverts = set(nc.vertices)
+    interior = _frozenset_faces(tube.cells) - _frozenset_faces(torus.facets)
+    for f in m.facets:
+        if f not in tube.cells and _frozenset_faces([f & nverts]) & interior:
+            raise ValueError(f"outside facet {sorted(f)} meets the tube interior")
+    return torus
+
+
 def do_surgery_three_routes(m: Complex, sections, ball: Complex, center: int) -> Complex:
     """Surgery that caps a plain tube straight with the staircase cap and
     a twisted one through the scripted or the searched shell stack."""
-    tube = resolve_tube(m, sections, ball)
+    tube = resolve_tube_full_index(m, sections, ball)
     lk = ball.link([center])
-    verify_tube(m, tube, lk)
+    verify_tube_frozenset_faces(m, tube, lk)
     alloc = itertools.count(m.vertices[-1] + 1).__next__
     if _is_plain_tube(tube):
         cells = staircase_cap(_oriented(tube.edges), lk, alloc)

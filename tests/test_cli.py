@@ -116,6 +116,25 @@ def test_a_file_that_is_not_utf8_is_a_named_error(runner, tmp_path, args):
     assert r.output.startswith("Error: %s: not UTF-8 text: " % path)
 
 
+@pytest.mark.parametrize("args", [
+    ["invariants", "FILE"],
+    ["convert", "FILE", "--to", "text"],
+], ids=["invariants", "convert"])
+@pytest.mark.parametrize("dump", [cc.to_text, lambda cx: json.dumps(cc.to_json_obj(cx))],
+                         ids=["text", "json"])
+def test_a_byte_order_mark_is_skipped(runner, tmp_path, args, dump):
+    # some editors start a UTF-8 file with the mark EF BB BF
+    body = dump(sphere_product(1, 2)).encode()
+    outs = []
+    for name, data in (("plain.cx", body), ("marked.cx", b"\xef\xbb\xbf" + body)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        r = runner.invoke(main, [str(path) if a == "FILE" else a for a in args])
+        assert r.exit_code == 0, r.output
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
+
+
 class TestCheck:
     def test_closed_yes(self, runner, sphere_file):
         r = runner.invoke(main, ["check", sphere_file,

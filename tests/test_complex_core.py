@@ -673,6 +673,20 @@ def facet_lists(draw):
     return facets
 
 
+@st.composite
+def one_size_facet_lists(draw):
+    """Raw facet lists of one facet size, some with permuted duplicates."""
+    size = draw(st.integers(1, 4))
+    facets = draw(st.lists(
+        st.lists(st.integers(0, 6), min_size=size, max_size=size, unique=True),
+        min_size=1, max_size=8,
+    ))
+    for _ in range(draw(st.integers(0, 2))):
+        f = draw(st.sampled_from(facets))
+        facets.insert(draw(st.integers(0, len(facets))), draw(st.permutations(f)))
+    return facets
+
+
 def _outcome(fn, *args):
     try:
         return ("ok", fn(*args))
@@ -680,16 +694,21 @@ def _outcome(fn, *args):
         return ("error", str(e))
 
 
-@given(facet_lists())
+@given(st.one_of(facet_lists(), one_size_facet_lists()))
 @example([[0, 1, 2], [1, 2], [0, 1, 2, 3]])
 @example([[4, 5], [0, 1, 2], [1, 2, 3], [1, 2], [2, 3]])
 @example([[0, 1], [1, 0], [0]])
+@example([[0, 1, 2], [2, 1, 0]])
+@example([[0, 1], [2, 3]])
+@example([[3, 4, 5], [0, 1, 2], [5, 1, 0]])
 def test_construction_errors_match_pairwise_check(facets):
     got = _outcome(Complex, facets)
     want = _outcome(check_maximal_pairwise, facets)
     assert got[0] == want[0]
     if got[0] == "error":
         assert got[1] == want[1]
+    else:
+        assert got[1].facets == Complex._from_trusted(map(frozenset, facets)).facets
 
 
 @given(small_complexes())

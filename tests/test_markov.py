@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -198,6 +199,25 @@ class TestSurgery:
         c = realize_curve((m, marks), (1,))
         with pytest.raises(ValueError):
             surgery(simplex_sphere(4), c)
+
+    def test_planted_ambient_of_another_euler_characteristic_rejected(self):
+        m, marks = handlebody_boundary(1, 4)
+        c = realize_curve((m, marks), ())
+        assert c.ambient is not m
+        assert betti_numbers(surgery(m, c)) == (1, 1, 2, 1, 1)
+        # one more summand moves chi by -2, and the sections are never read
+        bad = dataclasses.replace(c, ambient=connected_sum(c.ambient, sphere_product(1, 3)))
+        with pytest.raises(ValueError, match="curve ambient does not match the given complex"):
+            surgery(m, bad)
+
+    def test_ambient_identical_to_m_needs_no_recount(self):
+        m, marks = handlebody_boundary(1, 4)
+        c = realize_curve((m, marks), (1,))
+        assert c.ambient is m
+        with mock.patch.object(Complex, "euler_characteristic",
+                               side_effect=AssertionError("recounted")):
+            out = surgery(m, c)
+        assert out == markov.do_surgery(m, list(c.sections), c.model, c.center)
 
 
 WORDS = st.sampled_from([(1,), (-1,), (2,), (-2,), (1, 2), (2, 1),

@@ -14,8 +14,9 @@ from plmarkov.invariants import betti_numbers
 from plmarkov.stellar_moves import (Certificate, StellarMove, stellar_subdivide,
                                     subdivision_candidates)
 
-from oracles import (do_surgery_three_routes, shell_cap_full_rebuild,
-                     staircase_cap_triple_loop)
+from oracles import (do_surgery_three_routes, resolve_tube_full_index,
+                     shell_cap_full_rebuild, staircase_cap_triple_loop,
+                     verify_tube_frozenset_faces)
 
 ROTATION = {0: 0, 1: 2, 2: 3, 3: 1}
 
@@ -24,6 +25,9 @@ ROTATION = {0: 0, 1: 2, 2: 3, 3: 1}
 # move path joins to the reference torus) and the two rotations
 SEAMS = [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 0, 1: 2, 2: 1, 3: 3},
          ROTATION, {0: 0, 1: 3, 2: 1, 3: 2}]
+
+# the presentations whose 15 surgeries the pipeline oracles replay
+PIPELINE = ("|", "g|g", "g|gg", "a,b|a,b", "a,b|ab,b", "a,b|abAB")
 
 
 def rotated_mapping_torus(m):
@@ -102,7 +106,7 @@ def test_pipeline_caps_match_the_three_route_oracle(monkeypatch):
         return out
 
     monkeypatch.setattr(markov, "do_surgery", both)
-    for text in ("|", "g|g", "g|gg", "a,b|a,b", "a,b|ab,b", "a,b|abAB"):
+    for text in PIPELINE:
         markov.realize_boundary(parse_presentation(text), 4)
     assert len(checked) == 15
 
@@ -116,6 +120,88 @@ def test_outside_facet_on_the_tube_interior_is_rejected():
     stray = Complex(list(cx.facets) + [[secs[0][0], 100, 101, 102]])
     with pytest.raises(ValueError, match="meets the tube interior"):
         surgery.verify_tube(stray, tube, lk)
+
+
+def test_pipeline_tube_checks_match_the_frozenset_oracles(monkeypatch):
+    checked = []
+
+    def resolve(m, sections, ball, real=surgery.resolve_tube):
+        tube = real(m, sections, ball)
+        old = resolve_tube_full_index(m, sections, ball)
+        assert (tube.edges, tube.cells) == (old.edges, old.cells)
+        return tube
+
+    def verify(m, tube, lk, real=surgery.verify_tube):
+        torus = real(m, tube, lk)
+        assert torus.facets == verify_tube_frozenset_faces(m, tube, lk).facets
+        checked.append(m)
+        return torus
+
+    monkeypatch.setattr(surgery, "resolve_tube", resolve)
+    monkeypatch.setattr(surgery, "verify_tube", verify)
+    for text in PIPELINE:
+        markov.realize_boundary(parse_presentation(text), 4)
+    assert len(checked) == 15
+
+
+def _tube_outcome(resolve, verify, cx, secs, ball):
+    try:
+        tube = resolve(cx, secs, ball)
+        return tube.edges, tube.cells, verify(cx, tube, ball.link([0])).facets
+    except ValueError as exc:
+        return str(exc)
+
+
+def _second_arrival(cx, secs, ball, i, perm, forward):
+    """cx with a staircase chunk from section i to a permuted copy of
+    section i + 1 added beside the one already there."""
+    nxt = secs[(i + 1) % len(secs)]
+    labels = sorted(nxt)
+    twisted = {s: nxt[p] for s, p in zip(labels, perm)}
+    cols = [secs[i], twisted] if forward else [twisted, secs[i]]
+    return Complex(set(cx.facets) | surgery.chunk(cols, ball.facets))
+
+
+def _assert_tube_checks_match(cx, secs, ball):
+    got = _tube_outcome(surgery.resolve_tube, surgery.verify_tube, cx, secs, ball)
+    want = _tube_outcome(resolve_tube_full_index, verify_tube_frozenset_faces,
+                         cx, secs, ball)
+    assert got == want
+    return got
+
+
+def test_tube_check_errors_match_the_frozenset_oracles():
+    cx, secs, ball = mapping_torus(4, SEAMS[0])
+    planted = _second_arrival(cx, secs, ball, 1, (0, 2, 1, 3), True)
+    assert _assert_tube_checks_match(planted, secs, ball) == (
+        "ambiguous continuation at edge 1")
+    moved = [secs[0], secs[2], secs[1], secs[3]]
+    assert _assert_tube_checks_match(cx, moved, ball) == (
+        "curve is not in product position at edge 0")
+    stray = Complex(list(cx.facets) + [[secs[0][0], 100, 101, 102]])
+    assert "meets the tube interior" in _assert_tube_checks_match(stray, secs, ball)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 5), st.sampled_from(SEAMS), st.data())
+def test_perturbed_tube_checks_match_the_frozenset_oracles(m, psi, data):
+    cx, secs, ball = mapping_torus(m, psi)
+    i = data.draw(st.integers(0, m - 1))
+    labels = sorted(secs[i])
+    kind = data.draw(st.sampled_from(["permuted", "moved", "swapped", "planted"]))
+    if kind == "permuted":
+        perm = data.draw(st.permutations(labels))
+        secs[i] = {s: secs[i][p] for s, p in zip(labels, perm)}
+    elif kind == "moved":
+        secs[i] = dict(secs[i])
+        secs[i][data.draw(st.sampled_from(labels))] = data.draw(st.sampled_from(cx.vertices))
+    elif kind == "swapped":
+        j = data.draw(st.integers(0, m - 1))
+        secs[i], secs[j] = secs[j], secs[i]
+    else:
+        perm = data.draw(st.permutations(labels))
+        cx = _second_arrival(cx, secs, ball, i, perm, data.draw(st.booleans()))
+    _assert_tube_checks_match(cx, secs, ball)
 
 
 @settings(max_examples=40, deadline=None)

@@ -123,8 +123,12 @@ def _detect_hi(idx, lo, vnext, ball, forward):
                     del asg[s]
 
         step(0)
+        del step
 
     facet(0)
+    # the nested functions refer to themselves; dropping them here frees
+    # the coface index on return instead of at the next cycle collection
+    del facet
     return [h for h in hits if frozenset(h.values()) == vnext]
 
 

@@ -21,7 +21,7 @@ import itertools
 
 from .builders import marked_csum, ordered_product_with_chart, simplex_sphere
 from .complex_core import Complex
-from .surgery import chunk, staircase_cap
+from .surgery import _oriented, resolve_tube, staircase_cap
 
 
 def star_ball(sphere, v):
@@ -32,16 +32,16 @@ def star_ball(sphere, v):
 def product_handle(n):
     """Ring times (n-1)-sphere with core sections along fiber vertex 0.
 
-    Returns (complex, sections, ball, chart).  The core of the handle
-    is the column ring over fiber vertex 0; its sections are the star
-    of 0 carried around the three ring columns.
+    Returns (complex, sections, ball).  The core of the handle is the
+    column ring over fiber vertex 0; its sections are the star of 0
+    carried around the three ring columns.
     """
     ring = simplex_sphere(1)
     fiber = simplex_sphere(n - 1)
     amb, chart = ordered_product_with_chart(ring, fiber)
     ball = star_ball(fiber, 0)
     secs = [{s: chart[(t, s)] for s in ball.vertices} for t in range(3)]
-    return amb, secs, ball, chart
+    return amb, secs, ball
 
 
 def _avoiding_facet(cx, avoid):
@@ -60,10 +60,10 @@ def handle_chain(k, n):
     """
     if k == 0:
         return simplex_sphere(n), [], star_ball(simplex_sphere(n - 1), 0)
-    amb, secs, ball, chart = product_handle(n)
+    amb, secs, ball = product_handle(n)
     all_secs = [list(secs)]
     for _ in range(1, k):
-        nxt, nsecs, _, nchart = product_handle(n)
+        nxt, nsecs, _ = product_handle(n)
         # every tube cell contains a core-circle label, so a facet
         # clear of the cores is never cut out from under a mark
         core = {col[0] for gen in all_secs for col in gen}
@@ -88,16 +88,7 @@ def trivial_loop_prefab(n):
     lk = ball.link([0])
     solid, chart = ordered_product_with_chart(simplex_sphere(1), ball)
     secs = [{s: chart[(t, s)] for s in ball.vertices} for t in range(3)]
-    lk_secs = [{s: chart[(t, s)] for s in lk.vertices} for t in range(3)]
-    mantle = set(solid.boundary().facets)
-    bands = []
-    for i in range(3):
-        lo, hi = lk_secs[i], lk_secs[(i + 1) % 3]
-        if chunk([lo, hi], lk.facets) <= mantle:
-            bands.append((lo, hi))
-        else:
-            assert chunk([hi, lo], lk.facets) <= mantle
-            bands.append((hi, lo))
+    bands = _oriented(resolve_tube(solid, secs, ball).edges)
     fresh = itertools.count(solid.vertices[-1] + 1)
     cap = staircase_cap(bands, lk, fresh.__next__)
     prefab = Complex(set(solid.facets) | cap)

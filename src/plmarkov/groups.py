@@ -95,7 +95,6 @@ def parse_presentation(text: str) -> FinitePresentation:
             raise ValueError(f"generator name {n!r} must be one lowercase letter")
     if len(set(names)) != len(names):
         raise ValueError("repeated generator name")
-    index = {n: i + 1 for i, n in enumerate(names)}
     relators = []
     for tok in right.split(","):
         tok = tok.strip()

@@ -167,52 +167,35 @@ def realize_curve(marked: Tuple[Complex, Marks], w: Word) -> PositionedCurve:
 
     if len(w) == 0:
         avoid = frozenset(v for core in marks.cores for v in core)
-        planted, secs, ball = plant_trivial_loop(m, n, avoid)
-        path = tuple(s[0] for s in secs)
-        _check_edge_path(planted, path)
-        return PositionedCurve(w, path, ((None, (0, 3)),), "untwisted",
-                               planted, tuple(secs), ball, 0)
-
-    if len(w) == 1:
-        g = abs(w[0])
-        secs = list(marks.sections[g - 1])
-        path = tuple(marks.cores[g - 1])
-        if w[0] < 0:
-            secs = list(reversed(secs))
-            path = tuple(reversed(path))
-        _check_edge_path(m, path)
-        return PositionedCurve(w, path, ((w[0], (0, 3)),), "untwisted",
-                               m, tuple(secs), marks.model, 0)
-
-    # the corridor re-triangulations are charted against the untouched
-    # k-handle boundary; any prior surgery invalidates them
-    if len(w) == 2 and w[0] == w[1]:
+        amb, secs, ball = plant_trivial_loop(m, n, avoid)
+        blocks = ((None, (0, 3)),)
+    elif len(w) == 1:
+        amb, secs, ball = m, marks.sections[abs(w[0]) - 1], marks.model
+        blocks = ((w[0], (0, 3)),)
+    elif len(w) == 2 and w[0] == w[1]:
+        # the corridor re-triangulations are charted against the untouched
+        # k-handle boundary; any prior surgery invalidates them
         if k != 1 or n != 4 or m != marks.untouched:
             raise DepthError(w, 2)
         amb, secs, ball = double_lap_corridor()
-        path = tuple(s[0] for s in secs)
-        if w[0] < 0:
-            secs = list(reversed(secs))
-            path = tuple(reversed(path))
-        _check_edge_path(amb, path)
         blocks = ((w[0], (0, 3)), (w[1], (3, 6)))
-        return PositionedCurve(w, path, blocks, "untwisted",
-                               amb, tuple(secs), ball, 0)
-
-    rot = _commutator_rotation(w)
-    if rot is not None:
+    else:
+        rot = _commutator_rotation(w)
+        if rot is None:
+            raise DepthError(w, max(sum(1 for x in w if abs(x) == g)
+                                    for g in range(1, k + 1)))
         if k != 2 or n != 4 or m != marks.untouched:
             raise DepthError(w, 2)
         amb, secs, ball = commutator_corridor()
-        path = tuple(s[0] for s in secs)
-        _check_edge_path(amb, path)
         blocks = ((rot[0], (0, 2)), (rot[1], (2, 3)), (rot[2], (3, 4)),
-                  (rot[3], (4, 6)), (None, (6, len(path))))
-        return PositionedCurve(w, path, blocks, "untwisted",
-                               amb, tuple(secs), ball, 0)
-
-    depth = max(sum(1 for x in w if abs(x) == g) for g in range(1, k + 1))
-    raise DepthError(w, depth)
+                  (rot[3], (4, 6)), (None, (6, len(secs))))
+    # an inverse single or doubled letter runs its laps backwards
+    if len(w) in (1, 2) and w[0] < 0:
+        secs = secs[::-1]
+    path = tuple(s[0] for s in secs)
+    _check_edge_path(amb, path)
+    return PositionedCurve(w, path, blocks, "untwisted", amb, tuple(secs),
+                           ball, 0)
 
 
 def surgery(m: Complex, c: PositionedCurve) -> Complex:

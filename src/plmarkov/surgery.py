@@ -5,7 +5,10 @@ model ball's vertices onto distinct vertices of the ambient complex, and
 consecutive sections span a chunk of product cells.  How fiber
 coordinates continue across an edge is not prescribed; the arrival chart
 is detected from the cells actually present, so a curve crossing a glued
-seam needs no bookkeeping on the caller's side.
+seam needs no bookkeeping on the caller's side.  ``resolve_tube`` is the
+one chart detector: every edge's arrival chart and staircase direction,
+also those of the prefab tube in ``fabric``, come from its breadth-first
+walk over the fiber's staircase cells.
 
 Every tube is capped the same way.  A certificate of stellar moves from
 the tube's lateral torus to a plain torus replays as a stack of cone
@@ -82,54 +85,36 @@ def _coface_index(facets):
 def _detect_hi(idx, lo, vnext, ball, forward):
     """Arrival charts that make every staircase cell a cell of m.
 
-    Walk each fiber facet's staircase one cell at a time: the cell is
-    the face assembled so far plus one unknown arrival vertex, so the
-    coface index pins that vertex to at most two choices, and choices
-    outside the arrival section or colliding with earlier ones die.
+    ``resolve_tube``, the one chart detector, calls this per edge and
+    direction.  The walk is breadth-first over each fiber facet's
+    staircase, one cell at a time: the cell is the face assembled so
+    far plus one unknown arrival vertex, so the coface index pins that
+    vertex to at most two choices, and choices outside the arrival
+    section or colliding with earlier ones die.  Each step replaces the
+    partial charts by their extensions, in order.
     """
-    facs = sorted(ball.facets, key=sorted)
-    hits = []
-    asg = {}
-
-    def facet(fi):
-        if fi == len(facs):
-            hits.append(dict(asg))
-            return
-        order = sorted(facs[fi])
-        k = len(order)
-
-        def step(pos):
-            if pos == k:
-                facet(fi + 1)
-                return
-            j = k - 1 - pos if forward else pos
+    charts = [{}]
+    for f in sorted(ball.facets, key=sorted):
+        order = sorted(f)
+        js = range(len(order))
+        for j in (reversed(js) if forward else js):
             s = order[j]
-            if forward:
-                known = {lo[order[i]] for i in range(j + 1)}
-                known |= {asg[order[i]] for i in range(j + 1, k)}
-            else:
-                known = {asg[order[i]] for i in range(j)}
-                known |= {lo[order[i]] for i in range(j, k)}
-            extras = idx.get(frozenset(known), ())
-            if s in asg:
-                if asg[s] in extras:
-                    step(pos + 1)
-                return
-            taken = set(asg.values())
-            for x in extras:
-                if x in vnext and x not in taken:
-                    asg[s] = x
-                    step(pos + 1)
-                    del asg[s]
-
-        step(0)
-        del step
-
-    facet(0)
-    # the nested functions refer to themselves; dropping them here frees
-    # the coface index on return instead of at the next cycle collection
-    del facet
-    return [h for h in hits if frozenset(h.values()) == vnext]
+            # departure labels come from lo, arrival labels from the chart
+            dep, arr = ((order[:j + 1], order[j + 1:]) if forward
+                        else (order[j:], order[:j]))
+            nxt = []
+            for asg in charts:
+                known = [lo[v] for v in dep] + [asg[v] for v in arr]
+                extras = idx.get(frozenset(known), ())
+                if s in asg:
+                    if asg[s] in extras:
+                        nxt.append(asg)
+                    continue
+                taken = set(asg.values())
+                nxt += [{**asg, s: x} for x in extras
+                        if x in vnext and x not in taken]
+            charts = nxt
+    return [h for h in charts if frozenset(h.values()) == vnext]
 
 
 def resolve_tube(m, sections, ball):

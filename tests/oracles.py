@@ -21,8 +21,8 @@ from plmarkov.invariants import (HomologyGroup, HomologyProfile, boundary_matrix
 from plmarkov.stellar_moves import (StellarMove, _link_factor, search_equivalence,
                                     stellar_subdivide, stellar_weld, subdivision_candidates,
                                     weld_candidates, weld_parts)
-from plmarkov.surgery import (_SEARCH_BUDGET, Tube, _chart_bands, _coface_index, _detect_hi,
-                              _oriented, chunk, lateral_cells, staircase_cap)
+from plmarkov.surgery import (_SEARCH_BUDGET, Tube, _chart_bands, _coface_index, _oriented,
+                              chunk, lateral_cells, staircase_cap)
 
 
 def iso_exhaustive(a: Complex, b: Complex, max_vertices: int = 8) -> bool:
@@ -1851,9 +1851,54 @@ def _shell_cap_two_closings(tube, lk, alloc):
     return cap | staircase_cap(ends, lk, alloc)
 
 
+def detect_hi_depth_first(idx, lo, vnext, ball: Complex, forward: bool) -> list:
+    """``surgery._detect_hi`` as a depth-first walk: one recursive step
+    per staircase cell, each arrival choice assigned, explored and
+    undone in turn.  Hits come out in the order the walk finishes them."""
+    facs = sorted(ball.facets, key=sorted)
+    hits = []
+    asg = {}
+
+    def facet(fi):
+        if fi == len(facs):
+            hits.append(dict(asg))
+            return
+        order = sorted(facs[fi])
+        k = len(order)
+
+        def step(pos):
+            if pos == k:
+                facet(fi + 1)
+                return
+            j = k - 1 - pos if forward else pos
+            s = order[j]
+            if forward:
+                known = {lo[order[i]] for i in range(j + 1)}
+                known |= {asg[order[i]] for i in range(j + 1, k)}
+            else:
+                known = {asg[order[i]] for i in range(j)}
+                known |= {lo[order[i]] for i in range(j, k)}
+            extras = idx.get(frozenset(known), ())
+            if s in asg:
+                if asg[s] in extras:
+                    step(pos + 1)
+                return
+            taken = set(asg.values())
+            for x in extras:
+                if x in vnext and x not in taken:
+                    asg[s] = x
+                    step(pos + 1)
+                    del asg[s]
+
+        step(0)
+
+    facet(0)
+    return [h for h in hits if frozenset(h.values()) == vnext]
+
+
 def resolve_tube_full_index(m: Complex, sections, ball: Complex) -> Tube:
     """``surgery.resolve_tube`` with the coface index over every facet
-    of m."""
+    of m and the depth-first chart walk."""
     n = len(sections)
     have = frozenset(m.facets)
     idx = _coface_index(have)
@@ -1864,7 +1909,7 @@ def resolve_tube_full_index(m: Complex, sections, ball: Complex) -> Tube:
         vnext = frozenset(sections[(i + 1) % n].values())
         hit = None
         for forward in (True, False):
-            found = _detect_hi(idx, lo, vnext, ball, forward)
+            found = detect_hi_depth_first(idx, lo, vnext, ball, forward)
             if len(found) > 1:
                 raise ValueError(f"ambiguous continuation at edge {i}")
             if found:
@@ -1916,3 +1961,25 @@ def do_surgery_three_routes(m: Complex, sections, ball: Complex, center: int) ->
     else:
         cells = _shell_cap_two_closings(tube, lk, alloc)
     return Complex((frozenset(m.facets) - tube.cells) | cells)
+
+
+def prefab_bands_by_mantle(n: int) -> list:
+    """The staircase bands of ``fabric.trivial_loop_prefab``'s solid
+    torus, each edge's direction chosen by testing which of its two
+    staircase chunks lies on the solid's boundary."""
+    fiber = simplex_sphere(n - 1)
+    ball = Complex([f for f in fiber.facets if 0 in f])
+    lk = ball.link([0])
+    solid, chart = ordered_product_with_chart(simplex_sphere(1), ball)
+    secs = [{s: chart[(t, s)] for s in lk.vertices} for t in range(3)]
+    mantle = set(solid.boundary().facets)
+    bands = []
+    for i in range(3):
+        lo, hi = secs[i], secs[(i + 1) % 3]
+        if chunk([lo, hi], lk.facets) <= mantle:
+            bands.append((lo, hi))
+        elif chunk([hi, lo], lk.facets) <= mantle:
+            bands.append((hi, lo))
+        else:
+            raise ValueError(f"no staircase chunk of edge {i} on the mantle")
+    return bands

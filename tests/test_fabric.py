@@ -1,10 +1,16 @@
+import itertools
+
 import pytest
 
-from plmarkov.builders import simplex_sphere
+from plmarkov.builders import ordered_product_with_chart, simplex_sphere
+from plmarkov.complex_core import Complex
 from plmarkov.fabric import (commutator_corridor, double_lap_corridor,
                              handle_chain, marked_csum, plant_trivial_loop,
                              star_ball, trivial_loop_prefab)
 from plmarkov.invariants import betti_numbers
+from plmarkov.surgery import staircase_cap
+
+from oracles import prefab_bands_by_mantle
 
 
 class TestMarkedSum:
@@ -50,6 +56,21 @@ class TestPrefab:
         prefab, secs, ball, donor = trivial_loop_prefab(4)
         assert betti_numbers(prefab) == (1, 0, 0, 0, 1)
         assert donor in set(prefab.facets)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_prefab_matches_the_mantle_band_oracle(self, n):
+        # the bands that resolve_tube detects are the ones whose
+        # staircase chunks lie on the solid torus's boundary
+        ball = star_ball(simplex_sphere(n - 1), 0)
+        solid, chart = ordered_product_with_chart(simplex_sphere(1), ball)
+        fresh = itertools.count(solid.vertices[-1] + 1).__next__
+        cap = staircase_cap(prefab_bands_by_mantle(n), ball.link([0]), fresh)
+        donor = max(cap, key=lambda f: (len(f - set(solid.vertices)),
+                                        tuple(sorted(f))))
+        secs = [{s: chart[(t, s)] for s in ball.vertices} for t in range(3)]
+        want = (Complex(set(solid.facets) | cap).facets, secs, ball, donor)
+        got = trivial_loop_prefab(n)
+        assert (got[0].facets, *got[1:]) == want
 
     def test_plant_preserves_host_topology(self):
         host = simplex_sphere(4)

@@ -119,6 +119,21 @@ class TestRealizeCurve:
         c = realize_curve(marked, (-1,))
         assert c.path == tuple(reversed(marked[1].cores[0]))
 
+    def test_inverse_doubled_letter_runs_the_corridor_backwards(self):
+        marked = handlebody_boundary(1, 4)
+        fwd = realize_curve(marked, (1, 1))
+        back = realize_curve(marked, (-1, -1))
+        assert back.path == tuple(reversed(fwd.path))
+        assert back.sections == tuple(reversed(fwd.sections))
+        assert back.blocks == ((-1, (0, 3)), (-1, (3, 6)))
+
+    def test_inverse_commutator_keeps_the_corridor_direction(self):
+        marked = handlebody_boundary(2, 4)
+        fwd = realize_curve(marked, (1, 2, -1, -2))
+        back = realize_curve(marked, (-1, -2, 1, 2))
+        assert back.path == fwd.path
+        assert back.blocks[0] == (-1, (0, 2))
+
     def test_trivial_word_is_a_planted_triangle(self):
         marked = handlebody_boundary(0, 4)
         c = realize_curve(marked, ())

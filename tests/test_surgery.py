@@ -15,9 +15,9 @@ from plmarkov.invariants import betti_numbers
 from plmarkov.stellar_moves import (Certificate, StellarMove, stellar_subdivide,
                                     subdivision_candidates)
 
-from oracles import (do_surgery_three_routes, resolve_tube_full_index,
-                     shell_cap_full_rebuild, staircase_cap_triple_loop,
-                     verify_tube_frozenset_faces)
+from oracles import (detect_hi_depth_first, do_surgery_three_routes,
+                     resolve_tube_full_index, shell_cap_full_rebuild,
+                     staircase_cap_triple_loop, verify_tube_frozenset_faces)
 
 ROTATION = {0: 0, 1: 2, 2: 3, 3: 1}
 
@@ -146,8 +146,8 @@ def test_pipeline_tube_checks_match_the_frozenset_oracles(monkeypatch):
 
 
 def test_resolving_a_tube_leaves_no_reference_cycles():
-    # a cycle through _detect_hi's nested functions would keep the
-    # coface index alive until the next cycle collection
+    # a reference cycle left by the chart walk would keep the coface
+    # index alive until the next cycle collection
     cx, secs, ball = rotated_mapping_torus(4)
     gc.collect()
     gc.disable()
@@ -215,6 +215,14 @@ def test_perturbed_tube_checks_match_the_frozenset_oracles(m, psi, data):
         perm = data.draw(st.permutations(labels))
         cx = _second_arrival(cx, secs, ball, i, perm, data.draw(st.booleans()))
     _assert_tube_checks_match(cx, secs, ball)
+    # the breadth-first chart walk finds the depth-first walk's charts,
+    # in the same order, on every edge and in both directions
+    idx = surgery._coface_index(cx.facets)
+    for t, lo in enumerate(secs):
+        vnext = frozenset(secs[(t + 1) % m].values())
+        for forward in (True, False):
+            assert surgery._detect_hi(idx, lo, vnext, ball, forward) == (
+                detect_hi_depth_first(idx, lo, vnext, ball, forward))
 
 
 @settings(max_examples=40, deadline=None)

@@ -164,13 +164,15 @@ class Complex:
             self._cache["faces"] = {k: tuple(sorted(s)) for k, s in enumerate(self._face_sets())}
         return self._cache["faces"]
 
-    def _face_sets(self) -> List[set]:
-        """Every face as a label tuple, in one set per dimension."""
-        faces: List[set] = [set() for _ in range(self.dim + 1)]
+    def _face_sets(self, lo: int = 0, hi: Optional[int] = None) -> List[set]:
+        """Every face of dimension lo..hi (default: every dimension) as
+        a label tuple, in one set per dimension."""
+        hi = self.dim if hi is None else hi
+        faces: List[set] = [set() for _ in range(lo, hi + 1)]
         for f in self._facets:
             fl = sorted(f)
-            for k in range(1, len(fl) + 1):
-                faces[k - 1].update(itertools.combinations(fl, k))
+            for k in range(lo + 1, min(len(fl), hi + 1) + 1):
+                faces[k - 1 - lo].update(itertools.combinations(fl, k))
         return faces
 
     def faces_by_dim(self) -> Dict[int, Tuple[Simplex, ...]]:
@@ -192,21 +194,28 @@ class Complex:
 
     def f_vector(self) -> Tuple[int, ...]:
         """Face counts per dimension; counts the face table when one is
-        built and otherwise builds none."""
+        built and otherwise builds none.  A pure complex of dimension
+        d >= 2 counts its vertices and facets as they stand and
+        enumerates only the faces of dimension 1..d-1."""
         if "f_vector" not in self._cache:
             table = self._cache.get("faces")
-            sets = table.values() if table is not None else self._face_sets()
-            self._cache["f_vector"] = tuple(map(len, sets))
+            d = self.dim
+            if table is not None:
+                counts = tuple(map(len, table.values()))
+            elif d >= 2 and self.is_pure():
+                middle = map(len, self._face_sets(1, d - 1))
+                counts = (len(self.vertices), *middle, len(self._facets))
+            else:
+                counts = tuple(map(len, self._face_sets()))
+            self._cache["f_vector"] = counts
         return self._cache["f_vector"]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
 
     def is_pure(self) -> bool:
-        if not self._facets:
-            return True
-        d = self.dim
-        return all(len(f) == d + 1 for f in self._facets)
+        # the facets are in size order
+        return not self._facets or len(self._facets[0]) == len(self._facets[-1])
 
     # -- local structure ------------------------------------------------
 
@@ -379,11 +388,20 @@ class Complex:
             return self._cache["colors"]
         verts = self.vertices
         at = self._incidence()
-        key = {v: tuple(sorted(len(f) for f in at[v])) for v in verts}
+        # on a pure complex the facet sizes are all equal, so degree and
+        # colour profile alone give the same order and the same ids
+        pure = self.is_pure()
+        if pure:
+            key = {v: len(at[v]) for v in verts}
+        else:
+            key = {v: tuple(sorted(len(f) for f in at[v])) for v in verts}
         color = _dense_ranks(key)
         ncolors = len(set(color.values()))
-        for _ in range(len(verts)):
-            shape = {f: (len(f), tuple(sorted(color[u] for u in f))) for f in self._facets}
+        # a discrete colouring keeps every id in a further round
+        while ncolors < len(verts):
+            shape = {f: tuple(sorted(color[u] for u in f)) for f in self._facets}
+            if not pure:
+                shape = {f: (len(f), c) for f, c in shape.items()}
             key = {v: (color[v], tuple(sorted(shape[f] for f in at[v]))) for v in verts}
             color = _dense_ranks(key)
             n2 = len(set(color.values()))

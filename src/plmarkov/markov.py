@@ -189,8 +189,10 @@ def realize_curve(marked: Tuple[Complex, Marks], w: Word) -> PositionedCurve:
         amb, secs, ball = commutator_corridor()
         blocks = ((rot[0], (0, 2)), (rot[1], (2, 3)), (rot[2], (3, 4)),
                   (rot[3], (4, 6)), (None, (6, len(secs))))
-    # an inverse single or doubled letter runs its laps backwards
-    if len(w) in (1, 2) and w[0] < 0:
+    # an inverse letter runs its core backwards; g^-2 attaches the same
+    # 2-handle as g^2, so it keeps the forward corridor, as an inverse
+    # commutator does
+    if len(w) == 1 and w[0] < 0:
         secs = secs[::-1]
     path = tuple(s[0] for s in secs)
     _check_edge_path(amb, path)

@@ -30,10 +30,11 @@ whole complex.  ``reduce_with_trace`` keeps the local answers in a table
 keyed by (vertex or face, star), in the ``_cache`` of the complex the
 descent starts from, and judges only the global half again in each
 state.  The table needs no invalidation.  When the descent ends it
-keeps only the stars of that complex, so a later descent from it (the
-memoized reference sphere, say) starts with its answers while the
+keeps only the stars of that complex, so a later descent from it (a
+memoized reference manifold, say) starts with its answers while the
 states left behind are freed.  The public scans judge both halves
-afresh.
+afresh.  The descent judges nothing at the boundary of a simplex, where
+no move applies, so a descent from the reference sphere stops at once.
 """
 
 from __future__ import annotations
@@ -185,11 +186,16 @@ def _judged(table: dict, judge, x, star):
     return hit
 
 
-def _link_splits(v: int, star: Iterable[Simplex]) -> Tuple[Tuple[Simplex, set], ...]:
+def _link_splits(v: int, star: Tuple[Simplex, ...]) -> Tuple[Tuple[Simplex, set], ...]:
     """The link condition of every weld at v, given the facets of its
-    star: the pairs (s, L) in the order of ``weld_candidates``."""
+    star in facet order: the pairs (s, L) in the order of
+    ``weld_candidates``."""
     link_set = {f - {v} for f in star}
-    f0 = min(link_set, key=lambda t: tuple(sorted(t)))
+    if len(star[0]) == len(star[-1]):
+        # removing the common vertex v keeps the label order of a pure star
+        f0 = star[0] - {v}
+    else:
+        f0 = min(link_set, key=lambda t: tuple(sorted(t)))
     if not f0:
         return ()
     n = len(link_set)
@@ -410,20 +416,29 @@ def _escape_plateau(
     return None
 
 
+def _is_simplex_boundary(cx: Complex) -> bool:
+    """Whether cx is the boundary of a (d+1)-simplex: d + 2 facets of
+    d + 1 vertices each, on d + 2 vertices (none when cx is empty)."""
+    n = cx.dim + 2
+    return len(cx.facets) == n == len(cx.vertices) and len(cx.facets[0]) == n - 1
+
+
 def reduce_with_trace(
     cx: Complex, budget: vd.Budget
 ) -> Tuple[Complex, List[StellarMove]]:
     """Monotone descent as far as the budget allows: apply the first
     weld, else the first facet-count-reducing flip, else escape the
     plateau through sideways flips; returns the reduced state and the
-    move trace.  Every link condition is judged once, in the star-keyed
-    table kept on cx (see the module docstring); each state judges only
-    whether s or B is a face, and a weld is built from the factor L
-    the table holds."""
+    move trace.  The descent stops at the boundary of a simplex: every
+    weld's s and every flip's B has at most d + 1 vertices, all of them
+    a face there.  Every link condition is judged once, in the
+    star-keyed table kept on cx (see the module docstring); each state
+    judges only whether s or B is a face, and a weld is built from the
+    factor L the table holds."""
     table = _star_table(cx)
     state = cx
     moves: List[StellarMove] = []
-    while not budget.exhausted:
+    while not budget.exhausted and not _is_simplex_boundary(state):
         weld = _first_weld(state, table)
         if weld is not None:
             v, s, rest = weld

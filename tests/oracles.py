@@ -1115,6 +1115,31 @@ def isomorphism_backtracking(a: Complex, b: Complex) -> Optional[Dict[int, int]]
 # The weld scan and the sphere check as they ran before the scan pruned
 # by link degree and the check ran the descent ahead of homology.
 
+def link_splits_min_first(v: int, star) -> tuple:
+    """``stellar_moves._link_splits`` before its pure-star path: the
+    first link facet is the least under the sorted-label key, whatever
+    the star."""
+    link_set = {f - {v} for f in star}
+    f0 = min(link_set, key=lambda t: tuple(sorted(t)))
+    if not f0:
+        return ()
+    n = len(link_set)
+    degree = collections.Counter(u for t in link_set for u in t)
+    f0l = sorted(f0)
+    out = []
+    for w in sorted(degree.keys() - f0):
+        factor = n - degree[w]
+        if n % factor:
+            continue
+        pool = [u for u in f0l if degree[u] == degree[w]]
+        for a in itertools.combinations(pool, n // factor - 1):
+            s = frozenset(a) | {w}
+            rest = _link_factor(link_set, s)
+            if rest is not None:
+                out.append((s, rest))
+    return tuple(out)
+
+
 def weld_candidates_unpruned(cx: Complex) -> list:
     """Every legal weld, per vertex: every nonempty subset of the first
     link facet plus one link vertex outside it, link condition first."""

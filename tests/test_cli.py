@@ -235,6 +235,17 @@ class TestMarkovVerb:
         assert r.output.startswith("Error: insufficient parallel copies")
         assert "required depth 3" in r.output
 
+    def test_inverse_doubled_letter_reports_as_the_doubled_letter(self, runner):
+        reports = {}
+        for p in ("g|GG", "g|gg"):
+            r = runner.invoke(main, ["markov", "--pres", p,
+                                     "--dim", "4", "--budget", "1000"])
+            assert r.exit_code == 0
+            reports[p] = json.loads(r.output)
+        assert reports["g|GG"].pop("presentation") == "g|GG"
+        assert reports["g|gg"].pop("presentation") == "g|gg"
+        assert reports["g|GG"] == reports["g|gg"]
+
     def test_dim_floor(self, runner):
         r = runner.invoke(main, ["markov", "--pres", "|",
                                  "--dim", "3", "--budget", "10"])

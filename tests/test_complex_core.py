@@ -797,6 +797,40 @@ def test_ridge_index_users_match_their_own_maps_on_manifolds(build):
     assert_ridge_users_match_own_maps(cx)
 
 
+@given(st.one_of(small_complexes(), pure_complexes()))
+@example(Complex(()))
+@example(simplex_sphere(0))
+@example(validate([[0, 1], [1, 2], [2, 0], [2, 3]]))
+@example(validate(MOEBIUS))
+@example(simplex_sphere(6))
+@example(full_simplex(6))
+@example(validate([[0, 1, 2], [2, 3], [3, 4, 5, 6], [7]]))
+def test_f_vector_matches_the_key_sorted_oracle(cx):
+    cx = Complex._from_trusted(cx.facets)  # a fresh cache
+    want = tuple(len(fs) for fs in faces_by_dim_key_sorted(cx).values())
+    assert cx.f_vector() == want
+    assert "faces" not in cx._cache
+
+
+@given(small_complexes())
+@example(validate([[0, 1, 2], [2, 3], [3, 4, 5, 6], [7]]))
+# facet sizes reorder the colour profiles
+@example(Complex([[0, 1, 2, 4], [0, 1, 3], [1, 2, 3, 6], [1, 3, 4, 6], [2, 4, 6]]))
+# one round from a discrete colouring, not pure and pure
+@example(Complex([[0, 2], [1, 5], [1, 6], [2, 6], [3, 5, 6]]))
+@example(Complex([[0, 4, 7], [0, 5, 6], [1, 2, 7], [1, 4, 6], [1, 6, 7], [2, 4, 5],
+                  [2, 5, 6], [4, 6, 7]]))
+# a discrete colouring from the facet sizes at each vertex: degrees 2, 5,
+# 7, 4, 1, 3, then with the edge [4, 6] size profiles all distinct too
+@example(Complex([[0, 1, 2], [0, 2, 3], [1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 3, 5],
+                  [2, 3, 5]]))
+@example(Complex([[0, 1, 2], [0, 2, 3], [1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 3, 5],
+                  [2, 3, 5], [4, 6]]))
+def test_refinement_colors_match_the_per_incidence_oracle(cx):
+    cx = Complex._from_trusted(cx.facets)
+    assert cx._refinement_colors() == refinement_colors_per_incidence(cx)
+
+
 def test_counting_faces_builds_no_face_table():
     def fresh(facets):
         cx = Complex(facets)

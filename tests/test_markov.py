@@ -119,13 +119,17 @@ class TestRealizeCurve:
         c = realize_curve(marked, (-1,))
         assert c.path == tuple(reversed(marked[1].cores[0]))
 
-    def test_inverse_doubled_letter_runs_the_corridor_backwards(self):
+    def test_inverse_doubled_letter_keeps_the_corridor_direction(self):
+        # g^-2 attaches the same 2-handle as g^2; the corridor's lane hop
+        # is in product position only forwards
         marked = handlebody_boundary(1, 4)
         fwd = realize_curve(marked, (1, 1))
         back = realize_curve(marked, (-1, -1))
-        assert back.path == tuple(reversed(fwd.path))
-        assert back.sections == tuple(reversed(fwd.sections))
+        assert back.path == fwd.path
+        assert back.sections == fwd.sections
+        assert back.ambient == fwd.ambient
         assert back.blocks == ((-1, (0, 3)), (-1, (3, 6)))
+        surgery(marked[0], back)
 
     def test_inverse_commutator_keeps_the_corridor_direction(self):
         marked = handlebody_boundary(2, 4)

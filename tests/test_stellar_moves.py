@@ -20,6 +20,7 @@ from plmarkov.stellar_moves import (
     Certificate,
     StellarMove,
     _escape_plateau,
+    _link_splits,
     apply_certificate,
     apply_flip,
     flip_candidates,
@@ -35,10 +36,12 @@ from plmarkov.stellar_moves import (
 )
 from plmarkov.complex_core import barycentric_subdivision
 
+from test_complex_core import small_complexes
 from oracles import (
     facets_containing_linear,
     flip_candidates_with_vertex_flips,
     has_face_linear,
+    link_splits_min_first,
     reduce_with_trace_two_loops,
     weld_candidates_linear,
     weld_candidates_unpruned,
@@ -52,6 +55,9 @@ TORUS_9 = Complex([
     [3, 4, 6], [4, 6, 7], [4, 5, 7], [5, 7, 8], [3, 5, 8], [3, 6, 8],
     [0, 6, 7], [0, 1, 7], [1, 7, 8], [1, 2, 8], [2, 6, 8], [0, 2, 6],
 ])
+
+# the 7-vertex torus: 2-neighbourly, so every s or B of a move is a face
+TORUS_7 = Complex([[i, (i + a) % 7, (i + 3) % 7] for i in range(7) for a in (1, 2)])
 
 
 class TestSubdivide:
@@ -397,6 +403,10 @@ def stellar_subdivisions(draw):
 @example(S4_SUBDIVIDED, 30)
 @example(SD_S2, 1000)
 @example(REF_LINK, 1000)
+# d + 2 facets, or d + 2 vertices, but not the boundary of a simplex
+@example(Complex([[0, 1], [1, 2], [2, 3]]), 30)
+@example(Complex([[0, 1], [1, 2]]), 30)
+@example(Complex(()), 30)
 def test_descent_matches_the_two_loop_descent(cx, budget):
     new_budget, old_budget = vd.Budget(budget), vd.Budget(budget)
     assert (reduce_with_trace(cx, new_budget)
@@ -421,13 +431,46 @@ def test_each_link_condition_is_judged_once_per_descent(monkeypatch):
         red, _ = reduce_with_trace(Complex(cx.facets), vd.Budget(1000))
         assert isomorphism(red, simplex_sphere(cx.dim)) is not None
         assert calls and max(calls.values()) == 1
-    s3 = Complex(simplex_sphere(3).facets)
+    # no move applies on the 7-vertex torus, yet its link conditions must
+    # be judged; the boundary of a simplex judges none (see below)
+    torus = Complex(TORUS_7.facets)
     calls.clear()
-    assert reduce_with_trace(s3, vd.Budget(1000)) == (s3, [])
+    assert reduce_with_trace(torus, vd.Budget(1000)) == (torus, [])
     assert calls
     calls.clear()
-    assert reduce_with_trace(s3, vd.Budget(1000)) == (s3, [])
+    assert reduce_with_trace(torus, vd.Budget(1000)) == (torus, [])
     assert not calls
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_descent_stops_at_once_on_a_simplex_boundary(monkeypatch, d):
+    # every s or B of a move on the boundary of a (d+1)-simplex is a face,
+    # so the descent returns it without judging a link condition
+    calls = []
+
+    def counting(link_facets, s, real=stellar_moves._link_factor):
+        calls.append(s)
+        return real(link_facets, s)
+
+    monkeypatch.setattr(stellar_moves, "_link_factor", counting)
+    sphere = Complex(simplex_sphere(d).facets)
+    moved = sphere.relabeled({v: 10 * (d + 2 - v) + 3 for v in sphere.vertices})
+    for cx in (sphere, moved):
+        budget = vd.Budget(1000)
+        assert reduce_with_trace(cx, budget) == (cx, [])
+        assert budget.used == 0
+    assert not calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(stellar_subdivisions(), small_complexes()))
+@example(TORUS_9)
+@example(REF_LINK)
+@example(Complex([[0, 1, 2], [0, 3], [3, 4, 5], [2, 5, 6], [6, 7]]))
+def test_link_splits_match_the_min_first_oracle(cx):
+    at = cx._incidence()
+    for v in cx.vertices:
+        assert _link_splits(v, at[v]) == link_splits_min_first(v, at[v])
 
 
 @settings(max_examples=60, deadline=None)

@@ -68,8 +68,9 @@ class PositionedCurve:
 
     The path is embedded (no repeated vertices) and each block of it
     lies inside one marked summand's circle-times-star region; the
-    block list records which generator each segment spells, with None
-    for connecting runs.  Framing is always the untwisted product
+    block list records which letter of the word each segment spells,
+    with None for connecting runs; a block's sign is the word's, not the
+    direction the path runs.  Framing is always the untwisted product
     framing, which the ambient-boundary construction forces.  The
     ambient carried here may be a documented re-triangulation of the
     complex the curve was requested on.

@@ -191,11 +191,9 @@ def _link_splits(v: int, star: Tuple[Simplex, ...]) -> Tuple[Tuple[Simplex, set]
     star in facet order: the pairs (s, L) in the order of
     ``weld_candidates``."""
     link_set = {f - {v} for f in star}
-    if len(star[0]) == len(star[-1]):
-        # removing the common vertex v keeps the label order of a pure star
-        f0 = star[0] - {v}
-    else:
-        f0 = min(link_set, key=lambda t: tuple(sorted(t)))
+    # the least link facet of the smallest size, which misses max(s) for
+    # every legal s, as the least facet of any size class does
+    f0 = star[0] - {v}
     if not f0:
         return ()
     n = len(link_set)

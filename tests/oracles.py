@@ -1116,9 +1116,9 @@ def isomorphism_backtracking(a: Complex, b: Complex) -> Optional[Dict[int, int]]
 # by link degree and the check ran the descent ahead of homology.
 
 def link_splits_min_first(v: int, star) -> tuple:
-    """``stellar_moves._link_splits`` before its pure-star path: the
-    first link facet is the least under the sorted-label key, whatever
-    the star."""
+    """``stellar_moves._link_splits`` before it read the first link
+    facet off the star: the first link facet is the least under the
+    sorted-label key."""
     link_set = {f - {v} for f in star}
     f0 = min(link_set, key=lambda t: tuple(sorted(t)))
     if not f0:

@@ -128,6 +128,7 @@ class TestRealizeCurve:
         assert back.path == fwd.path
         assert back.sections == fwd.sections
         assert back.ambient == fwd.ambient
+        # the blocks keep the word's letters, as a commutator's do
         assert back.blocks == ((-1, (0, 3)), (-1, (3, 6)))
         surgery(marked[0], back)
 

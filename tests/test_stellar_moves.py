@@ -467,6 +467,9 @@ def test_descent_stops_at_once_on_a_simplex_boundary(monkeypatch, d):
 @example(TORUS_9)
 @example(REF_LINK)
 @example(Complex([[0, 1, 2], [0, 3], [3, 4, 5], [2, 5, 6], [6, 7]]))
+# a mixed star with a split: at 0, the link is the join of {10, 11} with
+# the mixed complex {1, 2}, {3}
+@example(Complex([[10, 0, 1, 2], [10, 0, 3], [11, 0, 1, 2], [11, 0, 3]]))
 def test_link_splits_match_the_min_first_oracle(cx):
     at = cx._incidence()
     for v in cx.vertices:

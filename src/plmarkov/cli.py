@@ -235,7 +235,7 @@ def markov_cmd(pres, dim, budget, search_budget):
     try:
         report = mk.reduction_report(p, dim, {"pi1": budget,
                                               "search": search_budget})
-    except mk.DepthError as e:
+    except ValueError as e:  # DepthError, or a curve surgery cannot take
         raise click.ClickException(str(e))
     click.echo(mk.report_to_text(report), nl=False)
 
@@ -257,6 +257,8 @@ def enumerate_cmd(kind, dim, max_facets):
             raise click.ClickException(str(e))
         for sig in sigs:
             click.echo(sig)
+    elif dim > 3:
+        raise click.ClickException("subcomplexes take --dim 1 to 3: at 4 the walk is 2^31 masks")
     else:
         for sig in mk.enumerate_subcomplexes(standard_simplex(dim)):
             click.echo(sig)

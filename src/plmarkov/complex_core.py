@@ -53,9 +53,10 @@ canonical mapping with the inverse of the other; a side whose form is
 not cached is searched against the other side's encoding.
 
 ``IsoIndex`` groups complexes up to isomorphism in ``fingerprint``
-buckets, each a dict from canonical encoding to class: a lookup is one
-search targeted at the bucket's encodings and one dict lookup.
-Signature strings are built only where they are output.
+buckets, keyed by dimension, facet count and colour histogram, each a
+dict from canonical encoding to class: a lookup is one search targeted
+at the bucket's encodings and one dict lookup.  Signature strings are
+built only where they are output, from the cached encoding.
 """
 
 from __future__ import annotations
@@ -394,15 +395,15 @@ class Complex:
         if pure:
             key = {v: len(at[v]) for v in verts}
         else:
-            key = {v: tuple(sorted(len(f) for f in at[v])) for v in verts}
+            key = {v: tuple(sorted(map(len, at[v]))) for v in verts}
         color = _dense_ranks(key)
         ncolors = len(set(color.values()))
         # a discrete colouring keeps every id in a further round
         while ncolors < len(verts):
-            shape = {f: tuple(sorted(color[u] for u in f)) for f in self._facets}
+            shape = {f: tuple(sorted(map(color.__getitem__, f))) for f in self._facets}
             if not pure:
                 shape = {f: (len(f), c) for f, c in shape.items()}
-            key = {v: (color[v], tuple(sorted(shape[f] for f in at[v]))) for v in verts}
+            key = {v: (color[v], tuple(sorted(map(shape.__getitem__, at[v])))) for v in verts}
             color = _dense_ranks(key)
             n2 = len(set(color.values()))
             if n2 == ncolors:
@@ -436,7 +437,7 @@ class Complex:
         at = {v: [index[f] for f in fs] for v, fs in self._incidence().items()}
         profiles: Dict[tuple, List[Simplex]] = {}
         for f in facets:
-            profiles.setdefault(tuple(sorted(color[v] for v in f)), []).append(f)
+            profiles.setdefault(tuple(sorted(map(color.__getitem__, f))), []).append(f)
         seeds = profiles[min(profiles, key=lambda p: (len(profiles[p]), p))]
         # part[i]: the labels placed so far in facet i, ascending because
         # labels are handed out in increasing order along a branch
@@ -472,7 +473,7 @@ class Complex:
             for v in verts:
                 if v in lab:
                     continue
-                prof = tuple(sorted(part[i] for i in at[v] if part[i]))
+                prof = tuple(sorted(filter(None, map(part.__getitem__, at[v]))))
                 key = (0 if prof else 1, prof, color[v])
                 if best_key is None or key < best_key:
                     best_key = key
@@ -562,13 +563,12 @@ class Complex:
             if not self._facets:
                 self._cache["sig"] = "-1::"
             else:
-                canon = self.canonical()
-                # the f-vector of the input, which is isomorphic to canon
+                # the canonical copy's facets in facet order: the encoding
+                # is sorted, so a stable sort by size gives (size, labels)
+                enc = sorted(self._canonical_code()[0], key=len)
                 fvec = ",".join(map(str, self.f_vector()))
-                body = "|".join(
-                    " ".join(str(v) for v in sorted(f)) for f in canon.facets
-                )
-                self._cache["sig"] = f"{canon.dim}:{fvec}:{body}"
+                body = "|".join(" ".join(map(str, f)) for f in enc)
+                self._cache["sig"] = f"{self.dim}:{fvec}:{body}"
         return self._cache["sig"]
 
     def is_isomorphic_to(self, other: "Complex") -> bool:
@@ -606,23 +606,29 @@ def _orbit_representatives(children: Sequence, autos: List[Dict[int, int]], act)
 
     used = 0
     tried: List = []
+    # the roots of the tried children, rebuilt when automorphisms arrive
+    roots: set = set()
     for c in children:
-        if tried:
+        if used < len(autos):
             for g in autos[used:]:
                 for x, y in act(g):
                     rx, ry = find(x), find(y)
                     if rx != ry:
                         root[rx] = ry
             used = len(autos)
-            rc = find(c)
-            if any(find(t) == rc for t in tried):
-                continue
+            roots = {find(t) for t in tried}
+        rc = find(c)
+        if rc in roots:
+            continue
         yield c
         tried.append(c)
+        roots.add(rc)
 
 
 def fingerprint(cx: Complex) -> tuple:
-    """Cheap isomorphism invariant for hashing and pre-filtering.
+    """Cheap isomorphism invariant for hashing and pre-filtering: the
+    dimension, the number of facets and the histogram of refinement
+    colours.  It enumerates no face, so a lookup counts no f-vector.
 
     Collisions are possible; equality of fingerprints must be confirmed
     by ``isomorphism`` when it matters.
@@ -633,11 +639,7 @@ def fingerprint(cx: Complex) -> tuple:
     hist: Dict[int, int] = {}
     for v in cx.vertices:
         hist[color[v]] = hist.get(color[v], 0) + 1
-    return (
-        cx.dim,
-        cx.f_vector(),
-        tuple(sorted(hist.items())),
-    )
+    return (cx.dim, len(cx.facets), tuple(sorted(hist.items())))
 
 
 def isomorphism(a: Complex, b: Complex) -> Optional[Dict[int, int]]:

@@ -2008,3 +2008,55 @@ def prefab_bands_by_mantle(n: int) -> list:
         else:
             raise ValueError(f"no staircase chunk of edge {i} on the mantle")
     return bands
+
+
+def fingerprint_with_f_vector(cx: Complex) -> tuple:
+    """The ``fingerprint`` that buckets on the f-vector: dimension,
+    face counts per dimension and the colour histogram."""
+    if cx.is_empty:
+        return (-1,)
+    color = cx._refinement_colors()
+    hist: Dict[int, int] = {}
+    for v in cx.vertices:
+        hist[color[v]] = hist.get(color[v], 0) + 1
+    return (cx.dim, cx.f_vector(), tuple(sorted(hist.items())))
+
+
+def orbit_representatives_any_scan(children: Sequence, autos: List[Dict[int, int]],
+                                   act) -> Iterator:
+    """``_orbit_representatives`` testing each child against every tried
+    child's root in turn, folding new automorphisms in from the second
+    child on."""
+    root: dict = {}
+
+    def find(x):
+        while root.get(x, x) != x:
+            x = root[x]
+        return x
+
+    used = 0
+    tried: List = []
+    for c in children:
+        if tried:
+            for g in autos[used:]:
+                for x, y in act(g):
+                    rx, ry = find(x), find(y)
+                    if rx != ry:
+                        root[rx] = ry
+            used = len(autos)
+            rc = find(c)
+            if any(find(t) == rc for t in tried):
+                continue
+        yield c
+        tried.append(c)
+
+
+def iso_signature_via_canonical(cx: Complex) -> str:
+    """The isomorphism signature read off the relabelled ``canonical()``
+    copy: dimension, f-vector, and its facets in facet order."""
+    if not cx.facets:
+        return "-1::"
+    canon = cx.canonical()
+    fvec = ",".join(map(str, cx.f_vector()))
+    body = "|".join(" ".join(str(v) for v in sorted(f)) for f in canon.facets)
+    return f"{canon.dim}:{fvec}:{body}"

@@ -12,10 +12,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from plmarkov import stellar_moves
 from plmarkov.builders import (reference_manifold, simplex_sphere,
                                sphere_product, standard_simplex)
 from plmarkov.complex_core import (Complex, IsoIndex, barycentric_subdivision,
-                                   to_text)
+                                   isomorphism, to_text)
 from plmarkov.groups import (abelianization, edge_path_presentation,
                              parse_presentation)
 from plmarkov.invariants import betti_numbers, homology
@@ -163,6 +164,43 @@ def test_gate_2_links_match_the_unpruned_and_gates_first_oracles(closed_check):
             if new.is_yes:
                 assert (format_certificate(new.witness)
                         == format_certificate(old.witness)), name
+
+
+def _relabeled(cx, rng):
+    return cx.relabeled(dict(zip(cx.vertices, rng.sample(range(4 * len(cx.vertices)),
+                                                         len(cx.vertices)))))
+
+
+def test_simplex_boundary_end_maps_are_the_isomorphisms(closed_check):
+    # a descent whose two ends are boundaries of simplices maps them in
+    # label order without a search; on every such descent of the gate-2
+    # corpus and of the census subdivision searches, that map is the one
+    # isomorphism finds, entry for entry
+    ends = []
+
+    def recording(a, b, real=stellar_moves._end_map):
+        psi = real(a, b)
+        if (len(a.vertices) == len(b.vertices) and stellar_moves._is_simplex_boundary(a)
+                and stellar_moves._is_simplex_boundary(b)):
+            ends.append((a, b, psi))
+        return psi
+
+    rng = random.Random(26)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(stellar_moves, "_end_map", recording)
+        for name, cx in {**closed_check.yes, **closed_check.no}.items():
+            verdict = is_closed_manifold(Complex(cx.facets), budget=BUDGET)
+            assert verdict.to_json() == closed_check.verdicts[name].to_json(), name
+        gate2 = len(ends)
+        for d in (2, 3):
+            left = _relabeled(simplex_sphere(d), rng)
+            right = _relabeled(barycentric_subdivision(simplex_sphere(d)), rng)
+            v = search_equivalence(left, right, BUDGET)
+            assert apply_certificate(left, v.witness) == right
+    assert 0 < gate2 < len(ends)
+    for a, b, psi in ends:
+        want = isomorphism(Complex(a.facets), Complex(b.facets))
+        assert list(psi.items()) == list(want.items())
 
 
 def test_criterion_3_certificate_round_trip():

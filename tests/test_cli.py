@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from plmarkov import complex_core as cc
+from plmarkov import cli, complex_core as cc, markov as mk
 from plmarkov.builders import simplex_sphere, sphere_product
 from plmarkov.cli import main, parse_expression
 from plmarkov.stellar_moves import parse_certificate
@@ -235,6 +235,18 @@ class TestMarkovVerb:
         assert r.output.startswith("Error: insufficient parallel copies")
         assert "required depth 3" in r.output
 
+    def test_a_surgery_value_error_is_a_named_error(self, runner, monkeypatch):
+        def out_of_position(p, n):
+            raise ValueError("curve is not in product position at edge 2")
+
+        monkeypatch.setattr(mk, "realize_boundary", out_of_position)
+        r = runner.invoke(main, ["markov", "--pres", "g|g",
+                                 "--dim", "4", "--budget", "10"])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.stdout == ""
+        assert r.stderr == "Error: curve is not in product position at edge 2\n"
+
     def test_inverse_doubled_letter_reports_as_the_doubled_letter(self, runner):
         reports = {}
         for p in ("g|GG", "g|gg"):
@@ -287,6 +299,23 @@ class TestEnumerateVerb:
                                  "--dim", "1"])
         assert r.exit_code == 0
         assert len(r.output.splitlines()) == 3
+
+    @pytest.mark.parametrize("dim", [4, 5, 30])
+    def test_subcomplexes_above_dim_3_are_a_named_error(self, runner, monkeypatch, dim):
+        # dim 4 would walk 2^31 masks: the verb must refuse before it
+        # builds the simplex or starts the walk
+        def walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(mk, "enumerate_subcomplexes", walk)
+        monkeypatch.setattr(cli, "standard_simplex", walk)
+        r = runner.invoke(main, ["enumerate", "--kind", "subcomplexes",
+                                 "--dim", str(dim)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.stdout == ""
+        assert r.stderr == ("Error: subcomplexes take --dim 1 to 3: "
+                            "at 4 the walk is 2^31 masks\n")
 
 
 class TestConvert:

@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
+from plmarkov import complex_core, markov
 from plmarkov.builders import cone, reference_manifold, sphere_product
 from plmarkov.complex_core import (
     Complex,
@@ -29,7 +30,7 @@ from plmarkov.complex_core import (
     validate,
 )
 from plmarkov.groups import parse_presentation
-from plmarkov.markov import realize_boundary
+from plmarkov.markov import enumerate_spheres, realize_boundary
 from plmarkov.stellar_moves import (stellar_subdivide, stellar_weld,
                                     subdivision_candidates, weld_candidates)
 
@@ -38,10 +39,13 @@ from oracles import (
     check_maximal_pairwise,
     derived_subdivision_recursive,
     faces_by_dim_key_sorted,
+    fingerprint_with_f_vector,
     is_connected,
     is_strongly_connected_own_map,
     iso_exhaustive,
+    iso_signature_via_canonical,
     isomorphism_backtracking,
+    orbit_representatives_any_scan,
     orientable_exhaustive,
     orientation_own_map,
     refinement_colors_per_incidence,
@@ -865,3 +869,144 @@ def test_boundary_matches_the_generated_rims(cx):
         assert got[1].facets == want[1].facets
     else:
         assert got[1] == want[1]
+
+
+# -- the fingerprint, orbit pruning and signature against their oracles --
+
+
+def _iso_index_adds(cxs):
+    """IsoIndex.add over fresh copies of cxs, and each class's first
+    member's facets."""
+    index = IsoIndex()
+    got = [index.add(Complex._from_trusted(cx.facets)) for cx in cxs]
+    return got, [m.facets for m in index.members]
+
+
+def assert_iso_index_ignores_the_f_vector(cxs):
+    # the same classes, class indices and first members whether buckets
+    # are keyed by the facet count or by the f-vector
+    got = _iso_index_adds(cxs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(complex_core, "fingerprint", fingerprint_with_f_vector)
+        assert _iso_index_adds(cxs) == got
+
+
+RECOGNITION_MANIFOLDS = {
+    "boundary_4_simplex": lambda: simplex_sphere(4),
+    "torus": lambda: sphere_product(1, 1),
+    "s1_x_s3": lambda: sphere_product(1, 3),
+    "s2_x_s2": lambda: sphere_product(2, 2),
+    "reference_manifold_2_4": lambda: reference_manifold(2, 4),
+    "M(g|g)": lambda: realize_boundary(parse_presentation("g|g"), 4),
+    "M(a,b|ab,b)": lambda: realize_boundary(parse_presentation("a,b|ab,b"), 4),
+}
+CENSUS_ENUMERATIONS = ((1, 12), (2, 14), (3, 12))
+
+
+def test_iso_index_ignores_the_f_vector_on_the_recognition_links():
+    # one index per manifold, as classify_links keeps: 161 links, 76 classes
+    nlinks = nclasses = 0
+    for make in RECOGNITION_MANIFOLDS.values():
+        cx = make()
+        links = [cx.link([v]) for v in cx.vertices]
+        assert_iso_index_ignores_the_f_vector(links)
+        nlinks += len(links)
+        nclasses += len(_iso_index_adds(links)[1])
+    assert (nlinks, nclasses) == (161, 76)
+
+
+@pytest.mark.parametrize("n, cap", CENSUS_ENUMERATIONS)
+def test_iso_index_ignores_the_f_vector_on_the_census_states(n, cap):
+    # every complex the enumeration looks up, replayed into fresh indexes
+    states = []
+    real = IsoIndex.add
+
+    def recording(index, cx, value=None):
+        states.append(cx)
+        return real(index, cx, value)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(IsoIndex, "add", recording)
+        sigs = list(enumerate_spheres(n, cap))
+    assert_iso_index_ignores_the_f_vector(states)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(complex_core, "fingerprint", fingerprint_with_f_vector)
+        assert list(enumerate_spheres(n, cap)) == sigs
+
+
+@given(complex_mixes())
+@example([K33, PRISM, _relabeled_randomly(PRISM, random.Random(1))])
+# one facet count and colour histogram, different f-vectors
+@example([validate([[0, 2, 3, 4], [0, 5], [1, 2, 4]]),
+          validate([[0, 2, 5], [0, 3, 4], [1, 3, 4, 5]])])
+def test_iso_index_ignores_the_f_vector_on_small_complexes(cxs):
+    assert_iso_index_ignores_the_f_vector(cxs)
+
+
+def _lockstep_orbit_representatives(grew):
+    """An ``_orbit_representatives`` that draws each child from it and
+    from the any-scan oracle at the same moment, with the same
+    automorphism list, and checks that both give the same child.
+    ``grew`` counts the calls whose list grew while they ran."""
+    real = complex_core._orbit_representatives
+
+    def lockstep(children, autos, act):
+        children, start, done = list(children), len(autos), object()
+        old = orbit_representatives_any_scan(children, autos, act)
+        for c in real(children, autos, act):
+            assert next(old, done) == c
+            yield c
+        assert next(old, done) is done
+        grew[0] += len(autos) > start
+    return lockstep
+
+
+SYMMETRIC = {
+    "S%d" % n: (lambda n=n: simplex_sphere(n)) for n in range(1, 5)
+} | {
+    "K33": lambda: K33,
+    "prism": lambda: PRISM,
+    "torus": lambda: sphere_product(1, 1),
+    "sd S2": lambda: barycentric_subdivision(simplex_sphere(2)),
+    "octahedron": lambda: validate([[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]),
+}
+
+
+def search_in_lockstep(cx):
+    """Run a fresh canonical search of cx with its orbit pruning checked
+    against the oracle; the number of pruning calls whose automorphism
+    list grew while they ran."""
+    grew = [0]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(complex_core, "_orbit_representatives", _lockstep_orbit_representatives(grew))
+        Complex._from_trusted(cx.facets)._canonical_code()
+    return grew[0]
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_orbit_pruning_matches_the_any_scan_on_symmetric_complexes(name):
+    # automorphisms reach the pruning while the search explores a child
+    assert search_in_lockstep(SYMMETRIC[name]()) > 0
+
+
+@given(small_complexes())
+def test_orbit_pruning_matches_the_any_scan_on_small_complexes(cx):
+    search_in_lockstep(cx)
+
+
+def test_census_move_pruning_matches_the_any_scan():
+    # the census prunes moves with each state's full automorphism list
+    want = list(enumerate_spheres(2, 12))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(markov, "_orbit_representatives", _lockstep_orbit_representatives([0]))
+        assert list(enumerate_spheres(2, 12)) == want
+
+
+@given(small_complexes())
+@example(validate([[0, 1, 2], [2, 3], [3, 4, 5, 6], [7]]))
+@example(validate([[0, 1], [1, 2, 3], [4]]))
+@example(Complex(()))
+def test_signature_matches_the_canonical_copy_oracle(cx):
+    # non-pure complexes order their facets by size before labels
+    assert (Complex._from_trusted(cx.facets).iso_signature()
+            == iso_signature_via_canonical(Complex._from_trusted(cx.facets)))

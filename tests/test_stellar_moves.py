@@ -23,6 +23,7 @@ from plmarkov.stellar_moves import (
     _link_splits,
     apply_certificate,
     apply_flip,
+    descend,
     flip_candidates,
     format_certificate,
     parse_certificate,
@@ -460,6 +461,35 @@ def test_descent_stops_at_once_on_a_simplex_boundary(monkeypatch, d):
         assert reduce_with_trace(cx, budget) == (cx, [])
         assert budget.used == 0
     assert not calls
+
+
+def test_descent_searches_its_ends_unless_both_are_simplex_boundaries(monkeypatch):
+    # two boundaries of simplices of one dimension take the
+    # order-preserving map without a search; any other pair is searched
+    calls = []
+
+    def counting(a, b, real=stellar_moves.isomorphism):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(stellar_moves, "isomorphism", counting)
+    s2 = simplex_sphere(2)
+    moved = s2.relabeled({v: 9 - 2 * v for v in s2.vertices})
+    psi = stellar_moves._end_map(moved, s2)
+    assert list(psi.items()) == list(zip(moved.vertices, s2.vertices)) and not calls
+    assert descend(moved, s2, 10).verdict.witness.relabel == (0, 1, 2, 3)
+    assert not calls
+    assert stellar_moves._end_map(s2, simplex_sphere(3)) is None
+    assert calls == [(s2, simplex_sphere(3))]
+    # only one end is a simplex boundary: a budget of 0 leaves both sides
+    # as they are, so both descent ends are the inputs and both searched;
+    # the disc has the vertices of s2, one facet fewer
+    disc = Complex(s2.facets[:3])
+    sub = stellar_subdivide(s2, [0, 1])
+    for a, b in [(s2, disc), (disc, s2), (s2, sub), (sub, s2)]:
+        calls.clear()
+        assert descend(a, b, 0).verdict is None
+        assert calls == [(a, b), (a, b)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -176,11 +176,6 @@ class Complex:
                 faces[k - 1 - lo].update(itertools.combinations(fl, k))
         return faces
 
-    def faces_by_dim(self) -> Dict[int, Tuple[Simplex, ...]]:
-        """The face table with each face as a frozenset, built afresh
-        on every call from ``face_tuples``."""
-        return {k: tuple(map(frozenset, fs)) for k, fs in self.face_tuples().items()}
-
     def faces(self, k: Optional[int] = None) -> Tuple[Simplex, ...]:
         """The k-faces (all faces when k is None, by dimension) as
         frozensets in label order, built afresh from ``face_tuples``."""

@@ -301,7 +301,8 @@ def tietze_simplify(
         trace.append(f"shorten relator {len(old)} -> {len(new)}")
 
     out = FinitePresentation(num, tuple(relators))
-    assert abelianization(out) == before, "simplification changed the abelianization"
+    if abelianization(out) != before:
+        raise AssertionError("simplification changed the abelianization")
     return out, trace
 
 

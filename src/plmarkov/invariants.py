@@ -139,14 +139,15 @@ def boundary_matrix(cx: Complex, k: int) -> List[Row]:
 
 
 def _check_boundary_of_boundary(lower: List[Row], upper: List[Row]) -> None:
-    """Assert that the product of two consecutive boundary matrices is
-    zero in every entry."""
+    """Raise AssertionError unless the product of two consecutive
+    boundary matrices is zero in every entry."""
     for row in lower:
         acc: Dict[int, int] = {}
         for i, a in row:
             for j, b in upper[i]:
                 acc[j] = acc.get(j, 0) + a * b
-        assert not any(acc.values()), "boundary of boundary is not zero"
+        if any(acc.values()):
+            raise AssertionError("boundary of boundary is not zero")
 
 
 # -- homology ----------------------------------------------------------
@@ -202,12 +203,12 @@ def homology(cx: Complex) -> HomologyProfile:
 
     H_k = Z^betti + sum of Z/d for the invariant factors d > 1 of the
     (k+1)-boundary less its rows at the k-boundary's unit pivot columns,
-    which d_k d_{k+1} = 0 makes redundant (see above).  Unless Python
-    runs with -O, every product of consecutive boundary matrices is
-    checked to be zero in every entry, on every complex, which catches
-    sign bugs.  Torsion in the Euler characteristic cancels, which is
-    asserted as a cross-check.  The profile is cached on the complex, so
-    the computation and both checks run on the first call only.
+    which d_k d_{k+1} = 0 makes redundant (see above).  Every product of
+    consecutive boundary matrices is checked to be zero in every entry,
+    on every complex, which catches sign bugs.  Torsion in the Euler
+    characteristic cancels, which is checked as a cross-check.  The
+    profile is cached on the complex, so the computation and both
+    checks run on the first call only.
     """
     if cx.is_empty:
         return HomologyProfile(())
@@ -221,7 +222,7 @@ def homology(cx: Complex) -> HomologyProfile:
     units: Set[int] = set()  # unit pivot columns of d_{k-1}
     for k in range(1, top + 1):
         rows = boundary_matrix(cx, k)
-        if __debug__ and lower is not None:
+        if lower is not None:
             _check_boundary_of_boundary(lower, rows)
         lower = rows
         kept = [row for i, row in enumerate(rows) if i not in units]
@@ -235,7 +236,8 @@ def homology(cx: Complex) -> HomologyProfile:
         torsion = tuple(d for d in snf[k + 1] if d > 1)
         groups.append(HomologyGroup(k, betti, torsion))
     profile = HomologyProfile(tuple(groups))
-    assert profile.euler_characteristic() == sum((-1) ** k * n for k, n in enumerate(fvec))
+    if profile.euler_characteristic() != sum((-1) ** k * n for k, n in enumerate(fvec)):
+        raise AssertionError("homology disagrees with the Euler characteristic")
     cx._cache["homology"] = profile
     return profile
 

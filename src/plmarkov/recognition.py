@@ -6,10 +6,10 @@ survivors to the stellar move search against the minimal reference
 complex.  Sphere recognition is certificate-first: a yes from the
 descent stage of the search is a move certificate, so a complex it
 settles never computes homology; only those it leaves open pass the
-homology and orientability gates before the two-sided search.  Ball
-recognition runs its homology gate before the search.  A definite no
-always names its obstruction; yes carries a replayable move
-certificate; unknown means the budget ran out, nothing more.
+homology gate before the two-sided search.  Ball recognition runs its
+homology gate before the search.  A definite no always names its
+obstruction; yes carries a replayable move certificate; unknown means
+the budget ran out, nothing more.
 
 Manifold recognition classifies every vertex link as a sphere (interior
 vertex) or a ball (boundary vertex).  Isomorphic links share one
@@ -62,16 +62,6 @@ def _sphere_gates(cx: Complex, dim: int) -> Optional[vd.Verdict]:
     return None
 
 
-def _manifold_gates(cx: Complex, ref: Complex) -> Optional[vd.Verdict]:
-    """The homology and orientability gates, for what the descent left
-    open."""
-    if homology(cx) != homology(ref):
-        return vd.no("homology-mismatch", detail=homology(cx).to_json())
-    if not cx.is_orientable():
-        return vd.no("non-orientable")
-    return None
-
-
 def is_combinatorial_sphere(
     cx: Complex, budget: int = 100000, dim: Optional[int] = None
 ) -> vd.Verdict:
@@ -80,8 +70,11 @@ def is_combinatorial_sphere(
     After the combinatorial gates the descent stage of the search runs
     first, and its yes is returned as it stands: a certified complex is
     PL-homeomorphic to the reference sphere.  Otherwise the homology
-    and orientability gates run, and then the two-sided search from the
-    same reduced states and budget.  A yes witness is a move
+    gate runs, and then the two-sided search from the same reduced
+    states and budget.  The gates have made cx a strongly connected
+    closed pseudomanifold of dimension at least 1, whose top homology
+    is Z exactly when it is orientable, so the homology gate also
+    rejects every non-orientable cx.  A yes witness is a move
     certificate replaying cx onto the reference sphere.  The check is
     only a semi-decision: unknown states that the budget ran out before
     the search met in the middle.
@@ -95,9 +88,8 @@ def is_combinatorial_sphere(
     descent = descend(cx, ref, budget)
     if descent.verdict is not None:
         return descent.verdict
-    gate = _manifold_gates(cx, ref)
-    if gate is not None:
-        return gate
+    if homology(cx) != homology(ref):
+        return vd.no("homology-mismatch", detail=homology(cx).to_json())
     return meet(cx, ref, descent)
 
 

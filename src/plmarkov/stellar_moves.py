@@ -526,7 +526,8 @@ def _stitch_certificate(
     phi = {r: w for w, r in inv.items()}
     relabel = tuple(phi[v] for v in state.vertices)
     check = state.relabeled(dict(zip(state.vertices, relabel)))
-    assert check == b_start, "certificate stitching lost the target"
+    if check != b_start:
+        raise AssertionError("certificate stitching lost the target")
     return Certificate(tuple(a_moves) + tuple(lines), relabel)
 
 
@@ -634,7 +635,8 @@ def meet(a: Complex, b: Complex, descent: Descent) -> vd.Verdict:
                     (a_end, a_path), (b_end, b_path) = (
                         (state, other) if expand_a else (other, state))
                     meet_psi = isomorphism(a_end, b_end)
-                    assert meet_psi is not None
+                    if meet_psi is None:
+                        raise AssertionError("meet found no isomorphism in one class")
                     return vd.yes(
                         witness=_stitch_certificate(
                             a_moves + a_path, a_end, b_moves + b_path, b, meet_psi

@@ -67,9 +67,10 @@ def orientable_exhaustive(cx: Complex, max_facets: int = 12) -> bool:
 
 
 def faces_by_dim_key_sorted(cx: Complex) -> Dict[int, Tuple[Simplex, ...]]:
-    """``Complex.faces_by_dim`` before the tuple face table: every face
-    of every facet as a frozenset, sorted per dimension under the facet
-    sort key (size, then ascending labels)."""
+    """The face table as the former ``Complex.faces_by_dim`` built it
+    before the tuple face table: every face of every facet as a
+    frozenset, sorted per dimension under the facet sort key (size, then
+    ascending labels)."""
     table: Dict[int, set] = {}
     for f in cx.facets:
         fl = sorted(f)

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every private module-level name is used somewhere in the package, and
-the package's source stays within its line budget.
+every private module-level name is used somewhere in the package, no
+module behaves differently under ``python -O``, and the package's
+source stays within its line budget.
 
 No linter ships with the package's test dependencies, so this reads
 each source file with ``ast``.  The package ``__init__`` is exempt for
@@ -65,6 +66,19 @@ def test_every_private_name_is_referenced():
                 referenced.add(node.attr)
     assert defined
     assert sorted((f, n) for n, f in defined.items() if n not in referenced) == []
+
+
+def test_no_check_depends_on_debug_mode():
+    """``python -O`` strips ``assert`` statements and makes ``__debug__``
+    false; the self-checks raise explicitly, so both modes run them."""
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
+    assert found == []
 
 
 def test_source_stays_within_the_line_budget():

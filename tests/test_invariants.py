@@ -306,7 +306,7 @@ def test_betti_match_rational_rank_oracle(cx):
 
 
 def assert_boundaries_match_the_dense_oracle(cx):
-    faces = cx.faces_by_dim()
+    faces = cx.face_tuples()
     for k in range(1, cx.dim + 1):
         rows = boundary_matrix(cx, k)
         dense = boundary_matrix_dense(cx, k)

@@ -70,6 +70,15 @@ class TestSphereRecognition:
         assert v.is_no
         assert v.reason in ("euler-mismatch", "homology-mismatch")
 
+    def test_non_orientable_closed_manifold_fails_the_homology_gate(self):
+        # RP2 x S1 has a sphere's Euler number, so only homology stops it:
+        # a non-orientable closed pseudomanifold has top homology 0
+        cx = ordered_product(RP2_6, simplex_sphere(1))
+        assert len(cx.facets) == 90 and cx.euler_characteristic() == 0
+        assert not cx.is_orientable()
+        v = is_combinatorial_sphere(cx)
+        assert v.is_no and v.reason == "homology-mismatch"
+
     def test_ball_rejected(self):
         v = is_combinatorial_sphere(standard_simplex(2))
         assert v.is_no and v.reason == "not-closed-pseudomanifold"

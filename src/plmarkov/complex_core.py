@@ -6,10 +6,10 @@ face is a nonempty subset of a facet and is materialized on demand.
 and cache derived data on first use, each table built in one place:
 the face table of ascending label tuples (``face_tuples``; only the
 callers that need ordered faces build it, and the f-vector is counted
-without it), the vertex-to-facets
-incidence, the ridge-to-facets index behind ridge degrees, strong
-connectivity and orientation, the refinement colours, the canonical
-form, and the homology profile computed by ``invariants.homology``.
+without it), the vertex-to-facets incidence, the ridge-to-facets index
+behind ridge degrees, strong connectivity, orientation and a pure
+f-vector's ridge count, the refinement colours, the canonical form,
+and the homology profile computed by ``invariants.homology``.
 
 Label conventions.  Vertices are arbitrary ints.  Operations exposed at
 module level (``validate``, ``star``, ``link``, ``boundary_complex``,
@@ -55,8 +55,10 @@ not cached is searched against the other side's encoding.
 ``IsoIndex`` groups complexes up to isomorphism in ``fingerprint``
 buckets, keyed by dimension, facet count and colour histogram, each a
 dict from canonical encoding to class: a lookup is one search targeted
-at the bucket's encodings and one dict lookup.  Signature strings are
-built only where they are output, from the cached encoding.
+at the bucket's encodings and one dict lookup.  A bucket whose colours
+are discrete is keyed instead by the facets relabelled by colour, and
+its lookups run no search; canonical forms are unchanged.  Signature
+strings are built only where they are output, from the cached encoding.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ class InvalidComplexError(ValueError):
     """Raised when input data does not describe a simplicial complex."""
 
 
-def _facet_sort_key(f: Simplex) -> tuple:
-    return (len(f), tuple(sorted(f)))
-
-
 def as_simplex(vertices: Iterable[int]) -> Simplex:
     s = frozenset(vertices)
     if not s:
@@ -86,18 +84,29 @@ def as_simplex(vertices: Iterable[int]) -> Simplex:
     return s
 
 
+def _in_facet_order(facets: Iterable[Simplex]) -> Tuple[Simplex, ...]:
+    """The facet order, by size and then ascending labels, as two stable
+    C-level sorts: by labels, then by size."""
+    out = sorted(facets, key=sorted)
+    out.sort(key=len)
+    return tuple(out)
+
+
 class Complex:
     """Immutable abstract simplicial complex given by its facets."""
 
     __slots__ = ("_facets", "_cache")
 
     def __init__(self, facets: Iterable[Iterable[int]]):
-        raw = [as_simplex(f) for f in facets]
-        seen = set()
-        for f in raw:
-            if f in seen:
-                raise InvalidComplexError(f"duplicate facet {sorted(f)}")
-            seen.add(f)
+        raw = list(map(frozenset, facets))
+        # every label's type at C speed (a set of distinct labels would
+        # let True or 1.0 hide behind an equal int); on a bad label or an
+        # empty facet, the per-facet check raises the first error
+        if not all(raw) or set(map(type, itertools.chain.from_iterable(raw))) - {int}:
+            raw = [as_simplex(f) for f in raw]
+        if len(set(raw)) < len(raw):
+            first = next(f for i, f in enumerate(raw) if f in raw[:i])
+            raise InvalidComplexError(f"duplicate facet {sorted(first)}")
         # A facet strictly contained in another is not maximal.  A strict
         # subset is smaller, so facets of one size cannot nest and need
         # no scan.  Otherwise every superset of f lies in the incidence
@@ -113,14 +122,14 @@ class Complex:
                         )
                 for v in f:
                     at.setdefault(v, []).append(f)
-        self._facets: Tuple[Simplex, ...] = tuple(sorted(raw, key=_facet_sort_key))
+        self._facets: Tuple[Simplex, ...] = _in_facet_order(raw)
         self._cache: dict = {}
 
     @classmethod
     def _from_trusted(cls, facets: Iterable[Simplex]) -> "Complex":
         """Build without validation; callers guarantee maximality."""
         self = object.__new__(cls)
-        self._facets = tuple(sorted(facets, key=_facet_sort_key))
+        self._facets = _in_facet_order(facets)
         self._cache = {}
         return self
 
@@ -191,15 +200,21 @@ class Complex:
     def f_vector(self) -> Tuple[int, ...]:
         """Face counts per dimension; counts the face table when one is
         built and otherwise builds none.  A pure complex of dimension
-        d >= 2 counts its vertices and facets as they stand and
-        enumerates only the faces of dimension 1..d-1."""
+        d >= 2 counts its vertices and facets as they stand, reads its
+        (d-1)-faces off the ridge index when that is cached (the sphere
+        gates build it first), and enumerates only the faces of the
+        dimensions left between."""
         if "f_vector" not in self._cache:
             table = self._cache.get("faces")
             d = self.dim
             if table is not None:
                 counts = tuple(map(len, table.values()))
             elif d >= 2 and self.is_pure():
-                middle = map(len, self._face_sets(1, d - 1))
+                ridges = self._cache.get("ridges")
+                hi = d - 1 if ridges is None else d - 2
+                middle = list(map(len, self._face_sets(1, hi))) if hi else []
+                if ridges is not None:
+                    middle.append(len(ridges))
                 counts = (len(self.vertices), *middle, len(self._facets))
             else:
                 counts = tuple(map(len, self._face_sets()))
@@ -297,21 +312,23 @@ class Complex:
         return self.is_strongly_connected()
 
     def is_strongly_connected(self) -> bool:
-        """Facet graph through shared ridges is connected (pure only)."""
+        """Facet graph through shared ridges is connected (pure only);
+        read off the facet lists of the ridge index."""
         if not self._facets:
             return True
         if not self.is_pure():
             return False
-        ridges = self._ridges()
+        near: Dict[Simplex, List[Simplex]] = {}
+        for fs in self._ridges().values():
+            for g in fs:
+                near.setdefault(g, []).extend(fs)
         seen = {self._facets[0]}
         stack = [self._facets[0]]
         while stack:
-            f = stack.pop()
-            for v in f:
-                for g in ridges.get(f - {v}, ()):
-                    if g not in seen:
-                        seen.add(g)
-                        stack.append(g)
+            for g in near.get(stack.pop(), ()):
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
         return len(seen) == len(self._facets)
 
     def skeleton(self, k: int) -> "Complex":
@@ -662,11 +679,16 @@ class IsoIndex:
     """Complexes up to isomorphism.  Each class keeps its first member
     and a caller value, at its class index in ``members`` and
     ``values``.  Classes are bucketed by ``fingerprint``, and a bucket
-    maps each class's canonical encoding to its index.  A lookup runs
-    one canonical search that stops at the first leaf matching an
-    encoding of the bucket, and then one dict lookup.  A bucket's first
-    class is encoded only when a second complex reaches the bucket, so a
-    complex whose fingerprint is new computes no canonical form."""
+    maps each class's encoding to its index.  A lookup runs one
+    canonical search that stops at the first leaf matching an encoding
+    of the bucket, and then one dict lookup.  A bucket's first class is
+    encoded only when a second complex reaches the bucket, so a complex
+    whose fingerprint is new computes no canonical form.
+
+    A colour histogram of all ones is a discrete colouring, which is a
+    canonical labelling (McKay-Piperno 2014): isomorphisms keep colours,
+    so the facets relabelled by colour key such a bucket exactly, with
+    no search.  That key stays internal; canonical forms are untouched."""
 
     def __init__(self):
         self.members: List[Complex] = []
@@ -674,28 +696,37 @@ class IsoIndex:
         # fingerprint -> {encoding: class index}; None while unencoded
         self._buckets: Dict[tuple, Dict[Optional[tuple], int]] = {}
 
-    def _lookup(self, cx: Complex) -> Tuple[tuple, Optional[int]]:
+    @staticmethod
+    def _encoding(cx: Complex, key: tuple, targets) -> tuple:
+        if len(key) > 1 and all(n == 1 for _, n in key[2]):
+            color = cx._refinement_colors()
+            return tuple(sorted(tuple(sorted(map(color.__getitem__, f))) for f in cx.facets))
+        return cx._canonical_code(targets)[0]
+
+    def _lookup(self, cx: Complex) -> Tuple[tuple, Optional[tuple], Optional[int]]:
+        """cx's fingerprint, its encoding (None in an empty bucket) and
+        the index of its class.  A search that meets no class of the
+        bucket runs to the end, so a new class gets the full form."""
         key = fingerprint(cx)
         bucket = self._buckets.get(key)
         if not bucket:
-            return key, None
+            return key, None, None
         if None in bucket:
             i = bucket.pop(None)
-            bucket[self.members[i]._canonical_code()[0]] = i
-        return key, bucket.get(cx._canonical_code(bucket)[0])
+            bucket[self._encoding(self.members[i], key, ())] = i
+        enc = self._encoding(cx, key, bucket)
+        return key, enc, bucket.get(enc)
 
     def find(self, cx: Complex) -> Optional[int]:
         """The index of cx's class, or None."""
-        return self._lookup(cx)[1]
+        return self._lookup(cx)[2]
 
     def add(self, cx: Complex, value: object = None) -> Tuple[int, bool]:
         """The index of cx's class, and whether cx opened it."""
-        key, i = self._lookup(cx)
+        key, enc, i = self._lookup(cx)
         if i is not None:
             return i, False
-        bucket = self._buckets.setdefault(key, {})
-        # a bucket that held a class has searched cx to the end already
-        bucket[cx._canonical_code()[0] if bucket else None] = len(self.members)
+        self._buckets.setdefault(key, {})[enc] = len(self.members)
         self.members.append(cx)
         self.values.append(value)
         return len(self.members) - 1, True

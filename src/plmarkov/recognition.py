@@ -13,10 +13,11 @@ the budget ran out, nothing more.
 
 Manifold recognition classifies every vertex link as a sphere (interior
 vertex) or a ball (boundary vertex).  Isomorphic links share one
-verdict through an ``IsoIndex`` (fingerprint buckets confirmed by
-explicit isomorphism), so structured complexes with many repeated link
-shapes settle quickly.  Per-vertex budgets depend only on the input,
-so reports are reproducible byte for byte.
+verdict through an ``IsoIndex`` (fingerprint buckets keyed by canonical
+encoding, or by colour where refinement is discrete), so structured
+complexes with many repeated link shapes settle quickly.  Per-vertex
+budgets depend only on the input, so reports are reproducible byte for
+byte.
 """
 
 from __future__ import annotations

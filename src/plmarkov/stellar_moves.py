@@ -35,6 +35,9 @@ memoized reference manifold, say) starts with its answers while the
 states left behind are freed.  The public scans judge both halves
 afresh.  The descent judges nothing at the boundary of a simplex, where
 no move applies, so a descent from the reference sphere stops at once.
+Its weld scan reads each star off the facet tuple, in facet order, and
+tests whether s is a face against the facets, so a state that welds
+builds no incidence index.
 """
 
 from __future__ import annotations
@@ -189,23 +192,28 @@ def _judged(table: dict, judge, x, star):
 def _link_splits(v: int, star: Tuple[Simplex, ...]) -> Tuple[Tuple[Simplex, set], ...]:
     """The link condition of every weld at v, given the facets of its
     star in facet order: the pairs (s, L) in the order of
-    ``weld_candidates``."""
-    link_set = {f - {v} for f in star}
+    ``weld_candidates``.  A link vertex lies in as many link facets as
+    star facets, so the degrees are counted off the star, and the link
+    is built only for a candidate that survives the degree test."""
     # the least link facet of the smallest size, which misses max(s) for
     # every legal s, as the least facet of any size class does
     f0 = star[0] - {v}
     if not f0:
         return ()
-    n = len(link_set)
-    degree = Counter(u for t in link_set for u in t)
-    f0l = sorted(f0)
+    n = len(star)
+    degree = Counter(itertools.chain.from_iterable(star))
+    pools: Dict[int, List[int]] = {}
+    for u in sorted(f0):
+        pools.setdefault(degree[u], []).append(u)
+    link_set = None
     out = []
-    for w in sorted(degree.keys() - f0):
+    for w in sorted(degree.keys() - star[0]):
         factor = n - degree[w]
         if n % factor:
             continue
-        pool = [u for u in f0l if degree[u] == degree[w]]
-        for a in itertools.combinations(pool, n // factor - 1):
+        for a in itertools.combinations(pools.get(degree[w], ()), n // factor - 1):
+            if link_set is None:
+                link_set = {f - {v} for f in star}
             s = frozenset(a) | {w}
             rest = _link_factor(link_set, s)
             if rest is not None:
@@ -217,11 +225,14 @@ def _first_weld(cx: Complex, table: dict) -> Optional[Tuple[int, Simplex, set]]:
     """The first of ``weld_candidates``, with the link conditions from
     ``table``, and the factor L of the weld it finds.  A star is keyed
     as the tuple of its facets in facet order, as the incidence index
-    holds it."""
-    at = cx._incidence()
+    holds it; each scanned vertex reads its star off the facet tuple
+    and each s is tested against the facets, so a state whose scan
+    finds a weld builds no incidence index."""
+    facets = cx.facets
     for v in cx.vertices:
-        for s, rest in _judged(table, _link_splits, v, at[v]):
-            if not cx.has_face(s):
+        star = tuple(f for f in facets if v in f)
+        for s, rest in _judged(table, _link_splits, v, star):
+            if not any(map(s.issubset, facets)):
                 return v, s, rest
     return None
 

@@ -18,9 +18,9 @@ from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _substitute
                              abelianization, cyclic_reduce, free_reduce, inverse_word)
 from plmarkov.invariants import (HomologyGroup, HomologyProfile, boundary_matrix, homology,
                                  smith_diagonal)
-from plmarkov.stellar_moves import (StellarMove, _link_factor, search_equivalence,
-                                    stellar_subdivide, stellar_weld, subdivision_candidates,
-                                    weld_candidates, weld_parts)
+from plmarkov.stellar_moves import (StellarMove, _judged, _link_factor, _link_splits,
+                                    search_equivalence, stellar_subdivide, stellar_weld,
+                                    subdivision_candidates, weld_candidates, weld_parts)
 from plmarkov.surgery import (_SEARCH_BUDGET, Tube, _chart_bands, _coface_index, _oriented,
                               chunk, lateral_cells, staircase_cap)
 
@@ -2061,3 +2061,31 @@ def iso_signature_via_canonical(cx: Complex) -> str:
     fvec = ",".join(map(str, cx.f_vector()))
     body = "|".join(" ".join(str(v) for v in sorted(f)) for f in canon.facets)
     return f"{canon.dim}:{fvec}:{body}"
+
+
+# The facet order, the weld scan and the link index as they ran before
+# the constructors sorted in two C-level passes, the scan read stars off
+# the facet tuple and the index keyed discrete buckets by colours.
+
+def facet_sort_key(f: Simplex) -> tuple:
+    """The facet order: size, then ascending labels."""
+    return (len(f), tuple(sorted(f)))
+
+
+def first_weld_by_incidence(cx: Complex, table: dict):
+    """``stellar_moves._first_weld`` reading each star off the incidence
+    index and testing s with ``has_face``."""
+    at = cx._incidence()
+    for v in cx.vertices:
+        for s, rest in _judged(table, _link_splits, v, at[v]):
+            if not cx.has_face(s):
+                return v, s, rest
+    return None
+
+
+class IsoIndexCanonical(IsoIndex):
+    """``IsoIndex`` keying every bucket by canonical encodings."""
+
+    @staticmethod
+    def _encoding(cx: Complex, key: tuple, targets) -> tuple:
+        return cx._canonical_code(targets)[0]

@@ -27,8 +27,8 @@ from plmarkov.recognition import (classify_links, is_closed_manifold,
                                   is_combinatorial_sphere)
 from plmarkov.stellar_moves import (apply_certificate, format_certificate,
                                     search_equivalence, weld_candidates)
-from oracles import (edge_path_presentation_collapsed,
-                     is_combinatorial_sphere_gates_first,
+from oracles import (edge_path_presentation_collapsed, first_weld_by_incidence,
+                     is_combinatorial_sphere_gates_first, link_splits_min_first,
                      subcomplex_classes_exhaustive, weld_candidates_unpruned)
 
 BUDGET = 100000
@@ -164,6 +164,38 @@ def test_gate_2_links_match_the_unpruned_and_gates_first_oracles(closed_check):
             if new.is_yes:
                 assert (format_certificate(new.witness)
                         == format_certificate(old.witness)), name
+
+
+def test_gate_2_weld_scans_match_the_incidence_oracles(closed_check):
+    # every star the corpus judges against the min-first split oracle,
+    # and every state its descents scan against the scan that reads
+    # stars off the incidence index; a scan that finds a weld builds no
+    # incidence index
+    stars, scans = {}, []
+
+    def judging(v, star, real=stellar_moves._link_splits):
+        stars[v, star] = real(v, star)
+        return stars[v, star]
+
+    def scanning(cx, table, real=stellar_moves._first_weld):
+        indexed = "incidence" in cx._cache
+        weld = real(cx, table)
+        scans.append((cx, weld, indexed, "incidence" in cx._cache))
+        return weld
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(stellar_moves, "_link_splits", judging)
+        m.setattr(stellar_moves, "_first_weld", scanning)
+        for name, cx in {**closed_check.yes, **closed_check.no}.items():
+            verdict = is_closed_manifold(Complex(cx.facets), budget=BUDGET)
+            assert verdict.to_json() == closed_check.verdicts[name].to_json(), name
+    for (v, star), splits in stars.items():
+        assert splits == link_splits_min_first(v, star)
+    for cx, weld, _, _ in scans:
+        assert weld == first_weld_by_incidence(Complex._from_trusted(cx.facets), {})
+    welds = [(before, after) for _, weld, before, after in scans if weld is not None]
+    assert all(after == before for before, after in welds)
+    assert sum(not before for before, _ in welds) > len(welds) // 2
 
 
 def _relabeled(cx, rng):

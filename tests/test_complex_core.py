@@ -35,9 +35,11 @@ from plmarkov.stellar_moves import (stellar_subdivide, stellar_weld,
                                     subdivision_candidates, weld_candidates)
 
 from oracles import (
+    IsoIndexCanonical,
     canonical_pair_unpruned,
     check_maximal_pairwise,
     derived_subdivision_recursive,
+    facet_sort_key,
     faces_by_dim_key_sorted,
     fingerprint_with_f_vector,
     is_connected,
@@ -715,6 +717,41 @@ def test_construction_errors_match_pairwise_check(facets):
         assert got[1].facets == Complex._from_trusted(map(frozenset, facets)).facets
 
 
+@pytest.mark.parametrize("facets", [
+    [[0, 1], [True, 2]],
+    # a bool or a float equal to an earlier int label
+    [[1, 2], [True, 3]],
+    [[1, 2], [1.0, 3]],
+    [[0, 1], ["a", 2]],
+    [[0, 2.5]],
+    [[0, 1], []],
+    [[], ["a"]],
+    [[0, 1], [1, 0]],
+    [[0, 1], [2, 3], [1, 0], [3, 2]],
+    [[0, 1, 2], [1, 2]],
+    # the first error in facet order wins over later kinds
+    [[0, 1], [1, 0], ["a"]],
+    [[0, 1, 2], [1, 2], [0, 2, 1]],
+], ids=["bool", "bool-after-1", "float-after-1", "str", "float", "empty", "empty-then-str",
+        "duplicate", "two-duplicates", "nested", "duplicate-then-str", "nested-and-duplicate"])
+def test_checked_construction_raises_the_per_facet_error(facets):
+    # the labels are checked all at once and the per-facet check runs
+    # only to name the first error, which must be the one it names alone
+    got, want = _outcome(Complex, facets), _outcome(check_maximal_pairwise, facets)
+    assert got[0] == want[0] == "error"
+    assert got[1] == want[1]
+
+
+@given(facet_lists())
+@example([[3], [0, 1, 2], [1, 2], [0, 4], [2]])
+def test_facet_order_is_the_size_then_labels_order(facets):
+    raw = [frozenset(f) for f in facets]
+    want = tuple(sorted(raw, key=facet_sort_key))
+    assert Complex._from_trusted(raw).facets == want
+    if _outcome(check_maximal_pairwise, facets)[0] == "ok":
+        assert Complex(facets).facets == want
+
+
 @given(small_complexes())
 @example(simplex_sphere(0))
 @example(simplex_sphere(4))
@@ -797,6 +834,39 @@ def test_ridge_index_users_match_their_own_maps(cx):
 def test_ridge_index_users_match_their_own_maps_on_manifolds(build):
     cx = Complex(build().facets)
     assert_ridge_users_match_own_maps(cx)
+
+
+@pytest.mark.parametrize("facets, connected", [
+    (ANNULUS, True),
+    # a ridge [0, 1] in three facets
+    ([[0, 1, 2], [0, 1, 3], [0, 1, 4]], True),
+    ([[0, 1, 2], [0, 1, 3], [0, 1, 4], [4, 5, 6]], False),
+    # two triangles that share only a vertex, and two disjoint edges
+    ([[0, 1, 2], [0, 3, 4]], False),
+    ([[0, 1], [2, 3]], False),
+    ([[0, 1], [1, 2], [0, 2], [2, 3]], True),
+], ids=["annulus", "ridge-in-three", "ridge-in-three-and-apart", "bowtie", "two-edges",
+        "graph"])
+def test_strong_connectivity_matches_its_own_map(facets, connected):
+    cx = validate(facets)
+    assert cx.is_strongly_connected() is connected is is_strongly_connected_own_map(cx)
+
+
+@given(pure_complexes())
+@example(validate(sphere_facets(1)))
+@example(validate(ANNULUS))
+@example(simplex_sphere(3))
+@example(simplex_sphere(4))
+@example(stellar_subdivide(simplex_sphere(4), [0, 1]))
+@example(validate([[0, 1, 2, 3, 4], [0, 1, 2, 3, 5], [0, 1, 2, 3, 6]]))
+def test_f_vector_with_the_ridge_index_matches_the_key_sorted_oracle(cx):
+    # the sphere gates build the ridge index before the Euler number,
+    # and f_{d-1} is then read off its keys
+    cx = Complex._from_trusted(cx.facets)
+    cx._ridges()
+    want = tuple(len(fs) for fs in faces_by_dim_key_sorted(cx).values())
+    assert cx.f_vector() == want
+    assert "faces" not in cx._cache
 
 
 @given(st.one_of(small_complexes(), pure_complexes()))
@@ -913,9 +983,8 @@ def test_iso_index_ignores_the_f_vector_on_the_recognition_links():
     assert (nlinks, nclasses) == (161, 76)
 
 
-@pytest.mark.parametrize("n, cap", CENSUS_ENUMERATIONS)
-def test_iso_index_ignores_the_f_vector_on_the_census_states(n, cap):
-    # every complex the enumeration looks up, replayed into fresh indexes
+def _census_states(n, cap):
+    """Every complex the enumeration looks up, and its signatures."""
     states = []
     real = IsoIndex.add
 
@@ -926,6 +995,13 @@ def test_iso_index_ignores_the_f_vector_on_the_census_states(n, cap):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(IsoIndex, "add", recording)
         sigs = list(enumerate_spheres(n, cap))
+    return states, sigs
+
+
+@pytest.mark.parametrize("n, cap", CENSUS_ENUMERATIONS)
+def test_iso_index_ignores_the_f_vector_on_the_census_states(n, cap):
+    # every complex the enumeration looks up, replayed into fresh indexes
+    states, sigs = _census_states(n, cap)
     assert_iso_index_ignores_the_f_vector(states)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(complex_core, "fingerprint", fingerprint_with_f_vector)
@@ -939,6 +1015,67 @@ def test_iso_index_ignores_the_f_vector_on_the_census_states(n, cap):
           validate([[0, 2, 5], [0, 3, 4], [1, 3, 4, 5]])])
 def test_iso_index_ignores_the_f_vector_on_small_complexes(cxs):
     assert_iso_index_ignores_the_f_vector(cxs)
+
+
+def _is_discrete(cx):
+    key = fingerprint(cx)
+    return len(key) > 1 and all(n == 1 for _, n in key[2])
+
+
+def assert_discrete_key_keeps_the_classes(cxs):
+    # the same classes, class indices and first members whether a
+    # discrete bucket is keyed by colours or by canonical encodings
+    got = _iso_index_adds(cxs)
+    index = IsoIndexCanonical()
+    want = [index.add(Complex._from_trusted(cx.facets)) for cx in cxs]
+    assert got == (want, [m.facets for m in index.members])
+
+
+def test_discrete_key_keeps_the_classes_of_the_recognition_links():
+    discrete = 0
+    for make in RECOGNITION_MANIFOLDS.values():
+        cx = make()
+        links = [cx.link([v]) for v in cx.vertices]
+        assert_discrete_key_keeps_the_classes(links)
+        discrete += sum(map(_is_discrete, links))
+    assert discrete > 0
+
+
+@pytest.mark.parametrize("n, cap", CENSUS_ENUMERATIONS)
+def test_discrete_key_keeps_the_classes_of_the_census_states(n, cap):
+    states, sigs = _census_states(n, cap)
+    assert_discrete_key_keeps_the_classes(states)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(markov, "IsoIndex", IsoIndexCanonical)
+        assert list(enumerate_spheres(n, cap)) == sigs
+
+
+@given(complex_mixes())
+@example([K33, PRISM, _relabeled_randomly(PRISM, random.Random(1))])
+def test_discrete_key_keeps_the_classes_of_small_complexes(cxs):
+    assert_discrete_key_keeps_the_classes(cxs)
+
+
+# two graphs with 7 vertices and 7 edges, each discretely coloured by
+# refinement, with one fingerprint; not isomorphic
+DISCRETE_A = Complex([[0, 1], [0, 2], [0, 4], [2, 3], [3, 4], [4, 6], [5, 6]])
+DISCRETE_B = Complex([[0, 2], [0, 5], [1, 4], [2, 3], [2, 5], [3, 4], [5, 6]])
+
+
+def test_discrete_buckets_tell_classes_apart_without_a_search():
+    a, b = _fresh(DISCRETE_A), _fresh(DISCRETE_B)
+    assert fingerprint(a) == fingerprint(b) and _is_discrete(a)
+    assert isomorphism(DISCRETE_A, DISCRETE_B) is None
+    index = IsoIndex()
+    assert index.add(a) == (0, True)
+    assert index.add(b) == (1, True)
+    rng = random.Random(28)
+    copies = [_relabeled_randomly(cx, rng) for cx in (DISCRETE_B, DISCRETE_A, DISCRETE_B)]
+    assert [index.add(cx) for cx in copies] == [(1, False), (0, False), (1, False)]
+    assert [index.find(cx) for cx in copies] == [1, 0, 1]
+    assert index.members == [a, b]
+    for cx in (a, b, *copies):
+        assert "canonical" not in cx._cache
 
 
 def _lockstep_orbit_representatives(grew):

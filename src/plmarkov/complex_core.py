@@ -50,7 +50,10 @@ automorphisms; ``automorphisms`` runs one when they are missing.
 
 ``isomorphism`` compares the two canonical forms and composes one
 canonical mapping with the inverse of the other; a side whose form is
-not cached is searched against the other side's encoding.
+not cached is searched against the other side's encoding.  Two
+boundaries of simplices of one dimension are matched in label order
+with no search: the canonical search labels the vertices of such a
+boundary in ascending order, so that is the map it would return.
 
 ``IsoIndex`` groups complexes up to isomorphism in ``fingerprint``
 buckets, keyed by dimension, facet count and colour histogram, each a
@@ -337,7 +340,9 @@ class Complex:
             raise InvalidComplexError("skeleton dimension must be >= 0")
         if k >= self.dim:
             return self
-        return Complex.generated_by(self.faces(k))
+        # the k-faces and the facets below dimension k are all maximal
+        return Complex._from_trusted(
+            self.faces(k) + tuple(f for f in self._facets if len(f) <= k))
 
     def orientation(self) -> Optional[Dict[Simplex, int]]:
         """Coherent facet signs, or None when none exist.
@@ -654,13 +659,23 @@ def fingerprint(cx: Complex) -> tuple:
     return (cx.dim, len(cx.facets), tuple(sorted(hist.items())))
 
 
+def _is_simplex_boundary(cx: Complex) -> bool:
+    """Whether cx is the boundary of a (d+1)-simplex: d + 2 facets of
+    d + 1 vertices each, on d + 2 vertices (none when cx is empty)."""
+    n = cx.dim + 2
+    return len(cx.facets) == n == len(cx.vertices) and len(cx.facets[0]) == n - 1
+
+
 def isomorphism(a: Complex, b: Complex) -> Optional[Dict[int, int]]:
     """A vertex bijection carrying the facets of a onto those of b, or
     None.  Read off the canonical forms: they are equal exactly when the
     complexes are isomorphic, and then a's canonical labelling followed
     by the inverse of b's carries a onto b, so the vertices with equal
-    canonical labels correspond.
+    canonical labels correspond.  Two boundaries of simplices of one
+    dimension map in label order, which is that same map, with no search.
     """
+    if a.dim == b.dim and _is_simplex_boundary(a) and _is_simplex_boundary(b):
+        return dict(zip(a.vertices, b.vertices))
     if a.f_vector() != b.f_vector():
         return None
     # search a side with no cached form against the other's encoding

@@ -281,7 +281,6 @@ def _first_homology_mismatch(hm, ht) -> Optional[str]:
         gt = jt[d] if d < len(jt) else None
         if gm != gt:
             return "H%d %s vs %s" % (d, gm, gt)
-    return "homology profiles differ"
 
 
 def reduction_report(p: FinitePresentation, n: int,

@@ -27,14 +27,11 @@ vertex or face and its star, so it is a pure function of (v, star of v)
 or (A, star of A), and its answer holds in every complex that has that
 star.  The global half is whether s or B is a face, which depends on the
 whole complex.  ``reduce_with_trace`` keeps the local answers in a table
-keyed by (vertex or face, star), in the ``_cache`` of the complex the
-descent starts from, and judges only the global half again in each
-state.  The table needs no invalidation.  When the descent ends it
-keeps only the stars of that complex, so a later descent from it (a
-memoized reference manifold, say) starts with its answers while the
-states left behind are freed.  The public scans judge both halves
-afresh.  The descent judges nothing at the boundary of a simplex, where
-no move applies, so a descent from the reference sphere stops at once.
+keyed by (vertex or face, star) that lives for one descent, and judges
+only the global half again in each state.  The table needs no
+invalidation.  The public scans judge both halves afresh.  The descent
+judges nothing at the boundary of a simplex, where no move applies, so
+a descent from the reference sphere stops at once.
 Its weld scan reads each star off the facet tuple, in facet order, and
 tests whether s is a face against the facets, so a state that welds
 builds no incidence index.
@@ -48,7 +45,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import verdict as vd
-from .complex_core import Complex, InvalidComplexError, IsoIndex, Simplex, isomorphism
+from .complex_core import (Complex, InvalidComplexError, IsoIndex, Simplex,
+                           _is_simplex_boundary, isomorphism)
 from .invariants import homology
 
 # -- elementary moves --------------------------------------------------
@@ -374,23 +372,6 @@ def _reducing_flip(cx: Complex, table: dict) -> Optional[Tuple[Simplex, Simplex]
 _PLATEAU_DEPTH = 3
 
 
-def _star_table(cx: Complex) -> dict:
-    """The link-condition table of the descents that start at cx."""
-    return cx._cache.setdefault("star_table", {})
-
-
-def _keep_own_stars(cx: Complex, table: dict) -> None:
-    """Drop the entries whose star is not a star of cx: they would
-    keep the facets of the states the descent left behind alive for as
-    long as cx lives."""
-    at = cx._incidence()
-    for key in list(table):
-        x, star = key
-        own = at.get(x) if isinstance(x, int) else cx.facets_containing(x)
-        if own != star:
-            del table[key]
-
-
 def _escape_plateau(
     state: Complex, budget: vd.Budget, moves_out: List[StellarMove], table: dict
 ) -> Optional[Complex]:
@@ -425,23 +406,6 @@ def _escape_plateau(
     return None
 
 
-def _is_simplex_boundary(cx: Complex) -> bool:
-    """Whether cx is the boundary of a (d+1)-simplex: d + 2 facets of
-    d + 1 vertices each, on d + 2 vertices (none when cx is empty)."""
-    n = cx.dim + 2
-    return len(cx.facets) == n == len(cx.vertices) and len(cx.facets[0]) == n - 1
-
-
-def _end_map(a: Complex, b: Complex) -> Optional[Dict[int, int]]:
-    """``isomorphism(a, b)``.  Between boundaries of simplices of one
-    dimension that is the order-preserving map: the canonical search
-    labels the vertices of such a boundary in ascending order."""
-    va, vb = a.vertices, b.vertices
-    if len(va) == len(vb) and _is_simplex_boundary(a) and _is_simplex_boundary(b):
-        return dict(zip(va, vb))
-    return isomorphism(a, b)
-
-
 def reduce_with_trace(
     cx: Complex, budget: vd.Budget
 ) -> Tuple[Complex, List[StellarMove]]:
@@ -450,11 +414,11 @@ def reduce_with_trace(
     plateau through sideways flips; returns the reduced state and the
     move trace.  The descent stops at the boundary of a simplex: every
     weld's s and every flip's B has at most d + 1 vertices, all of them
-    a face there.  Every link condition is judged once, in the
-    star-keyed table kept on cx (see the module docstring); each state
-    judges only whether s or B is a face, and a weld is built from the
-    factor L the table holds."""
-    table = _star_table(cx)
+    a face there.  Every link condition is judged once per descent, in
+    a star-keyed table (see the module docstring); each state judges
+    only whether s or B is a face, and a weld is built from the factor
+    L the table holds."""
+    table: dict = {}
     state = cx
     moves: List[StellarMove] = []
     while not budget.exhausted and not _is_simplex_boundary(state):
@@ -476,7 +440,6 @@ def reduce_with_trace(
         if jumped is None:
             break
         state = jumped
-    _keep_own_stars(cx, table)
     return state, moves
 
 
@@ -593,7 +556,7 @@ def descend(a: Complex, b: Complex, budget: int) -> Descent:
     """The first stage of a search: test the inputs for isomorphism,
     reduce both sides by monotone descent on half the budget each, and
     compare the reduced forms.  Checks no invariant."""
-    before = _end_map(a, b)
+    before = isomorphism(a, b)
     if before is not None:
         relabel = tuple(before[v] for v in a.vertices)
         return Descent(vd.yes(witness=Certificate((), relabel)))
@@ -603,7 +566,7 @@ def descend(a: Complex, b: Complex, budget: int) -> Descent:
     b_budget = vd.Budget(total.remaining // 2)
     b_red, b_moves = reduce_with_trace(b, b_budget)
     total.spend(half.used + b_budget.used)
-    psi = _end_map(a_red, b_red)
+    psi = isomorphism(a_red, b_red)
     found = None
     if psi is not None:
         found = vd.yes(witness=_stitch_certificate(a_moves, a_red, b_moves, b, psi))

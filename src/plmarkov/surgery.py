@@ -153,10 +153,11 @@ def resolve_tube(m, sections, ball):
 
 
 def lateral_cells(bands, lk):
-    """Cells of the torus whose bands run staircases from a to b."""
+    """Cells of each band's chunk, a staircase through its charts in
+    order; two-chart bands (a, b) give the torus running from a to b."""
     out = set()
-    for a, b in bands:
-        out |= chunk([a, b], lk.facets)
+    for band in bands:
+        out |= chunk(band, lk.facets)
     return out
 
 
@@ -200,10 +201,7 @@ def staircase_cap(bands, lk, alloc):
     from b and the rest from apex, consecutive runs sharing one label.
     """
     apex = {s: alloc() for s in sorted(lk.vertices)}
-    cells = set()
-    for a, b in bands:
-        cells |= chunk([a, b, apex], lk.facets)
-    return cells
+    return lateral_cells([(a, b, apex) for a, b in bands], lk)
 
 
 def _chart_bands(tube, lk):

@@ -1113,6 +1113,25 @@ def isomorphism_backtracking(a: Complex, b: Complex) -> Optional[Dict[int, int]]
     return None
 
 
+# `complex_core.isomorphism` before it matched two boundaries of
+# simplices in label order: every pair is read off the canonical forms.
+
+def isomorphism_by_canonical_search(a: Complex, b: Complex) -> Optional[Dict[int, int]]:
+    """A vertex bijection carrying the facets of a onto those of b, or
+    None: a's canonical labelling followed by the inverse of b's."""
+    if a.f_vector() != b.f_vector():
+        return None
+    if "canonical" in b._cache:
+        enc_b, order_b = b._canonical_code()
+        enc_a, order_a = a._canonical_code((enc_b,))
+    else:
+        enc_a, order_a = a._canonical_code()
+        enc_b, order_b = b._canonical_code((enc_a,))
+    if enc_a != enc_b:
+        return None
+    return dict(zip(order_a, order_b))
+
+
 # The weld scan and the sphere check as they ran before the scan pruned
 # by link degree and the check ran the descent ahead of homology.
 

@@ -12,11 +12,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from plmarkov import stellar_moves
+from plmarkov import complex_core, stellar_moves
 from plmarkov.builders import (reference_manifold, simplex_sphere,
                                sphere_product, standard_simplex)
-from plmarkov.complex_core import (Complex, IsoIndex, barycentric_subdivision,
-                                   isomorphism, to_text)
+from plmarkov.complex_core import Complex, IsoIndex, barycentric_subdivision, to_text
 from plmarkov.groups import (abelianization, edge_path_presentation,
                              parse_presentation)
 from plmarkov.invariants import betti_numbers, homology
@@ -28,8 +27,9 @@ from plmarkov.recognition import (classify_links, is_closed_manifold,
 from plmarkov.stellar_moves import (apply_certificate, format_certificate,
                                     search_equivalence, weld_candidates)
 from oracles import (edge_path_presentation_collapsed, first_weld_by_incidence,
-                     is_combinatorial_sphere_gates_first, link_splits_min_first,
-                     subcomplex_classes_exhaustive, weld_candidates_unpruned)
+                     is_combinatorial_sphere_gates_first, isomorphism_by_canonical_search,
+                     link_splits_min_first, subcomplex_classes_exhaustive,
+                     weld_candidates_unpruned)
 
 BUDGET = 100000
 PRESENTATIONS = ("|", "g|g", "g|gg", "a,b|a,b", "a,b|ab,b", "a,b|abAB")
@@ -204,22 +204,23 @@ def _relabeled(cx, rng):
 
 
 def test_simplex_boundary_end_maps_are_the_isomorphisms(closed_check):
-    # a descent whose two ends are boundaries of simplices maps them in
-    # label order without a search; on every such descent of the gate-2
-    # corpus and of the census subdivision searches, that map is the one
-    # isomorphism finds, entry for entry
+    # isomorphism maps two boundaries of simplices in label order without
+    # a search; on every such pair the descents of the gate-2 corpus and
+    # of the census subdivision searches compare, that map is the one the
+    # canonical search finds, entry for entry, and the check is sharp: the
+    # reverse label order, also an isomorphism, fails it
     ends = []
 
-    def recording(a, b, real=stellar_moves._end_map):
+    def recording(a, b, real=stellar_moves.isomorphism):
         psi = real(a, b)
-        if (len(a.vertices) == len(b.vertices) and stellar_moves._is_simplex_boundary(a)
-                and stellar_moves._is_simplex_boundary(b)):
+        if (a.dim == b.dim and complex_core._is_simplex_boundary(a)
+                and complex_core._is_simplex_boundary(b)):
             ends.append((a, b, psi))
         return psi
 
     rng = random.Random(26)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(stellar_moves, "_end_map", recording)
+        m.setattr(stellar_moves, "isomorphism", recording)
         for name, cx in {**closed_check.yes, **closed_check.no}.items():
             verdict = is_closed_manifold(Complex(cx.facets), budget=BUDGET)
             assert verdict.to_json() == closed_check.verdicts[name].to_json(), name
@@ -231,8 +232,10 @@ def test_simplex_boundary_end_maps_are_the_isomorphisms(closed_check):
             assert apply_certificate(left, v.witness) == right
     assert 0 < gate2 < len(ends)
     for a, b, psi in ends:
-        want = isomorphism(Complex(a.facets), Complex(b.facets))
-        assert list(psi.items()) == list(want.items())
+        want = list(isomorphism_by_canonical_search(
+            Complex(a.facets), Complex(b.facets)).items())
+        assert list(psi.items()) == want
+        assert list(zip(a.vertices, reversed(b.vertices))) != want
 
 
 def test_criterion_3_certificate_round_trip():

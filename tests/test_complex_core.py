@@ -566,12 +566,13 @@ def test_targeted_search_matches_the_full_search_on_named_complexes(name):
 def test_a_search_that_meets_its_target_stops_early():
     # a search stopped at its target caches the code but not the
     # automorphisms, which only a search run to the end collects
-    s3 = simplex_sphere(3)
-    s3._canonical_code()
-    copy = _relabeled_randomly(s3, random.Random(3))
-    assert isomorphism(copy, s3) is not None
+    # (a subdivided 3-sphere: two simplex boundaries map with no search)
+    sub = stellar_subdivide(simplex_sphere(3), range(4))
+    sub._canonical_code()
+    copy = _relabeled_randomly(sub, random.Random(3))
+    assert isomorphism(copy, sub) is not None
     assert "canonical" in copy._cache and "autos" not in copy._cache
-    assert "autos" in s3._cache
+    assert "autos" in sub._cache
     # K33 and PRISM share a fingerprint: the second opens a class in
     # the first one's bucket by a full search, and a repeat of either
     # stops at its class's encoding
@@ -616,6 +617,11 @@ def test_skeleton():
     sk1 = cx.skeleton(1)
     assert sk1.f_vector() == (4, 6)
     assert cx.skeleton(5) is cx
+    # facets below dimension k stay in the k-skeleton
+    assert Complex([[0, 1, 2], [3, 4], [5]]).skeleton(1) == Complex(
+        [[0, 1], [0, 2], [1, 2], [3, 4], [5]])
+    assert Complex([[0, 1, 2, 3], [4, 5]]).skeleton(2) == Complex(
+        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [4, 5]])
 
 
 def test_connectivity():

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every private module-level name is used somewhere in the package, no
-module behaves differently under ``python -O``, and the package's
-source stays within its line budget.
+module behaves differently under ``python -O``, no search keeps its
+state on a ``Complex``, and the package's source stays within its line
+budget.
 
 No linter ships with the package's test dependencies, so this reads
 each source file with ``ast``.  The package ``__init__`` is exempt for
@@ -77,6 +78,23 @@ def test_no_check_depends_on_debug_mode():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
         or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
+    assert found == []
+
+
+# the modules whose data a Complex caches: its own derived tables and
+# the homology profile
+CACHE_OWNERS = {"complex_core.py", "invariants.py"}
+
+
+def test_no_search_keeps_its_state_on_a_complex():
+    """A search's tables live for one search: outside the modules whose
+    data a ``Complex`` caches, no code touches ``_cache``."""
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py")) if path.name not in CACHE_OWNERS
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_cache"
     ]
     assert found == []
 

@@ -43,18 +43,30 @@ def _tokenize(text):
                     "line 1, column %d: unexpected character %r"
                     % (pos + 1, text[pos]))
             break
-        for kind in ("name", "int", "str", "punct"):
-            if m.group(kind) is not None:
-                out.append((kind, m.group(kind), m.start(kind)))
-                break
+        kind = m.lastgroup
+        out.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     out.append(("end", "", len(text)))
     return out
 
 
+# name -> (argument kinds: E expression, n integer, s quoted text; builder)
+_CONSTRUCTORS = {
+    "ball": ("n", standard_simplex),
+    "sphere": ("n", simplex_sphere),
+    "cone": ("E", cone),
+    "susp": ("E", suspension),
+    "prod": ("EE", ordered_product),
+    "csum": ("EE", connected_sum),
+    "ref": ("nn", reference_manifold),
+    "prescx": ("s", lambda s: presentation_complex(parse_presentation(s))),
+}
+
+
 def parse_expression(text: str) -> cc.Complex:
-    """Evaluate the shared constructor grammar: ball(n), sphere(n),
-    cone(E), susp(E), prod(E,E), csum(E,E), ref(l,n), prescx("...")."""
+    """Evaluate the constructor grammar of ``_CONSTRUCTORS``: ball(n),
+    sphere(n), cone(E), susp(E), prod(E,E), csum(E,E), ref(l,n),
+    prescx("..."); the builder runs before the closing ')' is read."""
     toks = _tokenize(text)
     idx = [0]
 
@@ -77,41 +89,21 @@ def parse_expression(text: str) -> cc.Complex:
     def expr():
         tok = take("name", "a constructor name")
         punct("(")
-        name = tok[1]
-        if name == "ball":
-            out = standard_simplex(number())
-        elif name == "sphere":
-            out = simplex_sphere(number())
-        elif name == "cone":
-            out = cone(expr())
-        elif name == "susp":
-            out = suspension(expr())
-        elif name == "prod":
-            a = expr()
-            comma()
-            out = ordered_product(a, expr())
-        elif name == "csum":
-            a = expr()
-            comma()
-            out = connected_sum(a, expr())
-        elif name == "ref":
-            l = number()
-            comma()
-            out = reference_manifold(l, number())
-        elif name == "prescx":
-            s = take("str", "a quoted presentation")
-            out = presentation_complex(parse_presentation(s[1][1:-1]))
-        else:
-            err("unknown constructor %r" % name, tok)
+        if tok[1] not in _CONSTRUCTORS:
+            err("unknown constructor %r" % tok[1], tok)
+        kinds, build = _CONSTRUCTORS[tok[1]]
+        args = []
+        for kind in kinds:
+            if args:
+                punct(",")
+            args.append(read[kind]())
+        out = build(*args)
         punct(")")
         return out
 
-    def comma():
-        punct(",")
-
-    def number():
-        return int(take("int", "an integer")[1])
-
+    read = {"E": expr,
+            "n": lambda: int(take("int", "an integer")[1]),
+            "s": lambda: take("str", "a quoted presentation")[1][1:-1]}
     try:
         out = expr()
     except RecursionError:

@@ -296,15 +296,9 @@ class Complex:
         return Complex._from_trusted(r for r, d in self.ridge_degrees().items() if d == 1)
 
     def is_closed_pseudomanifold(self) -> bool:
-        """Pure, every ridge in exactly two facets, strongly connected."""
-        if not self._facets or self.dim < 1:
-            return False
-        if not self.is_pure():
-            return False
-        deg = self.ridge_degrees()
-        if any(d != 2 for d in deg.values()):
-            return False
-        return self.is_strongly_connected()
+        """A pseudomanifold with boundary whose every ridge is in two facets."""
+        return self.is_pseudomanifold_with_boundary() and all(
+            len(fs) == 2 for fs in self._ridges().values())
 
     def is_pseudomanifold_with_boundary(self) -> bool:
         if not self._facets or self.dim < 1 or not self.is_pure():

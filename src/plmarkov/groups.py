@@ -72,9 +72,10 @@ class FinitePresentation:
     def generator_names(self) -> Tuple[str, ...]:
         if self.names:
             return self.names
-        if self.num_generators <= 26:
-            return tuple(string.ascii_lowercase[: self.num_generators])
-        return tuple(f"x{i + 1}" for i in range(self.num_generators))
+        if self.num_generators > 26:
+            raise ValueError(f"{self.num_generators} generators: the compact "
+                             "presentation syntax has only 26 letters")
+        return tuple(string.ascii_lowercase[: self.num_generators])
 
     def __repr__(self):
         return (

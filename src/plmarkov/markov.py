@@ -21,6 +21,7 @@ semi-algorithm across an enumerated stream, and enumerators for sphere
 triangulations and subcomplexes up to isomorphism.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -104,9 +105,8 @@ def plan_from_presentation(p: FinitePresentation, n: int) -> HandlePlan:
     generator so the boundary's group is presented by p."""
     if n < 4:
         raise ValueError("plans live in ambient dimension n >= 4")
-    relators = tuple(free_reduce(w) for w in p.relators)
     extras = ((),) * p.num_generators
-    return HandlePlan(n, p.num_generators, relators, extras)
+    return HandlePlan(n, p.num_generators, p.relators, extras)
 
 
 def handlebody_boundary(k: int, n: int) -> Tuple[Complex, Marks]:
@@ -271,16 +271,11 @@ def realize_boundary(p: FinitePresentation, n: int) -> Complex:
     return cur
 
 
-def _first_homology_mismatch(hm, ht) -> Optional[str]:
-    jm, jt = hm.to_json(), ht.to_json()
-    if jm == jt:
-        return None
-    top = max(len(jm), len(jt))
-    for d in range(top):
-        gm = jm[d] if d < len(jm) else None
-        gt = jt[d] if d < len(jt) else None
-        if gm != gt:
-            return "H%d %s vs %s" % (d, gm, gt)
+def _invariants(cx: Complex) -> dict:
+    # homology first, so the f-vector is counted off its face table
+    prof = homology(cx).to_json()
+    return {"euler_characteristic": cx.euler_characteristic(),
+            "f_vector": list(cx.f_vector()), "homology": prof}
 
 
 def reduction_report(p: FinitePresentation, n: int,
@@ -288,43 +283,35 @@ def reduction_report(p: FinitePresentation, n: int,
     """Compare the realized manifold against the reference sum.
 
     Builds M = realize_boundary(p, n) and the reference manifold with
-    the same relator count, computes both invariant profiles, runs the
+    the same relator count, one invariants record for each, and the
     group-triviality semi-decision on the edge-path presentation of M,
-    and only then issues a verdict: distinguished when an invariant
-    separates the two, equivalent-certified when a stellar-move
-    certificate is found within the search budget, consistent-unknown
-    otherwise.
+    and only then issues a verdict: distinguished when the Euler
+    characteristic or a homology degree separates the two,
+    equivalent-certified when a positive search budget finds a
+    stellar-move certificate, consistent-unknown otherwise.
     """
     b = {"pi1": 100000, "search": 0}
     b.update(budgets or {})
     m = realize_boundary(p, n)
     t = reference_manifold(len(p.relators), n)
+    inv_m, inv_t = _invariants(m), _invariants(t)
 
-    hm, ht = homology(m), homology(t)
     pres = edge_path_presentation(m)
     pi1 = {"abelianization": abelianization(pres).to_json(),
            "trivial": semi_decide_trivial(pres, budget=b["pi1"]).to_json()}
 
-    inv_m = {"euler_characteristic": m.euler_characteristic(),
-             "f_vector": list(m.f_vector()), "homology": hm.to_json()}
-    inv_t = {"euler_characteristic": t.euler_characteristic(),
-             "f_vector": list(t.f_vector()), "homology": ht.to_json()}
-
-    obstruction = None
-    if inv_m["euler_characteristic"] != inv_t["euler_characteristic"]:
-        obstruction = "euler characteristic %d vs %d" % (
-            inv_m["euler_characteristic"], inv_t["euler_characteristic"])
+    em, et = inv_m["euler_characteristic"], inv_t["euler_characteristic"]
+    if em != et:
+        obstruction = "euler characteristic %d vs %d" % (em, et)
     else:
-        obstruction = _first_homology_mismatch(hm, ht)
+        pairs = itertools.zip_longest(inv_m["homology"], inv_t["homology"])
+        obstruction = next(("H%d %s vs %s" % (d, gm, gt)
+                            for d, (gm, gt) in enumerate(pairs) if gm != gt), None)
 
     if obstruction is not None:
         equivalence = {"verdict": "distinguished", "obstruction": obstruction}
-    elif b["search"] > 0:
-        v = search_equivalence(m, t, b["search"])
-        if v.status == "yes":
-            equivalence = {"verdict": "equivalent-certified"}
-        else:
-            equivalence = {"verdict": "consistent-unknown"}
+    elif b["search"] > 0 and search_equivalence(m, t, b["search"]).is_yes:
+        equivalence = {"verdict": "equivalent-certified"}
     else:
         equivalence = {"verdict": "consistent-unknown"}
 

@@ -94,13 +94,9 @@ def is_combinatorial_sphere(
     return meet(cx, ref, descent)
 
 
-def is_combinatorial_ball(
-    cx: Complex, budget: int = 100000, dim: Optional[int] = None
-) -> vd.Verdict:
-    """Is cx connected to a single simplex by stellar moves?"""
-    if dim is None:
-        dim = cx.dim
-    if cx.is_empty or cx.dim != dim:
+def is_combinatorial_ball(cx: Complex, budget: int = 100000) -> vd.Verdict:
+    """Is cx connected to the simplex of its dimension by stellar moves?"""
+    if cx.is_empty:
         return vd.no("wrong-dimension")
     if not cx.is_pure():
         return vd.no("not-pure")
@@ -111,13 +107,13 @@ def is_combinatorial_ball(
     rim = cx.boundary()
     if rim.is_empty:
         return vd.no("no-boundary")
-    ref = standard_simplex(dim)
+    ref = standard_simplex(cx.dim)
     if cx.euler_characteristic() != 1:
         return vd.no("euler-mismatch", detail={"have": cx.euler_characteristic()})
     if homology(cx) != homology(ref):
         return vd.no("homology-mismatch", detail=homology(cx).to_json())
     half = max(budget // 2, 1)
-    rim_verdict = is_combinatorial_sphere(rim, half, dim - 1)
+    rim_verdict = is_combinatorial_sphere(rim, half, cx.dim - 1)
     if rim_verdict.is_no:
         return vd.no("boundary-not-sphere", detail=rim_verdict.reason)
     return search_equivalence(cx, ref, budget)

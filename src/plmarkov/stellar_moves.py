@@ -196,8 +196,6 @@ def _link_splits(v: int, star: Tuple[Simplex, ...]) -> Tuple[Tuple[Simplex, set]
     # the least link facet of the smallest size, which misses max(s) for
     # every legal s, as the least facet of any size class does
     f0 = star[0] - {v}
-    if not f0:
-        return ()
     n = len(star)
     degree = Counter(itertools.chain.from_iterable(star))
     pools: Dict[int, List[int]] = {}
@@ -301,9 +299,6 @@ class Certificate:
 
     moves: Tuple[StellarMove, ...]
     relabel: Tuple[int, ...] = ()
-
-    def __len__(self):
-        return len(self.moves)
 
 
 def format_certificate(cert: Certificate) -> str:

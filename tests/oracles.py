@@ -11,11 +11,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from plmarkov import surgery
 from plmarkov import verdict as vd
-from plmarkov.builders import ordered_product_with_chart, simplex_sphere, staircase
+from plmarkov.builders import (connected_sum, cone, ordered_product,
+                               ordered_product_with_chart, presentation_complex,
+                               reference_manifold, simplex_sphere, standard_simplex,
+                               staircase, suspension)
+from plmarkov.cli import _TOKEN, ExpressionError
 from plmarkov.complex_core import (Complex, InvalidComplexError, IsoIndex, Simplex,
                                    as_simplex)
 from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _substitute,
-                             abelianization, cyclic_reduce, free_reduce, inverse_word)
+                             abelianization, cyclic_reduce, free_reduce, inverse_word,
+                             parse_presentation)
 from plmarkov.invariants import (HomologyGroup, HomologyProfile, boundary_matrix, homology,
                                  smith_diagonal)
 from plmarkov.stellar_moves import (StellarMove, _judged, _link_factor, _link_splits,
@@ -2108,3 +2113,93 @@ class IsoIndexCanonical(IsoIndex):
     @staticmethod
     def _encoding(cx: Complex, key: tuple, targets) -> tuple:
         return cx._canonical_code(targets)[0]
+
+
+# The constructor parser as it ran before the constructor table: a
+# tokenizer that tries each group in turn and one branch per name.
+
+def _tokenize_by_groups(text):
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip():
+                raise ExpressionError(
+                    "line 1, column %d: unexpected character %r"
+                    % (pos + 1, text[pos]))
+            break
+        for kind in ("name", "int", "str", "punct"):
+            if m.group(kind) is not None:
+                out.append((kind, m.group(kind), m.start(kind)))
+                break
+        pos = m.end()
+    out.append(("end", "", len(text)))
+    return out
+
+
+def parse_expression_by_cases(text: str) -> Complex:
+    """``cli.parse_expression`` with an ``if``/``elif`` per constructor."""
+    toks = _tokenize_by_groups(text)
+    idx = [0]
+
+    def err(msg, tok):
+        raise ExpressionError("line 1, column %d: %s" % (tok[2] + 1, msg))
+
+    def take(kind, what):
+        tok = toks[idx[0]]
+        if tok[0] != kind:
+            err("expected %s, found %r" % (what, tok[1] or "end of input"),
+                tok)
+        idx[0] += 1
+        return tok
+
+    def punct(ch):
+        tok = take("punct", "'%s'" % ch)
+        if tok[1] != ch:
+            err("expected '%s'" % ch, tok)
+
+    def expr():
+        tok = take("name", "a constructor name")
+        punct("(")
+        name = tok[1]
+        if name == "ball":
+            out = standard_simplex(number())
+        elif name == "sphere":
+            out = simplex_sphere(number())
+        elif name == "cone":
+            out = cone(expr())
+        elif name == "susp":
+            out = suspension(expr())
+        elif name == "prod":
+            a = expr()
+            comma()
+            out = ordered_product(a, expr())
+        elif name == "csum":
+            a = expr()
+            comma()
+            out = connected_sum(a, expr())
+        elif name == "ref":
+            l = number()
+            comma()
+            out = reference_manifold(l, number())
+        elif name == "prescx":
+            s = take("str", "a quoted presentation")
+            out = presentation_complex(parse_presentation(s[1][1:-1]))
+        else:
+            err("unknown constructor %r" % name, tok)
+        punct(")")
+        return out
+
+    def comma():
+        punct(",")
+
+    def number():
+        return int(take("int", "an integer")[1])
+
+    try:
+        out = expr()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
+    take("end", "end of input")
+    return out

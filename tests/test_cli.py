@@ -263,6 +263,22 @@ class TestMarkovVerb:
                                  "--dim", "3", "--budget", "10"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("pres, verdict, digest", [
+        ("|", "equivalent-certified",
+         "789b48f43dba1e7a2409f2e44a7b0001c72987c8c8eb3c96018859b8a61c3da6"),
+        ("g|g", "consistent-unknown",
+         "565933d07c4d98f1421cf652abfd94b4f3814cdef34b06806ce06616f38c5b74"),
+    ])
+    def test_search_budget_certifies_or_stays_unknown(self, runner, pres,
+                                                      verdict, digest):
+        r = runner.invoke(main, ["markov", "--pres", pres, "--dim", "4",
+                                 "--budget", "100", "--search-budget", "10"])
+        assert r.exit_code == 0
+        rep = json.loads(r.output)
+        assert rep["equivalence_verdict"] == {"verdict": verdict}
+        assert rep["budgets"] == {"pi1": 100, "search": 10}
+        assert hashlib.sha256(r.output.encode()).hexdigest() == digest
+
 
 class TestEnumerateVerb:
     def test_circles(self, runner):

@@ -68,6 +68,26 @@ def test_parse_no_relators():
     assert p.relators == ()
 
 
+_TOO_MANY_LETTERS = "%d generators: the compact presentation syntax has only 26 letters"
+
+
+@pytest.mark.parametrize("relators", [(), ((1, -27),)])
+def test_format_rejects_more_generators_than_letters(relators):
+    assert format_presentation(FinitePresentation(26, ())) == (
+        ",".join("abcdefghijklmnopqrstuvwxyz") + "|")
+    with pytest.raises(ValueError) as e:
+        format_presentation(FinitePresentation(27, relators))
+    assert str(e.value) == _TOO_MANY_LETTERS % 27
+
+
+def test_format_rejects_the_edge_path_presentation_of_m_g_gg():
+    p = edge_path_presentation(realize_boundary(parse_presentation("g|gg"), 4))
+    assert p.num_generators == 158
+    with pytest.raises(ValueError) as e:
+        format_presentation(p)
+    assert str(e.value) == _TOO_MANY_LETTERS % 158
+
+
 def test_parse_rejects_bad_names():
     with pytest.raises(ValueError):
         parse_presentation("ab,c|")

@@ -3,14 +3,18 @@ the parser's named error, never a bare traceback such as IndexError,
 KeyError or TypeError."""
 
 import json
+import pathlib
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from plmarkov.cli import ExpressionError, parse_expression
+from plmarkov.cli import _CONSTRUCTORS, ExpressionError, parse_expression
 from plmarkov.complex_core import Complex, InvalidComplexError, from_text, loads
 from plmarkov.groups import FinitePresentation, parse_presentation
 from plmarkov.stellar_moves import Certificate, parse_certificate
+
+from oracles import parse_expression_by_cases
 
 
 def parses_or_names_its_error(parse, text, errors):
@@ -150,6 +154,40 @@ _expression = st.recursive(
 def test_parse_expression_raises_only_expression_or_value_errors(text):
     out = parses_or_names_its_error(parse_expression, text, (ExpressionError, ValueError))
     assert out is None or isinstance(out, Complex)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).facets
+    except Exception as e:
+        return type(e), str(e)
+
+
+@given(st.one_of(st.text(max_size=40), edited(_expression), _expression))
+@example("prod(sphere(1),ball(2))")
+@example("ref(2,4)")
+@example("ball(-1")
+@example("torus(2)")
+@example("sphere(,2)")
+@example("ref(2,4,)")
+@example('prescx("a|b"')
+def test_parse_expression_matches_the_case_by_case_parser(text):
+    assert _outcome(parse_expression, text) == _outcome(parse_expression_by_cases, text)
+
+
+def _constructor_arities(line):
+    # name -> argument kinds, an integer argument read as "n"
+    return {name: "".join("E" if a == "E" else "s" if a.startswith('"') else "n"
+                          for a in args.split(","))
+            for name, args in re.findall(r'(\w+)\(((?:[^()"]|"[^"]*")*)\)', line)}
+
+
+def test_readme_and_docstring_name_every_constructor_with_its_arguments():
+    table = {name: kinds for name, (kinds, _) in _CONSTRUCTORS.items()}
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    grammar = readme.split("Expression grammar:", 1)[1].split(".\n", 1)[0]
+    assert _constructor_arities(grammar) == table
+    assert _constructor_arities(parse_expression.__doc__.split(":", 1)[1]) == table
 
 
 # Nesting deeper than the recursion limit is a named error too.

@@ -335,6 +335,28 @@ class TestSearchEquivalence:
         v = search_equivalence(a, b, 1000)
         assert v.is_no and v.reason == "euler-mismatch"
 
+    def test_orientability_mismatch(self):
+        # the Moebius strip and the annulus agree in dimension, Euler
+        # number and homology; only orientability tells them apart
+        mobius = Complex([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]])
+        annulus = Complex([[0, 1, 3], [1, 3, 4], [1, 2, 4], [2, 4, 5], [2, 0, 5],
+                           [0, 5, 3]])
+        v = search_equivalence(mobius, annulus, 1000)
+        assert v.is_no and v.reason == "orientability-mismatch"
+        assert v.detail == {"left": False, "right": True}
+        v = search_equivalence(annulus, mobius, 1000)
+        assert v.is_no and v.reason == "orientability-mismatch"
+        assert v.detail == {"left": True, "right": False}
+
+    def test_orientability_is_skipped_where_it_is_undefined(self):
+        # a ridge in three facets has no orientation to compare, so the
+        # search goes on and finds the relabelling
+        fan = Complex([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+        with pytest.raises(InvalidComplexError):
+            fan.is_orientable()
+        other = fan.relabeled({v: v + 10 for v in fan.vertices})
+        self.verify(fan, other, search_equivalence(fan, other, 1000))
+
     def test_tiny_budget_gives_unknown(self):
         sd = barycentric_subdivision(simplex_sphere(2))
         v = search_equivalence(simplex_sphere(2), sd, 2)

@@ -28,9 +28,9 @@ def _dense(cx: Complex) -> Complex:
     return cx.relabeled(m)
 
 
-# Complexes are immutable, so each reference simplex and sphere is built
-# once and shared: its cached homology and canonical form then serve
-# every recognition gate that compares against it.
+# Complexes are immutable, so each simplex and simplex sphere is built
+# once and shared: a sphere's cached homology and canonical form then
+# serve every recognition gate and search that compares against it.
 @functools.lru_cache(maxsize=32)
 def standard_simplex(n: int) -> Complex:
     """The solid n-simplex on labels 0..n."""

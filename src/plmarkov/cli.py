@@ -15,6 +15,7 @@ import click
 
 from . import complex_core as cc
 from . import markov as mk
+from . import verdict as vd
 from .builders import (connected_sum, cone, ordered_product,
                        presentation_complex, reference_manifold,
                        simplex_sphere, standard_simplex, suspension)
@@ -186,7 +187,6 @@ def check(file, what, budget):
     elif what == "closed":
         v = is_closed_manifold(cx, budget=budget)
     else:
-        from . import verdict as vd
         try:
             orientable = cx.is_orientable()
         except cc.InvalidComplexError as e:

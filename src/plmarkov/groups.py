@@ -61,6 +61,7 @@ class FinitePresentation:
     def __post_init__(self):
         if self.names and len(self.names) != self.num_generators:
             raise ValueError("one name per generator required")
+        _check_names(self.names)
         for r in self.relators:
             for x in r:
                 if x == 0 or abs(x) > self.num_generators:
@@ -84,6 +85,15 @@ class FinitePresentation:
         )
 
 
+def _check_names(names: Sequence[str]) -> None:
+    """Names the text syntax can write: distinct single lowercase letters."""
+    for n in names:
+        if len(n) != 1 or n not in string.ascii_lowercase:
+            raise ValueError(f"generator name {n!r} must be one lowercase letter")
+    if len(set(names)) != len(names):
+        raise ValueError("repeated generator name")
+
+
 def parse_presentation(text: str) -> FinitePresentation:
     """Parse ``names|words``, e.g. ``a,b|abAB,aa`` or ``|`` for the
     presentation of the trivial group with no generators."""
@@ -91,11 +101,7 @@ def parse_presentation(text: str) -> FinitePresentation:
         raise ValueError("presentation text needs a '|' separator")
     left, right = text.split("|", 1)
     names = [t.strip() for t in left.split(",") if t.strip()]
-    for n in names:
-        if len(n) != 1 or n not in string.ascii_lowercase:
-            raise ValueError(f"generator name {n!r} must be one lowercase letter")
-    if len(set(names)) != len(names):
-        raise ValueError("repeated generator name")
+    _check_names(names)
     relators = []
     for tok in right.split(","):
         tok = tok.strip()

@@ -1,15 +1,15 @@
 """Semi-decision procedures for spheres, balls, and manifold structure.
 
-Sphere and ball recognition run cheap combinatorial gates first
-(purity, pseudomanifold conditions, Euler number) and then hand the
-survivors to the stellar move search against the minimal reference
-complex.  Sphere recognition is certificate-first: a yes from the
-descent stage of the search is a move certificate, so a complex it
-settles never computes homology; only those it leaves open pass the
-homology gate before the two-sided search.  Ball recognition runs its
-homology gate before the search.  A definite no always names its
-obstruction; yes carries a replayable move certificate; unknown means
-the budget ran out, nothing more.
+Sphere recognition runs cheap combinatorial gates first (purity,
+pseudomanifold conditions, Euler number) and then hands the survivors
+to the stellar move search against the boundary of a simplex.  It is
+certificate-first: a yes from the descent stage of the search is a move
+certificate, so a complex it settles never computes homology; only
+those it leaves open pass the homology gate before the two-sided
+search.  Ball recognition asks one sphere question, about the cone
+closure of the ball (Newman's criterion).  A definite no always names
+its obstruction; yes carries a replayable move certificate; unknown
+means the budget ran out, nothing more.
 
 Manifold recognition classifies every vertex link as a sphere (interior
 vertex) or a ball (boundary vertex).  Isomorphic links share one
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import verdict as vd
-from .builders import simplex_sphere, standard_simplex
+from .builders import simplex_sphere
 from .complex_core import Complex, IsoIndex
 from .invariants import homology
 from .stellar_moves import descend, meet, search_equivalence
@@ -36,37 +36,28 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 
 
-def _sphere_gates(cx: Complex, dim: int) -> Optional[vd.Verdict]:
+def _sphere_gates(cx: Complex) -> Optional[vd.Verdict]:
     """The combinatorial gates, complete in dimensions 0 and below."""
     if cx.is_empty:
-        return vd.yes() if dim == -1 else vd.no("wrong-dimension")
-    if cx.dim != dim:
-        return vd.no("wrong-dimension", detail={"have": cx.dim, "want": dim})
+        return vd.yes()
     if not cx.is_pure():
         return vd.no("not-pure")
-    if dim == 0:
+    if cx.dim == 0:
         # complete in dimension zero: exactly two points
         if len(cx.facets) == 2:
             return vd.yes()
         return vd.no("not-two-points", detail={"points": len(cx.facets)})
     if not cx.is_closed_pseudomanifold():
         return vd.no("not-closed-pseudomanifold")
-    ref = simplex_sphere(dim)
-    if cx.euler_characteristic() != ref.euler_characteristic():
-        return vd.no(
-            "euler-mismatch",
-            detail={
-                "have": cx.euler_characteristic(),
-                "want": ref.euler_characteristic(),
-            },
-        )
+    have, want = cx.euler_characteristic(), simplex_sphere(cx.dim).euler_characteristic()
+    if have != want:
+        return vd.no("euler-mismatch", detail={"have": have, "want": want})
     return None
 
 
-def is_combinatorial_sphere(
-    cx: Complex, budget: int = 100000, dim: Optional[int] = None
-) -> vd.Verdict:
-    """Is cx connected to the boundary of a simplex by stellar moves?
+def is_combinatorial_sphere(cx: Complex, budget: int = 100000) -> vd.Verdict:
+    """Is cx connected to the boundary of a simplex of its dimension by
+    stellar moves?  The empty complex is the (-1)-sphere.
 
     After the combinatorial gates the descent stage of the search runs
     first, and its yes is returned as it stands: a certified complex is
@@ -80,12 +71,10 @@ def is_combinatorial_sphere(
     only a semi-decision: unknown states that the budget ran out before
     the search met in the middle.
     """
-    if dim is None:
-        dim = cx.dim
-    gate = _sphere_gates(cx, dim)
+    gate = _sphere_gates(cx)
     if gate is not None:
         return gate
-    ref = simplex_sphere(dim)
+    ref = simplex_sphere(cx.dim)
     descent = descend(cx, ref, budget)
     if descent.verdict is not None:
         return descent.verdict
@@ -95,7 +84,14 @@ def is_combinatorial_sphere(
 
 
 def is_combinatorial_ball(cx: Complex, budget: int = 100000) -> vd.Verdict:
-    """Is cx connected to the simplex of its dimension by stellar moves?"""
+    """Is cx a combinatorial ball?  A pure pseudomanifold with nonempty
+    boundary is one exactly when its cone closure is a combinatorial
+    sphere (Newman; see Lickorish, Geom. Topol. Monographs 2, 1999).
+    The closure is cx plus r | {apex} for every boundary ridge r, with
+    apex = max label + 1.  After the gates one sphere search runs on it,
+    so a yes witness replays the closure onto the boundary of a simplex,
+    and a no may name an obstruction of the closure.  A single simplex
+    needs no witness."""
     if cx.is_empty:
         return vd.no("wrong-dimension")
     if not cx.is_pure():
@@ -107,16 +103,12 @@ def is_combinatorial_ball(cx: Complex, budget: int = 100000) -> vd.Verdict:
     rim = cx.boundary()
     if rim.is_empty:
         return vd.no("no-boundary")
-    ref = standard_simplex(cx.dim)
-    if cx.euler_characteristic() != 1:
-        return vd.no("euler-mismatch", detail={"have": cx.euler_characteristic()})
-    if homology(cx) != homology(ref):
-        return vd.no("homology-mismatch", detail=homology(cx).to_json())
-    half = max(budget // 2, 1)
-    rim_verdict = is_combinatorial_sphere(rim, half, cx.dim - 1)
-    if rim_verdict.is_no:
-        return vd.no("boundary-not-sphere", detail=rim_verdict.reason)
-    return search_equivalence(cx, ref, budget)
+    apex = cx.vertices[-1] + 1
+    closure = Complex._from_trusted(cx.facets + tuple(r | {apex} for r in rim.facets))
+    gate = _sphere_gates(closure)
+    if gate is not None:
+        return gate
+    return search_equivalence(closure, simplex_sphere(cx.dim), budget)
 
 
 # -- vertex link classification ----------------------------------------

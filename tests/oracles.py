@@ -23,6 +23,7 @@ from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _substitute
                              parse_presentation)
 from plmarkov.invariants import (HomologyGroup, HomologyProfile, boundary_matrix, homology,
                                  smith_diagonal)
+from plmarkov.recognition import is_combinatorial_sphere
 from plmarkov.stellar_moves import (StellarMove, _judged, _link_factor, _link_splits,
                                     search_equivalence, stellar_subdivide, stellar_weld,
                                     subdivision_candidates, weld_candidates, weld_parts)
@@ -1214,6 +1215,34 @@ def is_combinatorial_sphere_gates_first(cx: Complex, budget: int = 100000,
         return vd.no("homology-mismatch", detail=homology(cx).to_json())
     if not cx.is_orientable():
         return vd.no("non-orientable")
+    return search_equivalence(cx, ref, budget)
+
+
+def is_combinatorial_ball_by_rim(cx: Complex, budget: int = 100000):
+    """Ball recognition as ``recognition.is_combinatorial_ball`` ran it
+    before the cone closure: Euler and homology gates against the solid
+    simplex, the rim checked as a sphere on half the budget, then a
+    two-sided search against the solid simplex."""
+    if cx.is_empty:
+        return vd.no("wrong-dimension")
+    if not cx.is_pure():
+        return vd.no("not-pure")
+    if len(cx.facets) == 1:
+        return vd.yes()
+    if not cx.is_pseudomanifold_with_boundary():
+        return vd.no("not-pseudomanifold-with-boundary")
+    rim = cx.boundary()
+    if rim.is_empty:
+        return vd.no("no-boundary")
+    ref = standard_simplex(cx.dim)
+    if cx.euler_characteristic() != 1:
+        return vd.no("euler-mismatch", detail={"have": cx.euler_characteristic()})
+    if homology(cx) != homology(ref):
+        return vd.no("homology-mismatch", detail=homology(cx).to_json())
+    half = max(budget // 2, 1)
+    rim_verdict = is_combinatorial_sphere(rim, half)
+    if rim_verdict.is_no:
+        return vd.no("boundary-not-sphere", detail=rim_verdict.reason)
     return search_equivalence(cx, ref, budget)
 
 

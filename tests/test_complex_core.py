@@ -161,10 +161,8 @@ def test_boundary_of_closed_sphere_is_empty():
 
 def test_module_level_ops_are_canonical():
     cx = validate([[10, 20, 30], [20, 30, 40]])
-    out = boundary_complex(cx)
-    assert out.vertices == tuple(range(len(out.vertices)))
-    lk = link(cx, [20])
-    assert lk.vertices == tuple(range(len(lk.vertices)))
+    for out in (boundary_complex(cx), link(cx, [20]), star(cx, [20])):
+        assert out.vertices == tuple(range(len(out.vertices)))
 
 
 # -- pseudomanifold structure ------------------------------------------

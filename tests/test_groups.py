@@ -1,4 +1,5 @@
 import itertools
+import string
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -97,6 +98,40 @@ def test_parse_rejects_bad_names():
         parse_presentation("a|ax")
     with pytest.raises(ValueError):
         parse_presentation("a,b")
+
+
+@pytest.mark.parametrize("names, relators, message", [
+    (("ab",), (), "generator name 'ab' must be one lowercase letter"),
+    (("a", "A"), ((1, 2),), "generator name 'A' must be one lowercase letter"),
+    (("a", "a"), (), "repeated generator name"),
+])
+def test_presentation_rejects_names_the_text_syntax_cannot_write(names, relators, message):
+    # each formatted to text that parse_presentation rejects or misreads
+    with pytest.raises(ValueError) as e:
+        FinitePresentation(len(names), relators, names)
+    assert str(e.value) == message
+
+
+@st.composite
+def lettered_presentations(draw):
+    """At most 26 generators, named or not, with nonempty relators: an
+    empty relator formats as an empty token, which the parser skips."""
+    n = draw(st.integers(min_value=0, max_value=26))
+    names = tuple(draw(st.one_of(st.just(()), st.permutations(string.ascii_lowercase)))[:n])
+    if n == 0:
+        return FinitePresentation(0, (), names)
+    letters = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = st.lists(letters, min_size=1, max_size=9).map(free_reduce).filter(bool)
+    return FinitePresentation(n, tuple(draw(st.lists(words, max_size=6))), names)
+
+
+@given(lettered_presentations())
+@example(FinitePresentation(2, ((1, -2),), ("z", "a")))
+def test_format_then_parse_is_the_identity(p):
+    text = format_presentation(p)
+    q = parse_presentation(text)
+    assert (q.num_generators, q.relators) == (p.num_generators, p.relators)
+    assert format_presentation(q) == text
 
 
 # -- abelianization ----------------------------------------------------

@@ -8,7 +8,6 @@ from plmarkov import invariants
 from plmarkov.complex_core import Complex, validate, barycentric_subdivision
 from plmarkov.groups import parse_presentation
 from plmarkov.invariants import (
-    HomologyGroup,
     HomologyProfile,
     betti_numbers,
     boundary_matrix,

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmarkov import groups, markov
-from plmarkov.builders import (connected_sum, reference_manifold,
-                               simplex_sphere, sphere_product,
-                               standard_simplex)
+from plmarkov.builders import connected_sum, simplex_sphere, sphere_product, standard_simplex
 from plmarkov.complex_core import Complex
 from plmarkov.groups import (abelianization, edge_path_presentation,
                              parse_presentation)

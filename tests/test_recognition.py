@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -23,7 +24,7 @@ from plmarkov.recognition import (
 )
 from plmarkov.stellar_moves import apply_certificate, format_certificate
 
-from oracles import is_combinatorial_sphere_gates_first
+from oracles import is_combinatorial_ball_by_rim, is_combinatorial_sphere_gates_first
 
 OCTA = Complex([[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 2],
                 [6, 2, 3], [6, 3, 4], [6, 4, 5], [6, 5, 2]])
@@ -33,6 +34,11 @@ TORUS_9 = Complex([
     [3, 4, 6], [4, 6, 7], [4, 5, 7], [5, 7, 8], [3, 5, 8], [3, 6, 8],
     [0, 6, 7], [0, 1, 7], [1, 7, 8], [1, 2, 8], [2, 6, 8], [0, 2, 6],
 ])
+
+ANNULUS = Complex([[0, 1, 3], [1, 3, 4], [1, 2, 4], [2, 4, 5],
+                   [0, 2, 5], [0, 3, 5]])
+
+MOEBIUS = Complex([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]])
 
 RP2_6 = Complex([
     [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 6], [1, 5, 6],
@@ -83,18 +89,13 @@ class TestSphereRecognition:
         v = is_combinatorial_sphere(standard_simplex(2))
         assert v.is_no and v.reason == "not-closed-pseudomanifold"
 
-    def test_wrong_dimension(self):
-        v = is_combinatorial_sphere(simplex_sphere(2), dim=3)
-        assert v.is_no and v.reason == "wrong-dimension"
-
     def test_impure_complex(self):
         v = is_combinatorial_sphere(Complex([[0, 1, 2], [2, 3]]))
         assert v.is_no and v.reason == "not-pure"
 
     def test_empty_complex_is_the_minus_one_sphere(self):
         empty = standard_simplex(0).link([0])
-        assert is_combinatorial_sphere(empty, dim=-1).is_yes
-        assert is_combinatorial_sphere(empty, dim=2).is_no
+        assert is_combinatorial_sphere(empty).is_yes
 
     def test_budget_exhaustion_reports_unknown(self):
         sd = barycentric_subdivision(simplex_sphere(2))
@@ -123,18 +124,67 @@ class TestBallRecognition:
         v = is_combinatorial_ball(simplex_sphere(2))
         assert v.is_no and v.reason == "no-boundary"
 
+    # a no names an obstruction of the cone closure: a strip's closure
+    # has Euler number 1, where a 2-sphere has 2
     def test_annulus_rejected(self):
-        ann = Complex([[0, 1, 3], [1, 3, 4], [1, 2, 4], [2, 4, 5],
-                       [0, 2, 5], [0, 3, 5]])
-        v = is_combinatorial_ball(ann)
+        v = is_combinatorial_ball(ANNULUS)
         assert v.is_no
-        assert v.reason in ("homology-mismatch", "euler-mismatch",
-                            "boundary-not-sphere")
+        assert (v.reason, v.detail) == ("euler-mismatch", {"have": 1, "want": 2})
 
     def test_moebius_strip_rejected(self):
-        mo = Complex([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]])
-        v = is_combinatorial_ball(mo)
+        v = is_combinatorial_ball(MOEBIUS)
         assert v.is_no
+        assert (v.reason, v.detail) == ("euler-mismatch", {"have": 1, "want": 2})
+
+    def test_subdivided_four_simplex_is_a_ball_within_two_seconds(self):
+        # a search against the solid simplex spends its whole default
+        # budget (100,000 states) here and answers unknown; the
+        # closure's descent settles it
+        sd = barycentric_subdivision(standard_simplex(4))
+        start = time.perf_counter()
+        v = is_combinatorial_ball(sd)
+        assert time.perf_counter() - start < 2.0
+        assert v.is_yes
+        assert apply_certificate(_cone_closure(sd), v.witness) == simplex_sphere(4)
+
+    def test_cones_over_non_spheres_fail_on_the_closure(self):
+        # the closure of a cone over X is the suspension of X
+        v = is_combinatorial_ball(cone(TORUS_9))
+        assert (v.reason, v.detail) == ("euler-mismatch", {"have": 2, "want": 0})
+        v = is_combinatorial_ball(cone(sphere_product(1, 2)))
+        assert v.reason == "homology-mismatch" and set(v.detail) == {"left", "right"}
+
+    def test_agrees_with_the_rim_search_and_replays_every_closure(self):
+        for i, cx in enumerate(_ball_corpus()):
+            new = is_combinatorial_ball(cx)
+            old = is_combinatorial_ball_by_rim(cx)
+            assert not new.is_unknown, i
+            if not old.is_unknown:
+                assert new.status == old.status, (i, new, old)
+            if new.is_yes and len(cx.facets) > 1:
+                closure = _cone_closure(cx)
+                assert apply_certificate(closure, new.witness) == simplex_sphere(cx.dim), i
+
+
+def _cone_closure(cx):
+    apex = max(cx.vertices) + 1
+    return Complex(list(cx.facets) + [r | {apex} for r in cx.boundary().facets])
+
+
+def _ball_corpus():
+    """107 balls and non-balls: every vertex link of six manifolds with
+    boundary, five of those manifolds, cones, strips, a path, two
+    triangles meeting at a vertex, and a sphere."""
+    sd = barycentric_subdivision
+    manifolds = [sd(standard_simplex(3)), ordered_product(standard_simplex(1), simplex_sphere(2)),
+                 ordered_product(simplex_sphere(1), standard_simplex(2)),
+                 sd(sd(standard_simplex(2))), ordered_product(standard_simplex(2), standard_simplex(1))]
+    linked = manifolds + [sd(standard_simplex(4))]
+    corpus = [cx.link([v]) for cx in linked for v in cx.vertices] + manifolds + [
+        cone(TORUS_9), cone(OCTA), cone(sphere_product(1, 2)), ANNULUS, MOEBIUS,
+        Complex([[0, 1], [1, 2], [2, 3]]), Complex([[0, 1, 2], [2, 3, 4]]), simplex_sphere(2)]
+    assert len(corpus) == 107
+    return corpus
 
 
 class TestManifoldRecognition:
@@ -200,10 +250,32 @@ class TestReportDeterminism:
         assert blob["boundary_vertices"] == [0, 1, 2]
 
 
+# manifolds with boundary and the sha256 of is_pl_manifold(cx).witness.to_text(),
+# taken before ball recognition went through the cone closure
+BOUNDARY_REPORTS = {
+    "sd-simplex-3": (lambda: barycentric_subdivision(standard_simplex(3)),
+                     "9c534f798ec840791d815d04835b7b22e2603abaf14646b6daa4c567c8a695b3"),
+    "sd-simplex-4": (lambda: barycentric_subdivision(standard_simplex(4)),
+                     "c1275ca66c4100be9ea7793738b038c5c0dfaaaa30cc808ccd067038baada6b6"),
+    "interval-x-sphere-2": (lambda: ordered_product(standard_simplex(1), simplex_sphere(2)),
+                            "3010e5af3fea666da31d1304758a8e0cd7c3d3ab7de4669a9cf811e8161904d9"),
+    "circle-x-triangle": (lambda: ordered_product(simplex_sphere(1), standard_simplex(2)),
+                          "4aff21ed72b111b4f01c4c0ff77b4fdd7d2f92fd535c5f5cf2a4a73d867f85f2"),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY_REPORTS)
+def test_reports_with_boundary_vertices_are_pinned(name):
+    build, digest = BOUNDARY_REPORTS[name]
+    v = is_pl_manifold(build())
+    assert v.is_yes and v.witness.boundary_vertices
+    assert hashlib.sha256(v.witness.to_text().encode()).hexdigest() == digest
+
+
 def test_reference_complexes_compute_homology_once(monkeypatch):
-    # The homology gates compare against simplex_sphere(d) and
-    # standard_simplex(d); the builders hand back one shared complex per
-    # dimension, so its cached homology profile serves every later gate.
+    # The homology gates compare against simplex_sphere(d); the builder
+    # hands back one shared complex per dimension, so its cached homology
+    # profile serves every later gate.
     # Sphere links settled by the descent never reach the gate, so the
     # apex links of the suspended S1 x S2 (S1 x S2 itself) bring it in.
     computed = []
@@ -216,7 +288,6 @@ def test_reference_complexes_compute_homology_once(monkeypatch):
     for module in (recognition, stellar_moves):
         monkeypatch.setattr(module, "homology", counting_homology)
     simplex_sphere.cache_clear()
-    standard_simplex.cache_clear()
     inputs = [sphere_product(1, 2), simplex_sphere(4), TORUS_9,
               suspension(sphere_product(1, 2))]
     inputs = [cx.relabeled({v: v + 100 for v in cx.vertices}) for cx in inputs]

@@ -3,6 +3,8 @@
 A complex is stored by its facets (inclusion-maximal simplices); every
 face is a nonempty subset of a facet and is materialized on demand.
 ``Complex`` objects are immutable: all operations return new instances
+(a stellar move's child, a link and a star keep their parent's facet
+order, and a move's child its parent's vertex tuple, so none is re-sorted)
 and cache derived data on first use, each table built in one place:
 the face table of ascending label tuples (``face_tuples``; only the
 callers that need ordered faces build it, and the f-vector is counted
@@ -66,6 +68,7 @@ strings are built only where they are output, from the cached encoding.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -131,9 +134,23 @@ class Complex:
     @classmethod
     def _from_trusted(cls, facets: Iterable[Simplex]) -> "Complex":
         """Build without validation; callers guarantee maximality."""
+        return cls._from_ordered(_in_facet_order(facets))
+
+    @classmethod
+    def _from_ordered(cls, kept: Iterable[Simplex], new: Iterable[Simplex] = (),
+                      vertices: Optional[Tuple[int, ...]] = None) -> "Complex":
+        """Build a child of a complex with no full sort: ``kept``, part
+        of the parent's facets, is in facet order, and each ``new`` facet
+        is inserted by labels into its size class.  ``vertices``, when the
+        caller knows it, is the child's vertex tuple: no label is recounted."""
+        out = list(kept)
+        for f in new:
+            lo = bisect.bisect_left(out, len(f), key=len)
+            hi = bisect.bisect_right(out, len(f), lo, key=len)
+            bisect.insort(out, f, lo, hi, key=sorted)
         self = object.__new__(cls)
-        self._facets = _in_facet_order(facets)
-        self._cache = {}
+        self._facets = tuple(out)
+        self._cache = {} if vertices is None else {"vertices": vertices}
         return self
 
     @classmethod
@@ -261,15 +278,17 @@ class Complex:
         cof = self.facets_containing(s)
         if not cof:
             raise InvalidComplexError(f"{sorted(s)} is not a face")
-        return Complex._from_trusted(cof)
+        return Complex._from_ordered(cof)
 
     def link(self, s: Iterable[int]) -> "Complex":
-        """Faces disjoint from s whose union with s is again a face."""
+        """Faces disjoint from s whose union with s is again a face, in
+        the star's order: dropping s shrinks every facet by |s|, and two of
+        one size compare by the least label of their symmetric difference."""
         s = frozenset(s)
         cof = self.facets_containing(s)
         if not cof:
             raise InvalidComplexError(f"{sorted(s)} is not a face")
-        return Complex._from_trusted(f - s for f in cof if f != s)
+        return Complex._from_ordered(f - s for f in cof if f != s)
 
     def _ridges(self) -> Dict[Simplex, List[Simplex]]:
         """Ridge -> the facets containing it, in facet order (pure only)."""
@@ -303,10 +322,8 @@ class Complex:
     def is_pseudomanifold_with_boundary(self) -> bool:
         if not self._facets or self.dim < 1 or not self.is_pure():
             return False
-        deg = self.ridge_degrees()
-        if any(d > 2 for d in deg.values()):
-            return False
-        return self.is_strongly_connected()
+        return (all(len(fs) <= 2 for fs in self._ridges().values())
+                and self.is_strongly_connected())
 
     def is_strongly_connected(self) -> bool:
         """Facet graph through shared ridges is connected (pure only);
@@ -334,9 +351,9 @@ class Complex:
             raise InvalidComplexError("skeleton dimension must be >= 0")
         if k >= self.dim:
             return self
-        # the k-faces and the facets below dimension k are all maximal
-        return Complex._from_trusted(
-            self.faces(k) + tuple(f for f in self._facets if len(f) <= k))
+        # the facets below dimension k, then the k-faces: maximal, in order
+        return Complex._from_ordered(
+            [f for f in self._facets if len(f) <= k] + list(self.faces(k)))
 
     def orientation(self) -> Optional[Dict[Simplex, int]]:
         """Coherent facet signs, or None when none exist.
@@ -349,10 +366,9 @@ class Complex:
         """
         if not self.is_pure():
             raise InvalidComplexError("orientation needs a pure complex")
-        deg = self.ridge_degrees()
-        if any(d > 2 for d in deg.values()):
-            raise InvalidComplexError("orientation needs ridge degrees <= 2")
         ridges = self._ridges()
+        if any(len(fs) > 2 for fs in ridges.values()):
+            raise InvalidComplexError("orientation needs ridge degrees <= 2")
         sign: Dict[Simplex, int] = {}
         for root in self._facets:
             if root in sign:

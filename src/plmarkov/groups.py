@@ -137,10 +137,12 @@ def format_word(word: Word, names: Sequence[str]) -> str:
 
 
 def format_presentation(p: FinitePresentation) -> str:
+    # an empty relator is written as xX, which reads back as the empty word
     names = p.generator_names()
-    left = ",".join(names)
-    right = ",".join(format_word(r, names) for r in p.relators)
-    return f"{left}|{right}"
+    if not names and () in p.relators:
+        raise ValueError("an empty relator needs a generator to be written with")
+    right = ",".join(format_word(r, names) or names[0] + names[0].upper() for r in p.relators)
+    return f"{','.join(names)}|{right}"
 
 
 # -- abelianization ----------------------------------------------------

@@ -104,7 +104,8 @@ def is_combinatorial_ball(cx: Complex, budget: int = 100000) -> vd.Verdict:
     if rim.is_empty:
         return vd.no("no-boundary")
     apex = cx.vertices[-1] + 1
-    closure = Complex._from_trusted(cx.facets + tuple(r | {apex} for r in rim.facets))
+    closure = Complex._from_ordered(cx.facets, [r | {apex} for r in rim.facets],
+                                    cx.vertices + (apex,))
     gate = _sphere_gates(closure)
     if gate is not None:
         return gate

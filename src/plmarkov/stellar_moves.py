@@ -35,6 +35,10 @@ a descent from the reference sphere stops at once.
 Its weld scan reads each star off the facet tuple, in facet order, and
 tests whether s is a face against the facets, so a state that welds
 builds no incidence index.
+
+A move's child inherits its parent's facet order and vertex tuple: the
+kept facets stay in order, the few new ones are inserted in their
+places, and the vertices lose the welded label or gain the fresh one.
 """
 
 from __future__ import annotations
@@ -62,12 +66,9 @@ def stellar_subdivide(cx: Complex, s) -> Complex:
     if not cof:
         raise InvalidComplexError(f"{sorted(s)} is not a face")
     fresh = cx.vertices[-1] + 1
-    out = set(cx.facets)
-    for f in cof:
-        out.remove(f)
-        for v in s:
-            out.add((f - {v}) | {fresh})
-    return Complex._from_trusted(out)
+    return Complex._from_ordered([f for f in cx.facets if f not in cof],
+                                 [(f - {v}) | {fresh} for f in cof for v in s],
+                                 cx.vertices + (fresh,))
 
 
 def weld_parts(cx: Complex, vertex: int, s) -> Optional[List[Simplex]]:
@@ -122,9 +123,9 @@ def stellar_weld(cx: Complex, vertex: int, s) -> Complex:
 def _weld(cx: Complex, vertex: int, s: Simplex, rest: Iterable[Simplex]) -> Complex:
     """The weld (vertex, s), which must be legal with L given by its
     facets ``rest``."""
-    out = {f for f in cx.facets if vertex not in f}
-    out.update(s | t for t in rest)
-    return Complex._from_trusted(out)
+    return Complex._from_ordered([f for f in cx.facets if vertex not in f],
+                                 [s | t for t in rest],
+                                 tuple(u for u in cx.vertices if u != vertex))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from plmarkov.recognition import (classify_links, is_closed_manifold,
                                   is_combinatorial_sphere)
 from plmarkov.stellar_moves import (apply_certificate, format_certificate,
                                     search_equivalence, weld_candidates)
+from test_stellar_moves import assert_children_match_the_sorting_oracle
 from oracles import (edge_path_presentation_collapsed, first_weld_by_incidence,
                      is_combinatorial_sphere_gates_first, isomorphism_by_canonical_search,
                      link_splits_min_first, subcomplex_classes_exhaustive,
@@ -164,6 +165,14 @@ def test_gate_2_links_match_the_unpruned_and_gates_first_oracles(closed_check):
             if new.is_yes:
                 assert (format_certificate(new.witness)
                         == format_certificate(old.witness)), name
+
+
+def test_gate_2_link_children_match_the_sorting_oracle(closed_check):
+    # every weld, subdivision, vertex and edge link and star of each
+    # manifold's links, against the facets sorted and labels counted afresh
+    for cx in closed_check.yes.values():
+        for lk in distinct_links(cx):
+            assert_children_match_the_sorting_oracle(lk)
 
 
 def test_gate_2_weld_scans_match_the_incidence_oracles(closed_check):

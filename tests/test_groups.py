@@ -89,6 +89,17 @@ def test_format_rejects_the_edge_path_presentation_of_m_g_gg():
     assert str(e.value) == _TOO_MANY_LETTERS % 158
 
 
+def test_format_writes_an_empty_relator_with_the_first_generator():
+    p = parse_presentation("a|aA,aa")
+    assert p.relators == ((), (1, 1))
+    assert format_presentation(p) == "a|aA,aa"
+    assert format_presentation(FinitePresentation(1, ((),), ("x",))) == "x|xX"
+    # with no generator there is nothing to write it with
+    with pytest.raises(ValueError) as e:
+        format_presentation(FinitePresentation(0, ((),)))
+    assert str(e.value) == "an empty relator needs a generator to be written with"
+
+
 def test_parse_rejects_bad_names():
     with pytest.raises(ValueError):
         parse_presentation("ab,c|")
@@ -114,19 +125,21 @@ def test_presentation_rejects_names_the_text_syntax_cannot_write(names, relators
 
 @st.composite
 def lettered_presentations(draw):
-    """At most 26 generators, named or not, with nonempty relators: an
-    empty relator formats as an empty token, which the parser skips."""
+    """At most 26 generators, named or not; with a generator, relators
+    that may free-reduce to the empty word."""
     n = draw(st.integers(min_value=0, max_value=26))
     names = tuple(draw(st.one_of(st.just(()), st.permutations(string.ascii_lowercase)))[:n])
     if n == 0:
         return FinitePresentation(0, (), names)
     letters = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
-    words = st.lists(letters, min_size=1, max_size=9).map(free_reduce).filter(bool)
+    words = st.lists(letters, max_size=9).map(free_reduce)
     return FinitePresentation(n, tuple(draw(st.lists(words, max_size=6))), names)
 
 
 @given(lettered_presentations())
 @example(FinitePresentation(2, ((1, -2),), ("z", "a")))
+@example(FinitePresentation(1, ((1, -1), (1, 1)), ("x",)))
+@example(FinitePresentation(2, ((), (2, -1))))
 def test_format_then_parse_is_the_identity(p):
     text = format_presentation(p)
     q = parse_presentation(text)

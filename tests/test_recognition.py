@@ -165,6 +165,18 @@ class TestBallRecognition:
                 closure = _cone_closure(cx)
                 assert apply_certificate(closure, new.witness) == simplex_sphere(cx.dim), i
 
+    def test_closures_match_the_checked_constructor(self, monkeypatch):
+        # the closure inserts the cone facets into cx's facets in order
+        # and extends cx's vertex tuple by the apex
+        built = []
+        monkeypatch.setattr(recognition, "_sphere_gates", lambda c: built.append(c) or vd.unknown())
+        for cx in _ball_corpus():
+            built.clear()
+            is_combinatorial_ball(cx)
+            if built:
+                want = _cone_closure(cx)
+                assert (built[0].facets, built[0].vertices) == (want.facets, want.vertices)
+
 
 def _cone_closure(cx):
     apex = max(cx.vertices) + 1

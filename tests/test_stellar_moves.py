@@ -565,3 +565,51 @@ def test_plateau_escape_only_searches_even_dimensions(monkeypatch, cx, fingerpri
     assert _escape_plateau(cx, budget, moves, {}) is None
     assert bool(calls) == fingerprinted
     assert (budget.used > 0) == fingerprinted and moves == []
+
+
+def derived_children(cx):
+    """Each child that a move, a link or a star derives from cx, with the
+    facet set that defines it: every weld of ``weld_candidates``, every
+    subdivision, and the star and link of every vertex and edge."""
+    for v, s in weld_candidates(cx):
+        rest = weld_parts(cx, v, s)
+        yield (stellar_weld(cx, v, s),
+               {f for f in cx.facets if v not in f} | {s | t for t in rest})
+    fresh = max(cx.vertices, default=-1) + 1
+    for a in subdivision_candidates(cx):
+        cof = {f for f in cx.facets if a <= f}
+        yield (stellar_subdivide(cx, a),
+               (set(cx.facets) - cof) | {(f - {u}) | {fresh} for f in cof for u in a})
+    for k in (0, 1):
+        for s in cx.faces(k):
+            cof = {f for f in cx.facets if s <= f}
+            yield cx.star(s), cof
+            yield cx.link(s), {f - s for f in cof if f != s}
+
+
+def assert_children_match_the_sorting_oracle(cx):
+    # the oracle sorts the child's facets and counts its labels afresh
+    for child, facets in derived_children(cx):
+        want = Complex._from_trusted(facets)
+        assert (child.facets, child.vertices) == (want.facets, want.vertices)
+
+
+# the octahedron subdivided at {1, 2}, which welds at 7, plus facets of
+# dimension 1 and 3
+NON_PURE = Complex(list(stellar_subdivide(OCTA, [1, 2]).facets) + [[6, 20], [20, 21, 22, 23]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes())
+@example(NON_PURE)
+def test_derived_children_match_the_sorting_oracle(cx):
+    assert_children_match_the_sorting_oracle(cx)
+
+
+def test_derived_children_of_finding_b_sphere_match_the_sorting_oracle():
+    # the 864-facet sphere: three derived subdivisions of the 2-simplex boundary
+    cx = simplex_sphere(2)
+    for _ in range(3):
+        cx = complex_core.derived_subdivision_raw(cx)
+    assert len(cx.facets) == 864
+    assert_children_match_the_sorting_oracle(cx)

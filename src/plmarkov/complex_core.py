@@ -702,13 +702,13 @@ def isomorphism(a: Complex, b: Complex) -> Optional[Dict[int, int]]:
 
 class IsoIndex:
     """Complexes up to isomorphism.  Each class keeps its first member
-    and a caller value, at its class index in ``members`` and
-    ``values``.  Classes are bucketed by ``fingerprint``, and a bucket
-    maps each class's encoding to its index.  A lookup runs one
-    canonical search that stops at the first leaf matching an encoding
-    of the bucket, and then one dict lookup.  A bucket's first class is
-    encoded only when a second complex reaches the bucket, so a complex
-    whose fingerprint is new computes no canonical form.
+    at its class index in ``members``.  Classes are bucketed by
+    ``fingerprint``, and a bucket maps each class's encoding to its
+    index.  A lookup runs one canonical search that stops at the first
+    leaf matching an encoding of the bucket, and then one dict lookup.
+    A bucket's first class is encoded only when a second complex
+    reaches the bucket, so a complex whose fingerprint is new computes
+    no canonical form.
 
     A colour histogram of all ones is a discrete colouring, which is a
     canonical labelling (McKay-Piperno 2014): isomorphisms keep colours,
@@ -717,7 +717,6 @@ class IsoIndex:
 
     def __init__(self):
         self.members: List[Complex] = []
-        self.values: List[object] = []
         # fingerprint -> {encoding: class index}; None while unencoded
         self._buckets: Dict[tuple, Dict[Optional[tuple], int]] = {}
 
@@ -746,14 +745,13 @@ class IsoIndex:
         """The index of cx's class, or None."""
         return self._lookup(cx)[2]
 
-    def add(self, cx: Complex, value: object = None) -> Tuple[int, bool]:
+    def add(self, cx: Complex) -> Tuple[int, bool]:
         """The index of cx's class, and whether cx opened it."""
         key, enc, i = self._lookup(cx)
         if i is not None:
             return i, False
         self._buckets.setdefault(key, {})[enc] = len(self.members)
         self.members.append(cx)
-        self.values.append(value)
         return len(self.members) - 1, True
 
 

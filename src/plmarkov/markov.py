@@ -285,10 +285,10 @@ def reduction_report(p: FinitePresentation, n: int,
     Builds M = realize_boundary(p, n) and the reference manifold with
     the same relator count, one invariants record for each, and the
     group-triviality semi-decision on the edge-path presentation of M,
-    and only then issues a verdict: distinguished when the Euler
-    characteristic or a homology degree separates the two,
-    equivalent-certified when a positive search budget finds a
-    stellar-move certificate, consistent-unknown otherwise.
+    and only then issues a verdict: distinguished when a homology
+    degree separates the two, equivalent-certified when a positive
+    search budget finds a stellar-move certificate, consistent-unknown
+    otherwise.
     """
     b = {"pi1": 100000, "search": 0}
     b.update(budgets or {})
@@ -300,13 +300,11 @@ def reduction_report(p: FinitePresentation, n: int,
     pi1 = {"abelianization": abelianization(pres).to_json(),
            "trivial": semi_decide_trivial(pres, budget=b["pi1"]).to_json()}
 
-    em, et = inv_m["euler_characteristic"], inv_t["euler_characteristic"]
-    if em != et:
-        obstruction = "euler characteristic %d vs %d" % (em, et)
-    else:
-        pairs = itertools.zip_longest(inv_m["homology"], inv_t["homology"])
-        obstruction = next(("H%d %s vs %s" % (d, gm, gt)
-                            for d, (gm, gt) in enumerate(pairs) if gm != gt), None)
+    # chi(M) = chi(T) on every presentation, and chi is the alternating
+    # sum of the Betti numbers, so homology is the only obstruction
+    pairs = itertools.zip_longest(inv_m["homology"], inv_t["homology"])
+    obstruction = next(("H%d %s vs %s" % (d, gm, gt)
+                        for d, (gm, gt) in enumerate(pairs) if gm != gt), None)
 
     if obstruction is not None:
         equivalence = {"verdict": "distinguished", "obstruction": obstruction}

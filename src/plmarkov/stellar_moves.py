@@ -26,15 +26,17 @@ L, and whether link(A) is the boundary of B.  It depends only on the
 vertex or face and its star, so it is a pure function of (v, star of v)
 or (A, star of A), and its answer holds in every complex that has that
 star.  The global half is whether s or B is a face, which depends on the
-whole complex.  ``reduce_with_trace`` keeps the local answers in a table
-keyed by (vertex or face, star) that lives for one descent, and judges
+whole complex.  Every stage of a search keeps the local answers in a
+table keyed by (vertex or face, star): one table per descent, shared
+with its plateau escapes, and one per ``meet``.  Each stage reads its
+welds off one scan, ``_welds``, and its flips off ``_flips``, and judges
 only the global half again in each state.  The table needs no
-invalidation.  The public scans judge both halves afresh.  The descent
-judges nothing at the boundary of a simplex, where no move applies, so
-a descent from the reference sphere stops at once.
-Its weld scan reads each star off the facet tuple, in facet order, and
-tests whether s is a face against the facets, so a state that welds
-builds no incidence index.
+invalidation.  The public scans, and replay through ``stellar_weld``,
+judge both halves afresh.  The descent judges nothing at the boundary of
+a simplex, where no move applies, so a descent from the reference sphere
+stops at once.  The weld scan reads each star off the facet tuple, in
+facet order, and tests whether s is a face against the facets, so a
+state that welds builds no incidence index.
 
 A move's child inherits its parent's facet order and vertex tuple: the
 kept facets stay in order, the few new ones are inserted in their
@@ -166,7 +168,7 @@ def weld_candidates(cx: Complex) -> Iterator[Tuple[int, Simplex]]:
     lost.  The link condition, a pure function of v and its star (see
     the module docstring), is tested first, since almost every
     candidate fails it; ``weld_parts`` judges the few that pass.  The
-    descent keeps the link conditions in its star-keyed table; this
+    search stages keep the link conditions in a star-keyed table; this
     scan works them out afresh.
     """
     for v in cx.vertices:
@@ -218,9 +220,9 @@ def _link_splits(v: int, star: Tuple[Simplex, ...]) -> Tuple[Tuple[Simplex, set]
     return tuple(out)
 
 
-def _first_weld(cx: Complex, table: dict) -> Optional[Tuple[int, Simplex, set]]:
-    """The first of ``weld_candidates``, with the link conditions from
-    ``table``, and the factor L of the weld it finds.  A star is keyed
+def _welds(cx: Complex, table: dict) -> Iterator[Tuple[int, Simplex, set]]:
+    """The welds of ``weld_candidates``, in its order, with the link
+    conditions from ``table`` and the factor L of each.  A star is keyed
     as the tuple of its facets in facet order, as the incidence index
     holds it; each scanned vertex reads its star off the facet tuple
     and each s is tested against the facets, so a state whose scan
@@ -230,8 +232,7 @@ def _first_weld(cx: Complex, table: dict) -> Optional[Tuple[int, Simplex, set]]:
         star = tuple(f for f in facets if v in f)
         for s, rest in _judged(table, _link_splits, v, star):
             if not any(map(s.issubset, facets)):
-                return v, s, rest
-    return None
+                yield v, s, rest
 
 
 def flip_candidates(cx: Complex) -> Iterator[Tuple[Simplex, Simplex]]:
@@ -391,7 +392,7 @@ def _escape_plateau(
                 cand, recs = apply_flip(cur, a, b)
                 if not seen.add(cand)[1]:
                     continue
-                if (_first_weld(cand, table) is not None
+                if (next(_welds(cand, table), None) is not None
                         or _reducing_flip(cand, table) is not None):
                     moves_out.extend(path + recs)
                     return cand
@@ -418,7 +419,7 @@ def reduce_with_trace(
     state = cx
     moves: List[StellarMove] = []
     while not budget.exhausted and not _is_simplex_boundary(state):
-        weld = _first_weld(state, table)
+        weld = next(_welds(state, table), None)
         if weld is not None:
             v, s, rest = weld
             state = _weld(state, v, s, rest)
@@ -501,15 +502,13 @@ def _stitch_certificate(
     return Certificate(tuple(a_moves) + tuple(lines), relabel)
 
 
-def _neighbors_for_meet(cx: Complex, cap: int) -> Iterator[Tuple[Complex, List[StellarMove]]]:
-    for v, s in weld_candidates(cx):
-        yield stellar_weld(cx, v, s), [StellarMove("W", tuple(sorted(s)), v)]
-    for a, b in flip_candidates(cx):
-        delta = 2 * len(a) - 2 - cx.dim
-        if len(cx.facets) + delta > cap:
-            continue
-        out, recs = apply_flip(cx, a, b)
-        yield out, recs
+def _neighbors_for_meet(cx: Complex, cap: int,
+                        table: dict) -> Iterator[Tuple[Complex, List[StellarMove]]]:
+    for v, s, rest in _welds(cx, table):
+        yield _weld(cx, v, s, rest), [StellarMove("W", tuple(sorted(s)), v)]
+    for a, b in _flips(cx, range(1, cx.dim + 1), table):
+        if len(cx.facets) + 2 * len(a) - 2 - cx.dim <= cap:
+            yield apply_flip(cx, a, b)
 
 
 def search_equivalence(a: Complex, b: Complex, budget: int) -> vd.Verdict:
@@ -556,12 +555,11 @@ def descend(a: Complex, b: Complex, budget: int) -> Descent:
     if before is not None:
         relabel = tuple(before[v] for v in a.vertices)
         return Descent(vd.yes(witness=Certificate((), relabel)))
-    total = vd.Budget(budget)
-    half = vd.Budget(total.remaining // 2)
-    a_red, a_moves = reduce_with_trace(a, half)
-    b_budget = vd.Budget(total.remaining // 2)
+    a_budget, b_budget = vd.Budget(budget // 2), vd.Budget(budget // 2)
+    a_red, a_moves = reduce_with_trace(a, a_budget)
     b_red, b_moves = reduce_with_trace(b, b_budget)
-    total.spend(half.used + b_budget.used)
+    total = vd.Budget(budget)
+    total.spend(a_budget.used + b_budget.used)
     psi = isomorphism(a_red, b_red)
     found = None
     if psi is not None:
@@ -572,50 +570,42 @@ def descend(a: Complex, b: Complex, budget: int) -> Descent:
 def meet(a: Complex, b: Complex, descent: Descent) -> vd.Verdict:
     """The second stage of a search: a bounded two-sided search between
     the reduced forms of an unsettled ``descend``, on what is left of
-    its budget."""
+    its budget.  Each side keeps its classes, the path to each class's
+    first member, and a frontier of classes; each round expands the
+    smaller nonempty frontier, the first side's on a tie."""
     _, total, a_red, a_moves, b_red, b_moves = descent
     cap = max(len(a_red.facets), len(b_red.facets)) + a.dim + 1
-    seen_a, seen_b = IsoIndex(), IsoIndex()
-    seen_a.add(a_red, [])
-    seen_b.add(b_red, [])
-    front_a = [(a_red, [])]
-    front_b = [(b_red, [])]
-    while (front_a or front_b) and not total.exhausted:
-        if not front_a:
-            expand_a = False
-        elif not front_b:
-            expand_a = True
-        else:
-            expand_a = len(front_a) <= len(front_b)
-        frontier = front_a if expand_a else front_b
-        ours, theirs = (seen_a, seen_b) if expand_a else (seen_b, seen_a)
-        new_frontier: List[Tuple[Complex, List[StellarMove]]] = []
-        for cur, path in frontier:
-            for nxt, recs in _neighbors_for_meet(cur, cap):
+    table: dict = {}
+    sides = [[IsoIndex(), [[]], [0]] for _ in range(2)]
+    for side, red in zip(sides, (a_red, b_red)):
+        side[0].add(red)
+    while not total.exhausted:
+        ours = min((side for side in sides if side[2]), key=lambda side: len(side[2]),
+                   default=None)
+        if ours is None:
+            return vd.unknown("search-exhausted", detail={"states": total.used})
+        theirs = sides[1] if ours is sides[0] else sides[0]
+        (seen, paths, frontier), (their_seen, their_paths, _) = ours, theirs
+        ours[2] = []
+        for i in frontier:
+            for nxt, recs in _neighbors_for_meet(seen.members[i], cap, table):
                 if not total.spend():
                     return vd.unknown(detail={"states": total.used})
-                state = (nxt, path + recs)
-                if not ours.add(*state)[1]:
+                j, new = seen.add(nxt)
+                if not new:
                     continue
-                new_frontier.append(state)
-                hit = theirs.find(nxt)
+                paths.append(paths[i] + recs)
+                ours[2].append(j)
+                hit = their_seen.find(nxt)
                 if hit is not None:
                     # the first member of the class on the other side
-                    other = (theirs.members[hit], theirs.values[hit])
-                    (a_end, a_path), (b_end, b_path) = (
-                        (state, other) if expand_a else (other, state))
+                    ends = [(nxt, paths[j]), (their_seen.members[hit], their_paths[hit])]
+                    if ours is sides[1]:
+                        ends.reverse()
+                    (a_end, a_path), (b_end, b_path) = ends
                     meet_psi = isomorphism(a_end, b_end)
                     if meet_psi is None:
                         raise AssertionError("meet found no isomorphism in one class")
-                    return vd.yes(
-                        witness=_stitch_certificate(
-                            a_moves + a_path, a_end, b_moves + b_path, b, meet_psi
-                        )
-                    )
-        if expand_a:
-            front_a = new_frontier
-        else:
-            front_b = new_frontier
-    if total.exhausted:
-        return vd.unknown(detail={"states": total.used})
-    return vd.unknown("search-exhausted", detail={"states": total.used})
+                    return vd.yes(witness=_stitch_certificate(
+                        a_moves + a_path, a_end, b_moves + b_path, b, meet_psi))
+    return vd.unknown(detail={"states": total.used})

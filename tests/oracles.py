@@ -17,7 +17,7 @@ from plmarkov.builders import (connected_sum, cone, ordered_product,
                                staircase, suspension)
 from plmarkov.cli import _TOKEN, ExpressionError
 from plmarkov.complex_core import (Complex, InvalidComplexError, IsoIndex, Simplex,
-                                   as_simplex)
+                                   as_simplex, isomorphism)
 from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _substitute,
                              abelianization, cyclic_reduce, free_reduce, inverse_word,
                              parse_presentation)
@@ -25,6 +25,7 @@ from plmarkov.invariants import (HomologyGroup, HomologyProfile, boundary_matrix
                                  smith_diagonal)
 from plmarkov.recognition import is_combinatorial_sphere
 from plmarkov.stellar_moves import (StellarMove, _judged, _link_factor, _link_splits,
+                                    _stitch_certificate, apply_flip, flip_candidates,
                                     search_equivalence, stellar_subdivide, stellar_weld,
                                     subdivision_candidates, weld_candidates, weld_parts)
 from plmarkov.surgery import (_SEARCH_BUDGET, Tube, _chart_bands, _coface_index, _oriented,
@@ -2126,8 +2127,8 @@ def facet_sort_key(f: Simplex) -> tuple:
 
 
 def first_weld_by_incidence(cx: Complex, table: dict):
-    """``stellar_moves._first_weld`` reading each star off the incidence
-    index and testing s with ``has_face``."""
+    """The first weld of ``stellar_moves._welds``, reading each star off
+    the incidence index and testing s with ``has_face``."""
     at = cx._incidence()
     for v in cx.vertices:
         for s, rest in _judged(table, _link_splits, v, at[v]):
@@ -2232,3 +2233,71 @@ def parse_expression_by_cases(text: str) -> Complex:
         raise ExpressionError("expression nested too deeply") from None
     take("end", "end of input")
     return out
+
+
+# The two-sided search as it ran before its sides shared one loop and
+# one link table: each state expands through the public scans, which
+# judge every link afresh, and one branch per side picks the frontier.
+
+def _neighbors_by_public_scans(cx: Complex, cap: int):
+    for v, s in weld_candidates(cx):
+        yield stellar_weld(cx, v, s), [StellarMove("W", tuple(sorted(s)), v)]
+    for a, b in flip_candidates(cx):
+        delta = 2 * len(a) - 2 - cx.dim
+        if len(cx.facets) + delta > cap:
+            continue
+        out, recs = apply_flip(cx, a, b)
+        yield out, recs
+
+
+def meet_by_branches(a: Complex, b: Complex, descent) -> vd.Verdict:
+    """``stellar_moves.meet`` with one branch per side; each side's
+    paths are kept by class index beside its ``IsoIndex``."""
+    _, total, a_red, a_moves, b_red, b_moves = descent
+    cap = max(len(a_red.facets), len(b_red.facets)) + a.dim + 1
+    seen_a, seen_b = IsoIndex(), IsoIndex()
+    seen_a.add(a_red)
+    seen_b.add(b_red)
+    paths_a, paths_b = [[]], [[]]
+    front_a = [(a_red, [])]
+    front_b = [(b_red, [])]
+    while (front_a or front_b) and not total.exhausted:
+        if not front_a:
+            expand_a = False
+        elif not front_b:
+            expand_a = True
+        else:
+            expand_a = len(front_a) <= len(front_b)
+        frontier = front_a if expand_a else front_b
+        ours, theirs = (seen_a, seen_b) if expand_a else (seen_b, seen_a)
+        our_paths, their_paths = (paths_a, paths_b) if expand_a else (paths_b, paths_a)
+        new_frontier = []
+        for cur, path in frontier:
+            for nxt, recs in _neighbors_by_public_scans(cur, cap):
+                if not total.spend():
+                    return vd.unknown(detail={"states": total.used})
+                state = (nxt, path + recs)
+                if not ours.add(nxt)[1]:
+                    continue
+                our_paths.append(state[1])
+                new_frontier.append(state)
+                hit = theirs.find(nxt)
+                if hit is not None:
+                    other = (theirs.members[hit], their_paths[hit])
+                    (a_end, a_path), (b_end, b_path) = (
+                        (state, other) if expand_a else (other, state))
+                    meet_psi = isomorphism(a_end, b_end)
+                    if meet_psi is None:
+                        raise AssertionError("meet found no isomorphism in one class")
+                    return vd.yes(
+                        witness=_stitch_certificate(
+                            a_moves + a_path, a_end, b_moves + b_path, b, meet_psi
+                        )
+                    )
+        if expand_a:
+            front_a = new_frontier
+        else:
+            front_b = new_frontier
+    if total.exhausted:
+        return vd.unknown(detail={"states": total.used})
+    return vd.unknown("search-exhausted", detail={"states": total.used})

@@ -158,6 +158,16 @@ class TestCheck:
         assert r.exit_code == 0
         assert json.loads(r.output)["verdict"]["status"] == "unknown"
 
+    def test_a_manifold_check_whose_link_searches_run_out_is_unknown(self, runner,
+                                                                     tmp_path):
+        path = tmp_path / "m.cx"
+        r = runner.invoke(main, ["build", "prod(sphere(1),sphere(2))", "-o", str(path)])
+        assert r.exit_code == 0
+        r = runner.invoke(main, ["check", str(path),
+                                 "--what", "manifold", "--budget", "100"])
+        assert r.exit_code == 0
+        assert json.loads(r.output)["verdict"]["status"] == "unknown"
+
     def test_orientable(self, runner, sphere_file):
         r = runner.invoke(main, ["check", sphere_file,
                                  "--what", "orientable", "--budget", "1"])

@@ -472,12 +472,11 @@ def test_iso_index_matches_first_match_grouping(cxs):
             firsts.append(cx)
         want.append(hit)
     index = IsoIndex()
-    got = [index.add(cx, k) for k, cx in enumerate(cxs)]
+    got = [index.add(cx) for cx in cxs]
     assert [i for i, _ in got] == want
     assert [new for _, new in got] == [want[k] not in want[:k] for k in range(len(cxs))]
     assert len(index.members) == len(firsts)
     assert all(m is f for m, f in zip(index.members, firsts))
-    assert index.values == [want.index(i) for i in range(len(firsts))]
     assert [index.find(cx) for cx in cxs] == want
 
 
@@ -992,9 +991,9 @@ def _census_states(n, cap):
     states = []
     real = IsoIndex.add
 
-    def recording(index, cx, value=None):
+    def recording(index, cx):
         states.append(cx)
-        return real(index, cx, value)
+        return real(index, cx)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(IsoIndex, "add", recording)

@@ -22,9 +22,10 @@ from plmarkov.recognition import (
     is_combinatorial_sphere,
     is_pl_manifold,
 )
-from plmarkov.stellar_moves import apply_certificate, format_certificate
+from plmarkov.stellar_moves import apply_certificate, descend, format_certificate, meet
 
-from oracles import is_combinatorial_ball_by_rim, is_combinatorial_sphere_gates_first
+from oracles import (is_combinatorial_ball_by_rim, is_combinatorial_sphere_gates_first,
+                     meet_by_branches)
 
 OCTA = Complex([[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 2],
                 [6, 2, 3], [6, 3, 4], [6, 4, 5], [6, 5, 2]])
@@ -404,3 +405,65 @@ def test_meet_verdicts_and_certificates_are_pinned():
         if v.is_yes:
             digest.update(format_certificate(v.witness).encode())
     assert digest.hexdigest() == MEET_PIN
+
+
+# RP^2 on 6 vertices, fanned around vertex 1; two of them sum to a Klein
+# bottle, which shares its Euler characteristic with the torus
+RP2_FAN = Complex([[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+                   [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]])
+
+# sha256 of the certificate that settles the barycentric subdivision of
+# the 3-simplex boundary after one full frontier of meet
+SD_S3_CERT_SHA256 = "2af358fd9d84e0718fbd1c958281e9b3e63b7fdd9655ca6e1e80cdb8d4443e9c"
+
+
+def test_meet_past_its_first_frontier_is_pinned():
+    sd = barycentric_subdivision(simplex_sphere(3))
+    v = is_combinatorial_sphere(sd, 55)
+    assert v.is_yes and len(v.witness.moves) == 33
+    assert apply_certificate(sd, v.witness) == simplex_sphere(3)
+    assert hashlib.sha256(format_certificate(v.witness).encode()).hexdigest() == SD_S3_CERT_SHA256
+    # the homology gate of a search stops this pair, so its two stages
+    # are called directly: one side runs empty before the other does
+    kb, torus = connected_sum(RP2_FAN, RP2_FAN), sphere_product(1, 1)
+    assert meet(kb, torus, descend(kb, torus, 100000)).to_json() == {
+        "status": "unknown", "reason": "search-exhausted", "detail": {"states": 4058}}
+
+
+def test_meet_matches_the_branching_oracle():
+    # MEET_PIN's searches and the two above; each stage gets its own
+    # descent, since meet spends the descent's budget
+    sd1 = barycentric_subdivision(simplex_sphere(1))
+    spheres = ([(sd1, b) for b in range(1, 9)]
+               + [(suspension(sd1), b) for b in range(1, 9)]
+               + [(barycentric_subdivision(simplex_sphere(2)), b) for b in range(1, 21)]
+               + [(barycentric_subdivision(simplex_sphere(3)), 55)])
+    kb = connected_sum(RP2_FAN, RP2_FAN)
+    runs = ([(cx, simplex_sphere(cx.dim), b) for cx, b in spheres]
+            + [(sphere_product(1, 1), TORUS_9, 200000), (kb, sphere_product(1, 1), 100000)])
+    reached = 0
+    for a, b, budget in runs:
+        if descend(a, b, budget).verdict is not None:
+            continue
+        reached += 1
+        got = meet(a, b, descend(a, b, budget))
+        want = meet_by_branches(a, b, descend(a, b, budget))
+        assert got.to_json() == want.to_json()
+        if got.is_yes:
+            assert format_certificate(got.witness) == format_certificate(want.witness)
+    assert reached > len(runs) // 2
+
+
+# sha256 of the manifold verdict below, pinned before meet's sides
+# shared one loop
+MANIFOLD_UNKNOWN_SHA256 = "be47a9d08d15c8c4b35bcdd5cc76f8dd516414daa6306ec2584226a4b8265007"
+
+
+def test_a_starved_manifold_check_is_unknown_with_its_report():
+    cx = sphere_product(1, 2)
+    v = is_pl_manifold(cx, budget=100)
+    assert v.is_unknown and v.reason == "vertex 0 unresolved"
+    assert v.detail == classify_links(cx, 100).to_json()
+    digest = hashlib.sha256(json.dumps(v.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == MANIFOLD_UNKNOWN_SHA256
+    assert is_pl_manifold(cx, budget=200).is_yes

@@ -120,6 +120,20 @@ class TestWeld:
         with pytest.raises(InvalidComplexError):
             stellar_weld(OCTA, 1, [2, 3])
 
+    @pytest.mark.parametrize("vertex, s", [(0, [1]), (0, [1, 4]), (9, [1, 3]), (0, [1, 3])],
+                             ids=["one-vertex", "face", "no-vertex", "no-split"])
+    def test_weld_rejections_on_the_torus(self, vertex, s):
+        # a one-vertex s; the edge {1, 4}; a vertex outside the complex;
+        # a hexagon link that is no suspension over {1, 3}
+        torus = sphere_product(1, 1)
+        assert weld_parts(torus, vertex, s) is None
+        with pytest.raises(InvalidComplexError, match="is not legal"):
+            stellar_weld(torus, vertex, s)
+
+    def test_replaying_a_weld_with_no_simplex_is_a_named_error(self):
+        with pytest.raises(InvalidComplexError, match="is not legal"):
+            apply_certificate(sphere_product(1, 1), parse_certificate("W 3\n"))
+
     def test_weld_rejects_wrong_link(self):
         # link of 1 in the torus is a 6-cycle, never a suspension
         for v, s in weld_candidates(TORUS_9):

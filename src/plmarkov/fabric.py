@@ -17,7 +17,9 @@ Every summand is joined by ``builders.marked_csum``, the one connected
 sum, and every product cell comes from ``builders.staircase``.
 """
 
+import functools
 import itertools
+import types
 
 from .builders import marked_csum, ordered_product_with_chart, simplex_sphere
 from .complex_core import Complex
@@ -75,19 +77,22 @@ def handle_chain(k, n):
     return amb, all_secs, ball
 
 
+@functools.lru_cache(maxsize=8)
 def trivial_loop_prefab(n):
     """Sphere holding a null-homotopic curve with a product tube.
 
     A once-around solid torus (3-ring times the fiber star ball) closed
     by the staircase cap.  Returns (sphere, sections, ball, donor) with
     donor a cap facet disjoint from the tube, ready to be cut out when
-    the prefab is planted.
+    the prefab is planted.  Built once per dimension and shared, so the
+    sections are a tuple of read-only mappings.
     """
     fiber = simplex_sphere(n - 1)
     ball = star_ball(fiber, 0)
     lk = ball.link([0])
     solid, chart = ordered_product_with_chart(simplex_sphere(1), ball)
-    secs = [{s: chart[(t, s)] for s in ball.vertices} for t in range(3)]
+    secs = tuple(types.MappingProxyType({s: chart[(t, s)] for s in ball.vertices})
+                 for t in range(3))
     bands = _oriented(resolve_tube(solid, secs, ball).edges)
     fresh = itertools.count(solid.vertices[-1] + 1)
     cap = staircase_cap(bands, lk, fresh.__next__)

@@ -6,25 +6,29 @@ of (column, value) pairs with distinct columns, ascending as every
 builder here emits them, and no dense matrix is ever built.  Boundary
 matrices and face counts are read off the complex's one face table
 (``Complex.face_tuples``): each face is its ascending label tuple, in
-label order, and its own faces are its slices.  The elimination
-copies the rows into {column: value} dicts, skipping zero values, with
-a column -> rows index, and works in two passes.  The unit
-pass walks the rows lowest first and, where a row has a +-1 entry,
-pivots on the one whose column holds the fewest rows (a Markowitz-style
-rule against fill-in): exact row steps clear the pivot's column, after
-which column steps would change only the pivot row, so the row is
-dropped with invariant factor 1.  Boundary and exponent matrices are
-almost all +-1, so this pass does nearly all the work.  The residual
-pass runs gcd steps on what is left, each time pivoting on an entry of
-smallest absolute value, and a pairwise gcd/lcm exchange puts the
-factors in divisibility order.  The invariant factors are unique, so
-neither pivot rule changes the result.  Homology drops rows across
+label order, and its own faces are its ``itertools.combinations``.
+The elimination copies the rows into {column: value} dicts, skipping
+zero values, with a column -> rows index, and works in two passes.  The
+unit pass walks the rows lowest first and, where a row has a +-1 entry,
+pivots on the first, in row order, whose column holds the fewest rows
+(a Markowitz-style rule against fill-in; see Dumas, Heckenbach,
+Saunders and Welker, 2003).  The pivot row leaves the index, and every
+other row in the pivot's column loses q = row[j] * p times it: with
+p = +-1 that step is exact and needs no division.  Column steps would
+then change only the pivot row, so the row is dropped with invariant
+factor 1.  Boundary and exponent matrices are almost all +-1, so this
+pass does nearly all the work.  The residual pass runs gcd steps on
+what is left, each time pivoting on an entry of smallest absolute
+value, and a pairwise gcd/lcm exchange puts the factors in
+divisibility order.  The invariant factors are unique, so neither
+pivot rule changes the result.  Homology drops rows across
 degrees: column steps behind a unit pivot in column j of d_k change only
 row j of d_{k+1}, which d_k d_{k+1} = 0 makes zero, so it is left out.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -82,15 +86,34 @@ def smith_diagonal(rows: Sequence[Row], units: Optional[Set[int]] = None) -> Lis
     # unit pass: once a unit pivot's column is clear, column steps would
     # change only its own row, so the row is dropped with a factor of 1
     ones = 0
-    for i, row in enumerate(mat):
-        j = min((c for c, v in row.items() if v == 1 or v == -1),
-                key=lambda c: len(at[c]), default=None)
-        if j is not None:
-            clear_column(i, j)
-            drop(i)
-            ones += 1
-            if units is not None:
-                units.add(j)
+    for i, prow in enumerate(mat):
+        j = None
+        for c, v in prow.items():  # the first +-1 in the sparsest column
+            if v == 1 or v == -1:
+                n = len(at[c])
+                if j is None or n < best:
+                    j, best = c, n
+                    if n == 1:
+                        break
+        if j is None:
+            continue
+        drop(i)
+        p = prow.pop(j)
+        for k in at.pop(j):  # q = row[j] // p exactly, as p is +-1
+            row = mat[k]
+            q = row.pop(j) * p
+            for c, v in prow.items():
+                w = row.get(c, 0) - q * v
+                if w:
+                    if c not in row:
+                        at[c].add(k)
+                    row[c] = w
+                else:
+                    del row[c]
+                    at[c].discard(k)
+        ones += 1
+        if units is not None:
+            units.add(j)
     # residual pass: pivot on an entry of smallest |value| until its row
     # and column are clear; every remainder left is smaller than the pivot
     diag: List[int] = []
@@ -132,9 +155,11 @@ def boundary_matrix(cx: Complex, k: int) -> List[Row]:
     faces = cx.face_tuples()
     index = {f: i for i, f in enumerate(faces.get(k - 1, ()))}
     rows: List[Row] = [[] for _ in index]
+    # combinations(f, k) drops position k first and position 0 last
+    signs = [(-1) ** (k - m) for m in range(k + 1)]
     for j, f in enumerate(faces.get(k, ())):
-        for i in range(len(f)):
-            rows[index[f[:i] + f[i + 1:]]].append((j, -1 if i % 2 else 1))
+        for g, s in zip(itertools.combinations(f, k), signs):
+            rows[index[g]].append((j, s))
     return rows
 
 

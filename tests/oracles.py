@@ -21,8 +21,8 @@ from plmarkov.complex_core import (Complex, InvalidComplexError, IsoIndex, Simpl
 from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _substitute,
                              abelianization, cyclic_reduce, free_reduce, inverse_word,
                              parse_presentation)
-from plmarkov.invariants import (HomologyGroup, HomologyProfile, boundary_matrix, homology,
-                                 smith_diagonal)
+from plmarkov.invariants import (HomologyGroup, HomologyProfile, Row, boundary_matrix,
+                                 homology, smith_diagonal)
 from plmarkov.recognition import is_combinatorial_sphere
 from plmarkov.stellar_moves import (StellarMove, _judged, _link_factor, _link_splits,
                                     _stitch_certificate, apply_flip, flip_candidates,
@@ -886,6 +886,91 @@ def homology_per_degree(cx: Complex) -> HomologyProfile:
         HomologyGroup(k, fvec[k] - len(snf[k]) - len(snf[k + 1]),
                       tuple(d for d in snf[k + 1] if d > 1))
         for k in range(top + 1)))
+
+
+def smith_diagonal_min_key(rows: Sequence[Row], units: Optional[set] = None) -> List[int]:
+    """``invariants.smith_diagonal`` before its unit pass got a pivot
+    loop and a clear of its own: the unit pivot is picked by ``min`` over
+    a generator, and both passes clear through one ``clear_column`` with
+    floor division, a copy of the column set and a self-skip test."""
+    mat = [{c: v for c, v in row if v} for row in rows]
+    at: Dict[int, set] = {}  # column -> rows with an entry there
+    for i, row in enumerate(mat):
+        for j in row:
+            at.setdefault(j, set()).add(i)
+
+    def clear_column(i: int, j: int) -> bool:
+        prow = mat[i]
+        p = prow[j]
+        for k in list(at[j]):
+            row = mat[k]
+            q = row[j] // p
+            if k == i or not q:
+                continue
+            for c, v in prow.items():
+                w = row.get(c, 0) - q * v
+                if w:
+                    if c not in row:
+                        at.setdefault(c, set()).add(k)
+                    row[c] = w
+                else:
+                    del row[c]
+                    at[c].discard(k)
+        return len(at[j]) == 1
+
+    def drop(i: int) -> None:
+        for c in mat[i]:
+            at[c].discard(i)
+        mat[i] = {}
+
+    ones = 0
+    for i, row in enumerate(mat):
+        j = min((c for c, v in row.items() if v == 1 or v == -1),
+                key=lambda c: len(at[c]), default=None)
+        if j is not None:
+            clear_column(i, j)
+            drop(i)
+            ones += 1
+            if units is not None:
+                units.add(j)
+    diag: List[int] = []
+    rest = [i for i, row in enumerate(mat) if row]
+    while rest:
+        _, i, j = min((abs(v), i, j) for i in rest for j, v in mat[i].items())
+        prow = mat[i]
+        if clear_column(i, j):
+            p = prow[j]
+            for c in [c for c in prow if c != j]:
+                prow[c] %= p
+                if not prow[c]:
+                    del prow[c]
+                    at[c].discard(i)
+            if len(prow) == 1:
+                diag.append(abs(p))
+                drop(i)
+        rest = [i for i in rest if mat[i]]
+    diag.sort()
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            if b % a:
+                g = math.gcd(a, b)
+                diag[i], diag[j] = g, a // g * b
+    diag.sort()
+    return [1] * ones + diag
+
+
+def boundary_matrix_by_slices(cx: Complex, k: int) -> List[Row]:
+    """``invariants.boundary_matrix`` before it read faces off
+    ``itertools.combinations``: each face of a k-face is a slice of its
+    label tuple, position i dropped with sign (-1)^i."""
+    faces = cx.face_tuples()
+    index = {f: i for i, f in enumerate(faces.get(k - 1, ()))}
+    rows: List[Row] = [[] for _ in index]
+    for j, f in enumerate(faces.get(k, ())):
+        for i in range(len(f)):
+            rows[index[f[:i] + f[i + 1:]]].append((j, -1 if i % 2 else 1))
+    return rows
 
 
 def abelianization_dense(p: FinitePresentation) -> AbelianGroup:

@@ -16,9 +16,10 @@ from plmarkov import complex_core, stellar_moves
 from plmarkov.builders import (reference_manifold, simplex_sphere,
                                sphere_product, standard_simplex)
 from plmarkov.complex_core import Complex, IsoIndex, barycentric_subdivision, to_text
+from plmarkov.fabric import trivial_loop_prefab
 from plmarkov.groups import (abelianization, edge_path_presentation,
                              parse_presentation)
-from plmarkov.invariants import betti_numbers, homology
+from plmarkov.invariants import betti_numbers, boundary_matrix, homology, smith_diagonal
 from plmarkov.markov import (dovetail, enumerate_spheres,
                              enumerate_subcomplexes, realize_boundary,
                              reduction_report, report_to_text)
@@ -27,9 +28,10 @@ from plmarkov.recognition import (classify_links, is_closed_manifold,
 from plmarkov.stellar_moves import (apply_certificate, format_certificate,
                                     search_equivalence, weld_candidates)
 from test_stellar_moves import assert_children_match_the_sorting_oracle
-from oracles import (edge_path_presentation_collapsed, first_weld_by_incidence,
-                     is_combinatorial_sphere_gates_first, isomorphism_by_canonical_search,
-                     link_splits_min_first, subcomplex_classes_exhaustive,
+from oracles import (boundary_matrix_by_slices, edge_path_presentation_collapsed,
+                     first_weld_by_incidence, is_combinatorial_sphere_gates_first,
+                     isomorphism_by_canonical_search, link_splits_min_first,
+                     smith_diagonal_min_key, subcomplex_classes_exhaustive,
                      weld_candidates_unpruned)
 
 BUDGET = 100000
@@ -316,6 +318,17 @@ def test_gate4_edge_path_presentations_match_the_collapse_oracle(markov_manifold
     assert (got.num_generators, len(got.relators)) == EDGE_PATH_SIZES[text]
 
 
+@pytest.mark.parametrize("text", PRESENTATIONS)
+def test_gate4_boundaries_match_the_slicing_and_min_key_oracles(markov_manifolds, text):
+    cx = markov_manifolds[text]
+    for k in range(1, cx.dim + 1):
+        rows = boundary_matrix(cx, k)
+        assert rows == boundary_matrix_by_slices(cx, k), k
+        units, expect = set(), set()
+        assert smith_diagonal(rows, units) == smith_diagonal_min_key(rows, expect), k
+        assert units == expect, k
+
+
 def synthetic_pairs():
     enumerators = [
         lambda i: i,
@@ -368,9 +381,9 @@ def test_criterion_7_enumeration():
 
 def test_criterion_8_determinism(closed_check, markov_reports):
     # the reruns start cold: fresh copies of the inputs, and no reference
-    # complex or abelianization carried over from the first run
+    # complex, prefab or abelianization carried over from the first run
     for cached in (simplex_sphere, standard_simplex, reference_manifold,
-                   abelianization):
+                   trivial_loop_prefab, abelianization):
         cached.cache_clear()
     for name, cx in {**closed_check.yes, **closed_check.no}.items():
         redo = classify_links(Complex(cx.facets), BUDGET).to_text()

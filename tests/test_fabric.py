@@ -67,10 +67,18 @@ class TestPrefab:
         cap = staircase_cap(prefab_bands_by_mantle(n), ball.link([0]), fresh)
         donor = max(cap, key=lambda f: (len(f - set(solid.vertices)),
                                         tuple(sorted(f))))
-        secs = [{s: chart[(t, s)] for s in ball.vertices} for t in range(3)]
+        secs = tuple({s: chart[(t, s)] for s in ball.vertices} for t in range(3))
         want = (Complex(set(solid.facets) | cap).facets, secs, ball, donor)
         got = trivial_loop_prefab(n)
         assert (got[0].facets, *got[1:]) == want
+
+    def test_prefab_is_built_once_and_read_only(self):
+        prefab, secs, ball, donor = trivial_loop_prefab(4)
+        assert trivial_loop_prefab(4)[0] is prefab
+        with pytest.raises(TypeError):
+            secs[0][0] = -1
+        with pytest.raises(TypeError):
+            secs[0] = {}
 
     def test_plant_preserves_host_topology(self):
         host = simplex_sphere(4)

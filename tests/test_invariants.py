@@ -16,9 +16,9 @@ from plmarkov.invariants import (
 )
 from plmarkov.markov import realize_boundary
 
-from oracles import (betti_over_rationals, boundary_matrix_dense, dense_rows,
-                     homology_per_degree, smith_diagonal_reference,
-                     snf_diagonal_via_minor_gcds, sparse_rows)
+from oracles import (betti_over_rationals, boundary_matrix_by_slices, boundary_matrix_dense,
+                     dense_rows, homology_per_degree, smith_diagonal_min_key,
+                     smith_diagonal_reference, snf_diagonal_via_minor_gcds, sparse_rows)
 
 
 def simplex_sphere(n):
@@ -183,6 +183,27 @@ def test_smith_collects_unit_pivot_columns_and_changes_nothing_else(dense):
     assert len(units) <= diag.count(1)
 
 
+@st.composite
+def sparse_integer_rows(draw):
+    """Up to 7 rows over up to 7 columns, each row its (column, value)
+    pairs on distinct ascending columns; rows may be empty, and values
+    may be zero or non-units."""
+    ncols = draw(st.integers(1, 7))
+    return [[(j, draw(_entries)) for j in draw(st.sets(st.integers(0, ncols - 1)).map(sorted))]
+            for _ in range(draw(st.integers(0, 7)))]
+
+
+@given(sparse_integer_rows())
+@example([[(0, 1), (1, 1)], [(0, -1), (1, 1)], []])
+@example([[(0, 2), (1, 0)], [(0, 3), (1, 1)], [(1, -1), (2, 5)]])
+@example([[(0, 2)], [], [(0, 1), (1, 1)]])  # the first unit is not the sparsest
+def test_smith_matches_the_min_key_oracle_with_its_unit_columns(rows):
+    # same pivots as the min-over-generator pass: same diagonal, same units
+    units, expect = set(), set()
+    assert smith_diagonal(rows, units) == smith_diagonal_min_key(rows, expect)
+    assert units == expect
+
+
 def test_smith_handles_large_entries():
     big = 10 ** 30
     # entries 2 and big have gcd 2 and lcm big
@@ -276,6 +297,23 @@ def test_homology_counts_faces_from_the_face_table():
     assert "faces" in cx._cache and "f_vector" not in cx._cache
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_homology_makes_one_smith_call_per_degree_then_none(monkeypatch, d):
+    # a fresh complex, so no profile cached by earlier tests is read
+    calls = []
+
+    def counted(rows, units=None):
+        calls.append(len(rows))
+        return smith_diagonal(rows, units)
+
+    monkeypatch.setattr(invariants, "smith_diagonal", counted)
+    cx = Complex(simplex_sphere(d).facets)
+    homology(cx)
+    assert len(calls) == d
+    homology(cx)
+    assert len(calls) == d
+
+
 def test_homology_counts_components():
     cx = validate([[0, 1], [2, 3], [4, 5, 6]])
     assert homology(cx).group(0).betti == 3
@@ -308,6 +346,7 @@ def assert_boundaries_match_the_dense_oracle(cx):
     faces = cx.face_tuples()
     for k in range(1, cx.dim + 1):
         rows = boundary_matrix(cx, k)
+        assert rows == boundary_matrix_by_slices(cx, k), k
         dense = boundary_matrix_dense(cx, k)
         assert all(row == sorted(row) for row in rows)  # columns ascending
         assert dense_rows(rows, len(faces[k])) == dense

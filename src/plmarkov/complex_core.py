@@ -41,7 +41,9 @@ automorphism maps the skipped subtree onto the subtree of an earlier
 sibling, leaf for leaf with equal encodings, so every skipped leaf has
 an equal twin earlier in search order and the first leaf reaching the
 minimum is never skipped: the canonical form, the canonical mapping and
-the signature are exactly those of the unpruned search.
+the signature are exactly those of the unpruned search.  A node with a
+single child skips the orbit bookkeeping, since a first child is never
+pruned.
 
 A search given targets, the canonical encodings of other complexes,
 stops at the first leaf whose encoding is a target.  Equal encodings
@@ -529,6 +531,8 @@ class Complex:
                     children = [v for v in slots[k] if v not in lab]
                 else:
                     children = ties()
+                if len(children) < 2:
+                    return iter(children)
                 return _orbit_representatives(children, autos, act)
 
             stack = [pending()]

@@ -35,8 +35,7 @@ from .groups import (FinitePresentation, Word, abelianization, cyclic_reduce,
                      semi_decide_trivial)
 from .invariants import homology
 from .stellar_moves import (search_equivalence, stellar_subdivide,
-                            stellar_weld, subdivision_candidates,
-                            weld_candidates)
+                            subdivision_candidates, weld_candidates, _weld)
 from .surgery import do_surgery
 
 
@@ -380,9 +379,14 @@ def dovetail(enumerator: Callable[[int], object],
 def _move_neighbors(cx: Complex, cap: int) -> Iterator[Complex]:
     """Results within cap of the subdivisions (by sorted face, sized
     before they are built), then the welds, applying the first move of
-    each orbit under ``cx.automorphisms()``."""
+    each orbit under ``cx.automorphisms()``.
+
+    ``subdivision_candidates`` reads the faces off the face table in
+    that order.  ``weld_candidates`` stays the census weld scan; a weld
+    it yields is legal, so its child is built from L = {f - s - {v} : f
+    in the star of v} with no second judgement."""
     autos = cx.automorphisms()
-    subs = sorted(subdivision_candidates(cx), key=lambda f: sorted(f))
+    subs = list(subdivision_candidates(cx))
     welds = list(weld_candidates(cx))
     for s in _orbit_representatives(
             subs, autos, lambda g: ((s, frozenset(map(g.get, s))) for s in subs)):
@@ -390,7 +394,7 @@ def _move_neighbors(cx: Complex, cap: int) -> Iterator[Complex]:
             yield stellar_subdivide(cx, s)
     for v, s in _orbit_representatives(welds, autos, lambda g: (
             ((v, s), (g[v], frozenset(map(g.get, s)))) for v, s in welds)):
-        out = stellar_weld(cx, v, s)
+        out = _weld(cx, v, s, {f - s - {v} for f in cx.facets_containing([v])})
         if len(out.facets) <= cap:
             yield out
 
@@ -408,10 +412,12 @@ def enumerate_spheres(n: int, max_facets: int) -> Iterator[str]:
     under its cached automorphisms.  The first neighbour in each
     isomorphism class is the first of its orbit, so the output is that
     of applying every move, even if the automorphisms span a subgroup.
-    A cap below the minimal sphere raises ValueError at the call, not
-    when the iterator is first advanced.
+    A dimension below 1, or a cap below the minimal sphere, raises
+    ValueError at the call, not when the iterator is first advanced.
     """
-    if n < 1 or max_facets < n + 2:
+    if n < 1:
+        raise ValueError(f"sphere dimension must be at least 1, not {n}")
+    if max_facets < n + 2:
         raise ValueError("cap must admit the minimal sphere")
     return _sphere_closure(n, max_facets)
 

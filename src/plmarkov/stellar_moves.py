@@ -149,9 +149,12 @@ class StellarMove:
 
 
 def subdivision_candidates(cx: Complex) -> Iterator[Simplex]:
-    for k in range(1, cx.dim + 1):
-        for f in cx.faces(k):
-            yield f
+    """The faces of dimension >= 1 in ascending label order across
+    dimensions (an edge before every face that extends it), read off
+    the face table with one sort of its label tuples."""
+    table = cx.face_tuples()
+    return map(frozenset, sorted(itertools.chain.from_iterable(
+        table[k] for k in range(1, cx.dim + 1))))
 
 
 def weld_candidates(cx: Complex) -> Iterator[Tuple[int, Simplex]]:

@@ -17,7 +17,7 @@ from plmarkov.builders import (connected_sum, cone, ordered_product,
                                staircase, suspension)
 from plmarkov.cli import _TOKEN, ExpressionError
 from plmarkov.complex_core import (Complex, InvalidComplexError, IsoIndex, Simplex,
-                                   as_simplex, isomorphism)
+                                   _orbit_representatives, as_simplex, isomorphism)
 from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _substitute,
                              abelianization, cyclic_reduce, free_reduce, inverse_word,
                              parse_presentation)
@@ -1624,6 +1624,25 @@ def move_neighbors_unpruned(cx: Complex, cap: int) -> Iterator[Complex]:
         if len(out.facets) <= cap:
             yield out
     for v, s in weld_candidates(cx):
+        out = stellar_weld(cx, v, s)
+        if len(out.facets) <= cap:
+            yield out
+
+
+def move_neighbors_by_public_scans(cx: Complex, cap: int) -> Iterator[Complex]:
+    """The census neighbours of cx, in the order of
+    ``markov._move_neighbors``, through the public scans alone: the
+    subdivision candidates sorted as label lists, and every weld judged
+    again and built by ``stellar_weld``."""
+    autos = cx.automorphisms()
+    subs = sorted(subdivision_candidates(cx), key=lambda f: sorted(f))
+    welds = list(weld_candidates(cx))
+    for s in _orbit_representatives(
+            subs, autos, lambda g: ((s, frozenset(map(g.get, s))) for s in subs)):
+        if len(cx.facets) + len(cx.facets_containing(s)) * (len(s) - 1) <= cap:
+            yield stellar_subdivide(cx, s)
+    for v, s in _orbit_representatives(welds, autos, lambda g: (
+            ((v, s), (g[v], frozenset(map(g.get, s)))) for v, s in welds)):
         out = stellar_weld(cx, v, s)
         if len(out.facets) <= cap:
             yield out

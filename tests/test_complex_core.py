@@ -1132,6 +1132,57 @@ def test_orbit_pruning_matches_the_any_scan_on_small_complexes(cx):
     search_in_lockstep(cx)
 
 
+def _search_digest(cx):
+    """sha256 of a fresh search's canonical encoding, canonical vertex
+    order and cached automorphisms, in list and entry order."""
+    fresh = _fresh(cx)
+    code, order = fresh._canonical_code()
+    return hashlib.sha256(repr((code, order, _items(fresh.automorphisms()))).encode()).hexdigest()
+
+
+# taken from the search that ran orbit pruning at every node
+SYMMETRIC_SEARCH_SHA256 = {
+    "K33": "1b32ce474995f233caa0dbf8d77dbfd0460b57e80ff48acfbc7955f9cfae3dc3",
+    "S1": "2ec00889802bb0d059baa4def3afa4f80a6113d6773f180f00bab04326fde343",
+    "S2": "6b1a5eecd353e4d3b8f1fe42b6fa3334c3a9a4dd15683beb102189607505d248",
+    "S3": "a6eaff8d3bec324cbc3866f71f119df5da3528271bdf202948604604a58f36c1",
+    "S4": "9b57a89e99556f92a98a25d89c03971d29b0fbfd11eabe7dec1dcb34c6cfbe4d",
+    "octahedron": "5caef1a298d5dde8b686ac757cd5f35d089c80bce11205aa513211382abfe349",
+    "prism": "46169978faec42117e6e91c6db08f0d5b2e556dc03ee9f45b107d3a4f02a26bd",
+    "sd S2": "c383dabda80a71cd4cbf3b38b80614ad21551fa938dae3b53a9eab2d1205d0dd",
+    "torus": "453716d5f3b7ba0cf1432a39796384b46d716fc2fb733c12b20fba3402d4222c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_searches_of_symmetric_complexes_are_pinned(name):
+    assert _search_digest(SYMMETRIC[name]()) == SYMMETRIC_SEARCH_SHA256[name]
+
+
+def test_searches_of_the_census_states_are_pinned():
+    states, _ = _census_states(2, 12)
+    digests = "\n".join(map(_search_digest, states))
+    assert len(states) == 111
+    assert hashlib.sha256(digests.encode()).hexdigest() == (
+        "d71f5af9481fcb55246fb2262a795509e78794f863fbb8a6d0ab6eb41ee58d81")
+
+
+# (count, sha256 of the sorted signatures joined by newlines), the
+# census digests of the benchmark's expected outputs
+CENSUS_SHA256 = {
+    (1, 12): (10, "564d0d5c1281b09cc94548f584084ccbd95920cf1348d07c5742362e5087831e"),
+    (2, 14): (73, "1a1bff74177e600c7bcb5b3fd0dbeab324257da12abe485d0ab2c3bfa3464955"),
+    (3, 12): (6, "59adb906e3a66a90aac1191ea00e0fee2b0901e401d9deb0d1776e249d325e97"),
+}
+
+
+@pytest.mark.parametrize("n, cap", CENSUS_ENUMERATIONS)
+def test_census_enumerations_are_pinned(n, cap):
+    sigs = list(enumerate_spheres(n, cap))
+    digest = hashlib.sha256("\n".join(sorted(sigs)).encode()).hexdigest()
+    assert (len(sigs), digest) == CENSUS_SHA256[(n, cap)]
+
+
 def test_census_move_pruning_matches_the_any_scan():
     # the census prunes moves with each state's full automorphism list
     want = list(enumerate_spheres(2, 12))

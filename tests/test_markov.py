@@ -23,8 +23,8 @@ from plmarkov.recognition import is_closed_manifold
 from plmarkov.stellar_moves import (stellar_subdivide, stellar_weld,
                                     subdivision_candidates, weld_candidates)
 from oracles import (enumerate_spheres_unpruned, mod2_triangle_boundary,
-                     move_neighbors_unpruned, subcomplex_classes_exhaustive,
-                     two_sphere_triangulations)
+                     move_neighbors_by_public_scans, move_neighbors_unpruned,
+                     subcomplex_classes_exhaustive, two_sphere_triangulations)
 
 
 def pres(text):
@@ -403,6 +403,13 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="cap must admit the minimal sphere"):
             enumerate_spheres(2, 3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_dimension_below_one_is_named(self, n):
+        # named at the call, whatever the cap
+        for cap in (1, 10):
+            with pytest.raises(ValueError, match=f"^sphere dimension must be at least 1, not {n}$"):
+                enumerate_spheres(n, cap)
+
     def test_edge_subcomplexes(self):
         sigs = list(enumerate_subcomplexes(standard_simplex(1)))
         assert len(sigs) == len(set(sigs)) == 3
@@ -453,13 +460,14 @@ def _applied_moves(cx, cap=10 ** 6):
     applied = []
 
     def record(move):
+        # a weld is built as _weld(c, v, s, L): record (v, s)
         def run(c, *args):
-            applied.append(args)
+            applied.append(args[:2])
             return move(c, *args)
         return run
 
     with mock.patch.object(markov, "stellar_subdivide", record(stellar_subdivide)), \
-            mock.patch.object(markov, "stellar_weld", record(stellar_weld)):
+            mock.patch.object(markov, "_weld", record(markov._weld)):
         built = list(_move_neighbors(cx, cap))
     return applied, built
 
@@ -477,6 +485,41 @@ def symmetric_complexes(draw):
     rng = draw(st.randoms(use_true_random=False))
     verts = cx.vertices
     return cx.relabeled(dict(zip(verts, rng.sample(range(5 * len(verts)), len(verts)))))
+
+
+def _census_frontier(n, cap):
+    """Every state whose neighbours ``enumerate_spheres(n, cap)`` builds."""
+    states = []
+    real = markov._move_neighbors
+
+    def recording(cx, cap):
+        states.append(cx)
+        return real(cx, cap)
+
+    with mock.patch.object(markov, "_move_neighbors", recording):
+        list(enumerate_spheres(n, cap))
+    return states
+
+
+def assert_neighbors_match_the_public_scans(cx, cap):
+    got = list(_move_neighbors(cx, cap))
+    want = list(move_neighbors_by_public_scans(cx, cap))
+    assert [o.facets for o in got] == [o.facets for o in want]
+    assert [o.vertices for o in got] == [o.vertices for o in want]
+
+
+def test_census_neighbors_match_the_public_scans_on_the_census_states():
+    states = _census_frontier(2, 12)
+    assert len(states) > 1
+    for cx in states:
+        assert_neighbors_match_the_public_scans(cx, 12)
+
+
+@settings(max_examples=40)
+@given(symmetric_complexes(), st.integers(0, 6))
+def test_census_neighbors_match_the_public_scans_on_symmetric_complexes(cx, slack):
+    assert_neighbors_match_the_public_scans(cx, 10 ** 6)
+    assert_neighbors_match_the_public_scans(cx, len(cx.facets) + slack)
 
 
 class TestOrbitPruning:

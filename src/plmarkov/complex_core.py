@@ -223,9 +223,9 @@ class Complex:
         """Face counts per dimension; counts the face table when one is
         built and otherwise builds none.  A pure complex of dimension
         d >= 2 counts its vertices and facets as they stand, reads its
-        (d-1)-faces off the ridge index when that is cached (the sphere
-        gates build it first), and enumerates only the faces of the
-        dimensions left between."""
+        (d-1)-faces off the ridge index when that is cached (a manifold
+        check's pseudomanifold gate builds it first), and enumerates
+        only the faces of the dimensions left between."""
         if "f_vector" not in self._cache:
             table = self._cache.get("faces")
             d = self.dim
@@ -317,9 +317,11 @@ class Complex:
         return Complex._from_trusted(r for r, d in self.ridge_degrees().items() if d == 1)
 
     def is_closed_pseudomanifold(self) -> bool:
-        """A pseudomanifold with boundary whose every ridge is in two facets."""
-        return self.is_pseudomanifold_with_boundary() and all(
-            len(fs) == 2 for fs in self._ridges().values())
+        """A pseudomanifold with boundary whose every ridge is in two
+        facets; the facet graph is walked only once that holds."""
+        return (self.dim >= 1 and self.is_pure()
+                and all(len(fs) == 2 for fs in self._ridges().values())
+                and self.is_strongly_connected())
 
     def is_pseudomanifold_with_boundary(self) -> bool:
         if not self._facets or self.dim < 1 or not self.is_pure():

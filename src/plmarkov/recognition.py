@@ -1,15 +1,15 @@
 """Semi-decision procedures for spheres, balls, and manifold structure.
 
-Sphere recognition runs cheap combinatorial gates first (purity,
-pseudomanifold conditions, Euler number) and then hands the survivors
-to the stellar move search against the boundary of a simplex.  It is
-certificate-first: a yes from the descent stage of the search is a move
-certificate, so a complex it settles never computes homology; only
-those it leaves open pass the homology gate before the two-sided
-search.  Ball recognition asks one sphere question, about the cone
-closure of the ball (Newman's criterion).  A definite no always names
-its obstruction; yes carries a replayable move certificate; unknown
-means the budget ran out, nothing more.
+Sphere recognition is certificate-first: only purity and the Euler
+number are read before the descent of the stellar move search against
+the boundary of a simplex, whose yes is a move certificate, so a sphere
+it settles walks no facet graph and computes no homology.  What it
+leaves open passes the pseudomanifold and homology gates before the
+two-sided search; so a pure non-pseudomanifold with a sphere's Euler
+number spends its descent before the gates' named no.  Ball recognition
+asks one sphere question, about the cone closure of the ball (Newman's
+criterion).  A definite no always names its obstruction; yes carries a
+replayable move certificate; unknown means the budget ran out.
 
 Manifold recognition classifies every vertex link as a sphere (interior
 vertex) or a ball (boundary vertex).  Isomorphic links share one
@@ -59,25 +59,29 @@ def is_combinatorial_sphere(cx: Complex, budget: int = 100000) -> vd.Verdict:
     """Is cx connected to the boundary of a simplex of its dimension by
     stellar moves?  The empty complex is the (-1)-sphere.
 
-    After the combinatorial gates the descent stage of the search runs
-    first, and its yes is returned as it stands: a certified complex is
-    PL-homeomorphic to the reference sphere.  Otherwise the homology
-    gate runs, and then the two-sided search from the same reduced
-    states and budget.  The gates have made cx a strongly connected
-    closed pseudomanifold of dimension at least 1, whose top homology
-    is Z exactly when it is orientable, so the homology gate also
-    rejects every non-orientable cx.  A yes witness is a move
-    certificate replaying cx onto the reference sphere.  The check is
-    only a semi-decision: unknown states that the budget ran out before
-    the search met in the middle.
+    A complex of dimension below 1, an impure one, or one without the
+    reference sphere's Euler number gets the combinatorial gates alone.
+    Otherwise the descent stage of the search runs first, and its yes is
+    returned as it stands: stellar moves keep the PL type, so the gates
+    would pass a certified complex.  An unsettled descent is followed by
+    the gates, the homology gate and the two-sided search from the same
+    reduced states and budget.  The gates have then made cx a strongly
+    connected closed pseudomanifold of dimension at least 1, whose top
+    homology is Z exactly when it is orientable, so the homology gate
+    also rejects every non-orientable cx.  A yes witness is a move
+    certificate replaying cx onto the reference sphere.  Unknown states
+    that the budget ran out before the search met in the middle.
     """
-    gate = _sphere_gates(cx)
-    if gate is not None:
-        return gate
+    if (cx.dim < 1 or not cx.is_pure() or cx.euler_characteristic()
+            != simplex_sphere(cx.dim).euler_characteristic()):
+        return _sphere_gates(cx)
     ref = simplex_sphere(cx.dim)
     descent = descend(cx, ref, budget)
     if descent.verdict is not None:
         return descent.verdict
+    gate = _sphere_gates(cx)
+    if gate is not None:
+        return gate
     if homology(cx) != homology(ref):
         return vd.no("homology-mismatch", detail=homology(cx).to_json())
     return meet(cx, ref, descent)
@@ -232,9 +236,10 @@ def is_pl_manifold(cx: Complex, budget: int = 1000000) -> vd.Verdict:
 
 def is_closed_manifold(cx: Complex, budget: int = 1000000) -> vd.Verdict:
     """Combinatorial manifold with every vertex interior: the vertex links
-    of a closed pseudomanifold have no boundary, so none is a ball."""
+    of a closed pseudomanifold have no boundary, so none is a ball.  A
+    nonempty set of points is a closed 0-manifold."""
     if not cx.is_pure():
         return vd.no("not-pure")
-    if not cx.is_closed_pseudomanifold():
+    if cx.dim != 0 and not cx.is_closed_pseudomanifold():
         return vd.no("not-closed-pseudomanifold")
     return is_pl_manifold(cx, budget)

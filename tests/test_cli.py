@@ -187,6 +187,15 @@ class TestCheck:
         assert isinstance(r.exception, SystemExit)
         assert r.output == message
 
+    @pytest.mark.parametrize("what", ["closed", "manifold"])
+    def test_two_points_are_a_closed_manifold(self, runner, tmp_path, what):
+        path = tmp_path / "s0.cx"
+        r = runner.invoke(main, ["build", "sphere(0)", "-o", str(path)])
+        assert r.exit_code == 0
+        r = runner.invoke(main, ["check", str(path), "--what", what, "--budget", "1000"])
+        assert r.exit_code == 0
+        assert json.loads(r.output) == {"what": what, "verdict": {"status": "yes"}}
+
     def test_budget_flag_required(self, runner, sphere_file):
         r = runner.invoke(main, ["check", sphere_file, "--what", "closed"])
         assert r.exit_code == 2

@@ -178,6 +178,15 @@ def test_closed_pseudomanifold_checks():
     assert not pinched.is_pseudomanifold_with_boundary()
 
 
+def test_closed_pseudomanifold_walks_no_facet_graph_with_boundary(monkeypatch):
+    def refuse(self):
+        raise AssertionError("facet graph walked")
+
+    monkeypatch.setattr(Complex, "is_strongly_connected", refuse)
+    for facets in (MOEBIUS, ANNULUS, [[0, 1, 2, 3]], [[0, 1, 2], [0, 1, 3], [0, 1, 4]]):
+        assert not validate(facets).is_closed_pseudomanifold()
+
+
 def test_moebius_is_pseudomanifold():
     cx = validate(MOEBIUS)
     assert cx.is_closed_pseudomanifold() is False  # it has boundary
@@ -837,6 +846,28 @@ def test_ridge_index_users_match_their_own_maps(cx):
 def test_ridge_index_users_match_their_own_maps_on_manifolds(build):
     cx = Complex(build().facets)
     assert_ridge_users_match_own_maps(cx)
+
+
+@st.composite
+def disjoint_pairs(draw):
+    """Two complexes on disjoint labels, each pure with or without
+    boundary, or the boundary of a simplex; of one size or two."""
+    parts = draw(st.lists(st.one_of(pure_complexes(), st.integers(1, 3).map(simplex_sphere)),
+                          min_size=2, max_size=2))
+    return validate([sorted(f) for f in parts[0].facets]
+                    + [[v + 10 for v in f] for f in parts[1].facets])
+
+
+@given(st.one_of(small_complexes(), pure_complexes(), disjoint_pairs()))
+@example(simplex_sphere(3))
+@example(validate(MOEBIUS))
+@example(validate([[0, 1, 2, 3], [3, 4, 5, 6]]))
+def test_closed_pseudomanifold_matches_bounded_with_every_ridge_in_two(cx):
+    # fresh copies, so neither side reads the other's cached ridge index
+    want = Complex(cx.facets)
+    want = want.is_pseudomanifold_with_boundary() and all(
+        d == 2 for d in want.ridge_degrees().values())
+    assert Complex(cx.facets).is_closed_pseudomanifold() is want
 
 
 @pytest.mark.parametrize("facets, connected", [

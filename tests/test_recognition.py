@@ -14,6 +14,7 @@ from plmarkov.builders import (
     standard_simplex,
     suspension,
 )
+from plmarkov.cli import parse_expression
 from plmarkov.complex_core import Complex, barycentric_subdivision
 from plmarkov.recognition import (
     classify_links,
@@ -240,6 +241,32 @@ class TestManifoldRecognition:
     def test_impure_rejected(self):
         assert is_pl_manifold(Complex([[0, 1, 2], [2, 3]])).is_no
 
+    @pytest.mark.parametrize("cx", [simplex_sphere(0), Complex([[0], [1], [2]]),
+                                    Complex([[5]])], ids=["sphere(0)", "three", "one"])
+    def test_points_are_closed_manifolds(self, cx):
+        closed, pl = is_closed_manifold(cx), is_pl_manifold(cx)
+        assert closed.is_yes and pl.is_yes
+        assert closed.witness.to_json() == pl.witness.to_json()
+        assert closed.witness.to_json()["closed"] is True
+
+    def test_empty_complex_is_not_a_closed_manifold(self):
+        v = is_closed_manifold(Complex([]))
+        assert v.is_no and v.reason == "not-closed-pseudomanifold"
+
+    def test_a_closed_check_walks_the_facet_graph_of_the_input_only(self, monkeypatch):
+        # the descent settles every link class of S2 x S2, so no link
+        # reaches the pseudomanifold gate
+        walked = []
+
+        def counting(self, real=Complex.is_strongly_connected):
+            walked.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Complex, "is_strongly_connected", counting)
+        cx = sphere_product(2, 2)
+        assert is_closed_manifold(cx).is_yes
+        assert len(walked) == 1 and walked[0] is cx
+
     def test_link_classes_are_shared(self):
         # every vertex of the octahedron has the same link shape, so
         # the report classifies one representative and reuses it
@@ -361,6 +388,46 @@ def test_euler_sphere_non_spheres_match_gates_first_oracle(name):
     assert cx.euler_characteristic() == simplex_sphere(cx.dim).euler_characteristic()
     v = _same_sphere_verdicts(cx, 100000)
     assert v.is_no and v.reason == "homology-mismatch"
+
+
+def _two_apart(cx):
+    """Two disjoint copies of cx."""
+    far = cx.relabeled({v: v + cx.vertices[-1] + 1 for v in cx.vertices})
+    return Complex(cx.facets + far.facets)
+
+
+# pure, with a sphere's Euler number, and not closed pseudomanifolds:
+# the descent runs on each before the gates name it
+EULER_SPHERE_NON_PSEUDOMANIFOLDS = {
+    "fin": Complex(simplex_sphere(2).facets + (frozenset({0, 1, 9}),)),
+    "two-circles": _two_apart(simplex_sphere(1)),
+    "two-s3s": _two_apart(simplex_sphere(3)),
+    "two-barycentric-s3s": _two_apart(barycentric_subdivision(simplex_sphere(3))),
+}
+
+
+@pytest.mark.parametrize("name", EULER_SPHERE_NON_PSEUDOMANIFOLDS)
+def test_euler_sphere_non_pseudomanifolds_match_gates_first_oracle(name):
+    cx = EULER_SPHERE_NON_PSEUDOMANIFOLDS[name]
+    assert cx.is_pure()
+    assert cx.euler_characteristic() == simplex_sphere(cx.dim).euler_characteristic()
+    v = _same_sphere_verdicts(cx, 100000)
+    assert v.is_no and v.reason == "not-closed-pseudomanifold"
+
+
+@pytest.mark.parametrize("expression, kinds", [
+    # I x S2 on two levels: every vertex is a boundary vertex
+    ("prod(ball(1),sphere(2))", {"not-closed-pseudomanifold"}),
+    # the two apex links are tori, the rest suspended hexagons
+    ("susp(prod(sphere(1),sphere(1)))", {"yes", "euler-mismatch"}),
+])
+def test_ball_and_apex_links_match_gates_first_oracle(expression, kinds):
+    cx = parse_expression(expression)
+    seen = set()
+    for v in cx.vertices:
+        verdict = _same_sphere_verdicts(cx.link([v]), 100000)
+        seen.add(verdict.reason or verdict.status)
+    assert seen == kinds
 
 
 @pytest.mark.parametrize("budget", range(1, 21))

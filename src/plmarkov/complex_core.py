@@ -54,10 +54,12 @@ automorphisms; ``automorphisms`` runs one when they are missing.
 
 ``isomorphism`` compares the two canonical forms and composes one
 canonical mapping with the inverse of the other; a side whose form is
-not cached is searched against the other side's encoding.  Two
-boundaries of simplices of one dimension are matched in label order
-with no search: the canonical search labels the vertices of such a
-boundary in ascending order, so that is the map it would return.
+not cached is searched against the other side's encoding.  The
+boundary of a simplex on n vertices has its form read off its labels
+with no search: the search labels its vertices in ascending order, so
+its encoding is the (n-1)-subsets of range(n) in order.  ``isomorphism``
+shares that fact and matches two such boundaries of one dimension in
+label order; only ``automorphisms`` searches a simplex boundary.
 
 ``IsoIndex`` groups complexes up to isomorphism in ``fingerprint``
 buckets, keyed by dimension, facet count and colour histogram, each a
@@ -429,17 +431,18 @@ class Complex:
             key = {v: tuple(sorted(map(len, at[v]))) for v in verts}
         color = _dense_ranks(key)
         ncolors = len(set(color.values()))
-        # a discrete colouring keeps every id in a further round
+        # a discrete colouring keeps every id in a further round, and so
+        # does a round that splits no colour: each key starts with the
+        # old colour, so ranking the keys would give the old ids back
         while ncolors < len(verts):
             shape = {f: tuple(sorted(map(color.__getitem__, f))) for f in self._facets}
             if not pure:
                 shape = {f: (len(f), c) for f, c in shape.items()}
             key = {v: (color[v], tuple(sorted(map(shape.__getitem__, at[v])))) for v in verts}
-            color = _dense_ranks(key)
-            n2 = len(set(color.values()))
+            n2 = len(set(key.values()))
             if n2 == ncolors:
                 break
-            ncolors = n2
+            color, ncolors = _dense_ranks(key), n2
         self._cache["colors"] = color
         return color
 
@@ -453,7 +456,12 @@ class Complex:
         complexes) stops at the first leaf whose encoding is one of
         them, with the same result; see the module docstring."""
         if "canonical" not in self._cache:
-            self._search(targets)
+            if _is_simplex_boundary(self):
+                n = len(self.vertices)
+                self._cache["canonical"] = (tuple(itertools.combinations(range(n), n - 1)),
+                                            self.vertices)
+            else:
+                self._search(targets)
         return self._cache["canonical"]
 
     def _search(self, targets) -> None:

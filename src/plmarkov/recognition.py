@@ -7,9 +7,10 @@ it settles walks no facet graph and computes no homology.  What it
 leaves open passes the pseudomanifold and homology gates before the
 two-sided search; so a pure non-pseudomanifold with a sphere's Euler
 number spends its descent before the gates' named no.  Ball recognition
-asks one sphere question, about the cone closure of the ball (Newman's
-criterion).  A definite no always names its obstruction; yes carries a
-replayable move certificate; unknown means the budget ran out.
+gates the cone closure of the ball (Newman's criterion) and searches it
+against a simplex boundary, homology after the descent.  A definite no
+names its obstruction; yes carries a replayable move certificate;
+unknown means the budget ran out.
 
 Manifold recognition classifies every vertex link as a sphere (interior
 vertex) or a ball (boundary vertex).  Isomorphic links share one
@@ -92,10 +93,10 @@ def is_combinatorial_ball(cx: Complex, budget: int = 100000) -> vd.Verdict:
     boundary is one exactly when its cone closure is a combinatorial
     sphere (Newman; see Lickorish, Geom. Topol. Monographs 2, 1999).
     The closure is cx plus r | {apex} for every boundary ridge r, with
-    apex = max label + 1.  After the gates one sphere search runs on it,
-    so a yes witness replays the closure onto the boundary of a simplex,
-    and a no may name an obstruction of the closure.  A single simplex
-    needs no witness."""
+    apex = max label + 1.  After the gates one certificate-first search
+    runs on it, so a yes witness replays the closure onto the boundary
+    of a simplex, and a no may name an obstruction of the closure.  A
+    single simplex needs no witness."""
     if cx.is_empty:
         return vd.no("wrong-dimension")
     if not cx.is_pure():
@@ -195,10 +196,9 @@ def classify_links(cx: Complex, budget: int = 1000000) -> RecognitionReport:
     is classified once, on the link of its smallest vertex, and entries
     are assembled in vertex order.
     """
-    if not cx.is_pure():
-        return RecognitionReport(
-            cx.dim, cx.f_vector(), vd.NO, "not-pure", ()
-        )
+    if cx.is_empty or not cx.is_pure():
+        reason = "empty-complex" if cx.is_empty else "not-pure"
+        return RecognitionReport(cx.dim, cx.f_vector(), vd.NO, reason, ())
     verts = cx.vertices
     share = max(budget // max(len(verts), 1), 1)
     links = IsoIndex()

@@ -94,18 +94,18 @@ def weld_parts(cx: Complex, vertex: int, s) -> Optional[List[Simplex]]:
     return sorted(rest, key=lambda t: tuple(sorted(t)))
 
 
-def _link_factor(link_facets: set, s: Simplex) -> Optional[set]:
-    """The facets of L when the link facets are those of (boundary of
-    s) * L; otherwise None.  The link condition of a weld, without the
-    requirement that s is not a face."""
+def _link_factor(link_facets, s: Simplex) -> Optional[set]:
+    """The facets of L when the distinct link facets are those of
+    (boundary of s) * L; otherwise None: the link condition of a weld,
+    without the requirement that s is not a face.  A facet f missing
+    one vertex of s is (s - (s - f)) | (f - s), so f -> (s - f, f - s)
+    is one-to-one into s x L, and onto exactly when the counts agree."""
     rest: set = set()
     for f in link_facets:
-        miss = s - f
-        if len(miss) != 1:
+        if len(s - f) != 1:
             return None
         rest.add(f - s)
-    expected = {(s - {w}) | t for w in s for t in rest}
-    if expected != link_facets:
+    if len(s) * len(rest) != len(link_facets):
         return None
     return rest
 
@@ -198,7 +198,9 @@ def _link_splits(v: int, star: Tuple[Simplex, ...]) -> Tuple[Tuple[Simplex, set]
     star in facet order: the pairs (s, L) in the order of
     ``weld_candidates``.  A link vertex lies in as many link facets as
     star facets, so the degrees are counted off the star, and the link
-    is built only for a candidate that survives the degree test."""
+    is never built: v lies in no candidate s, so the star facets are
+    judged in place of the link facets, and v is taken off the factor
+    of a legal split."""
     # the least link facet of the smallest size, which misses max(s) for
     # every legal s, as the least facet of any size class does
     f0 = star[0] - {v}
@@ -207,19 +209,16 @@ def _link_splits(v: int, star: Tuple[Simplex, ...]) -> Tuple[Tuple[Simplex, set]
     pools: Dict[int, List[int]] = {}
     for u in sorted(f0):
         pools.setdefault(degree[u], []).append(u)
-    link_set = None
     out = []
     for w in sorted(degree.keys() - star[0]):
         factor = n - degree[w]
         if n % factor:
             continue
         for a in itertools.combinations(pools.get(degree[w], ()), n // factor - 1):
-            if link_set is None:
-                link_set = {f - {v} for f in star}
             s = frozenset(a) | {w}
-            rest = _link_factor(link_set, s)
+            rest = _link_factor(star, s)
             if rest is not None:
-                out.append((s, rest))
+                out.append((s, {t - {v} for t in rest}))
     return tuple(out)
 
 
@@ -446,17 +445,16 @@ def reduce_with_trace(
 # -- the equivalence search --------------------------------------------
 
 
-def _invariant_obstruction(a: Complex, b: Complex) -> Optional[Tuple[str, dict]]:
+def _count_obstruction(a: Complex, b: Complex) -> Optional[Tuple[str, dict]]:
     if a.dim != b.dim:
         return ("dimension-mismatch", {"left": a.dim, "right": b.dim})
-    if a.euler_characteristic() != b.euler_characteristic():
-        return (
-            "euler-mismatch",
-            {
-                "left": a.euler_characteristic(),
-                "right": b.euler_characteristic(),
-            },
-        )
+    ea, eb = a.euler_characteristic(), b.euler_characteristic()
+    if ea != eb:
+        return ("euler-mismatch", {"left": ea, "right": eb})
+    return None
+
+
+def _invariant_obstruction(a: Complex, b: Complex) -> Optional[Tuple[str, dict]]:
     ha, hb = homology(a), homology(b)
     if ha != hb:
         return ("homology-mismatch", {"left": ha.to_json(), "right": hb.to_json()})
@@ -522,19 +520,23 @@ def search_equivalence(a: Complex, b: Complex, budget: int) -> vd.Verdict:
     no       an invariant preserved by the moves differs
     unknown  search space exhausted the budget
 
-    Every invariant is compared first, so a no spends no budget.  The
-    search then runs ``descend`` and, when that settles nothing,
-    ``meet``.  Deterministic throughout; the budget counts generated
-    states.
+    Certificate-first: the dimension and Euler number are compared,
+    then ``descend`` runs and its yes is returned as it stands (stellar
+    moves keep the PL type, so a certified pair has equal invariants).
+    Only an unsettled descent compares homology and orientability
+    before ``meet`` runs on the rest of the budget.  Deterministic
+    throughout; the budget counts generated states.
     """
-    obstruction = _invariant_obstruction(a, b)
-    if obstruction is not None:
-        reason, detail = obstruction
-        return vd.no(reason, detail=detail)
-    descent = descend(a, b, budget)
-    if descent.verdict is not None:
-        return descent.verdict
-    return meet(a, b, descent)
+    obstruction = _count_obstruction(a, b)
+    if obstruction is None:
+        descent = descend(a, b, budget)
+        if descent.verdict is not None:
+            return descent.verdict
+        obstruction = _invariant_obstruction(a, b)
+        if obstruction is None:
+            return meet(a, b, descent)
+    reason, detail = obstruction
+    return vd.no(reason, detail=detail)
 
 
 class Descent(NamedTuple):

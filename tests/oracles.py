@@ -24,9 +24,10 @@ from plmarkov.groups import (AbelianGroup, FinitePresentation, Word, _substitute
 from plmarkov.invariants import (HomologyGroup, HomologyProfile, Row, boundary_matrix,
                                  homology, smith_diagonal)
 from plmarkov.recognition import is_combinatorial_sphere
-from plmarkov.stellar_moves import (StellarMove, _judged, _link_factor, _link_splits,
-                                    _stitch_certificate, apply_flip, flip_candidates,
-                                    search_equivalence, stellar_subdivide, stellar_weld,
+from plmarkov.stellar_moves import (StellarMove, _judged, _link_splits,
+                                    _stitch_certificate, apply_flip, descend,
+                                    flip_candidates, meet, search_equivalence,
+                                    stellar_subdivide, stellar_weld,
                                     subdivision_candidates, weld_candidates, weld_parts)
 from plmarkov.surgery import (_SEARCH_BUDGET, Tube, _chart_bands, _coface_index, _oriented,
                               chunk, lateral_cells, staircase_cap)
@@ -1227,6 +1228,22 @@ def isomorphism_by_canonical_search(a: Complex, b: Complex) -> Optional[Dict[int
 # The weld scan and the sphere check as they ran before the scan pruned
 # by link degree and the check ran the descent ahead of homology.
 
+def link_factor_by_expected_set(link_facets: set, s: Simplex) -> Optional[set]:
+    """``stellar_moves._link_factor`` before it counted: the facets of L
+    when the link facets are exactly the set of (boundary of s) * L,
+    built and compared; otherwise None."""
+    rest: set = set()
+    for f in link_facets:
+        miss = s - f
+        if len(miss) != 1:
+            return None
+        rest.add(f - s)
+    expected = {(s - {w}) | t for w in s for t in rest}
+    if expected != link_facets:
+        return None
+    return rest
+
+
 def link_splits_min_first(v: int, star) -> tuple:
     """``stellar_moves._link_splits`` before it read the first link
     facet off the star: the first link facet is the least under the
@@ -1246,7 +1263,7 @@ def link_splits_min_first(v: int, star) -> tuple:
         pool = [u for u in f0l if degree[u] == degree[w]]
         for a in itertools.combinations(pool, n // factor - 1):
             s = frozenset(a) | {w}
-            rest = _link_factor(link_set, s)
+            rest = link_factor_by_expected_set(link_set, s)
             if rest is not None:
                 out.append((s, rest))
     return tuple(out)
@@ -1267,10 +1284,37 @@ def weld_candidates_unpruned(cx: Complex) -> list:
             for k in range(1, len(f0l) + 1):
                 for a in itertools.combinations(f0l, k):
                     s = frozenset(a) | {w}
-                    if (_link_factor(link_set, s) is not None
+                    if (link_factor_by_expected_set(link_set, s) is not None
                             and weld_parts(cx, v, s) is not None):
                         out.append((v, s))
     return out
+
+
+def search_equivalence_invariants_first(a: Complex, b: Complex, budget: int) -> vd.Verdict:
+    """``stellar_moves.search_equivalence`` before it went
+    certificate-first: the dimension, Euler number, homology and
+    orientability are all compared before ``descend``, so a no spends
+    no budget."""
+    if a.dim != b.dim:
+        return vd.no("dimension-mismatch", detail={"left": a.dim, "right": b.dim})
+    if a.euler_characteristic() != b.euler_characteristic():
+        return vd.no("euler-mismatch", detail={
+            "left": a.euler_characteristic(),
+            "right": b.euler_characteristic(),
+        })
+    ha, hb = homology(a), homology(b)
+    if ha != hb:
+        return vd.no("homology-mismatch", detail={"left": ha.to_json(), "right": hb.to_json()})
+    try:
+        oa, ob = a.is_orientable(), b.is_orientable()
+    except InvalidComplexError:
+        oa = ob = None
+    if oa is not None and oa != ob:
+        return vd.no("orientability-mismatch", detail={"left": oa, "right": ob})
+    descent = descend(a, b, budget)
+    if descent.verdict is not None:
+        return descent.verdict
+    return meet(a, b, descent)
 
 
 def is_combinatorial_sphere_gates_first(cx: Complex, budget: int = 100000,

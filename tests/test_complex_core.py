@@ -518,7 +518,9 @@ def assert_targeted_search_matches(cx, *target_sets):
     """Search a fresh copy of cx against each set of canonical
     encodings: the same form and mapping as the unpruned oracle and a
     fresh full search, stopping exactly when a target is met, and the
-    full search's automorphisms afterwards."""
+    full search's automorphisms afterwards.  The boundary of a simplex
+    reads its form off its labels, so it runs no search until its
+    automorphisms are asked for."""
     full = _fresh(cx)
     code, autos = full._canonical_code(), _items(full.automorphisms())
     canon, mapping = canonical_pair_unpruned(cx)
@@ -527,7 +529,7 @@ def assert_targeted_search_matches(cx, *target_sets):
         assert hit._canonical_code(targets) == code
         assert hit.canonical().facets == canon.facets
         assert list(hit.canonical_mapping().items()) == list(mapping.items())
-        if code[0] in targets:
+        if code[0] in targets or complex_core._is_simplex_boundary(cx):
             assert "autos" not in hit._cache
         else:
             assert _items(hit._cache["autos"]) == autos
@@ -567,6 +569,21 @@ def test_targeted_search_matches_the_full_search_on_named_complexes(name):
     for cx, code in zip(cxs, codes):
         assert_targeted_search_matches(
             _relabeled_randomly(cx, rng), {code}, set(codes) - {code}, set(codes))
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_a_simplex_boundary_reads_its_form_off_its_labels(d):
+    # the form the full search caches, under random labels, with no
+    # search run for it; automorphisms() still runs the full search
+    rng = random.Random(d)
+    for _ in range(30):
+        cx = _relabeled_randomly(simplex_sphere(d), rng)
+        searched = _fresh(cx)
+        searched._search(())
+        short = _fresh(cx)
+        assert short._canonical_code() == searched._cache["canonical"]
+        assert "autos" not in short._cache
+        assert _items(short.automorphisms()) == _items(searched._cache["autos"])
 
 
 def test_a_search_that_meets_its_target_stops_early():
@@ -1142,13 +1159,14 @@ SYMMETRIC = {
 
 
 def search_in_lockstep(cx):
-    """Run a fresh canonical search of cx with its orbit pruning checked
-    against the oracle; the number of pruning calls whose automorphism
-    list grew while they ran."""
+    """Run a fresh full canonical search of cx, started through
+    ``automorphisms`` (a simplex boundary's form needs none), with its
+    orbit pruning checked against the oracle; the number of pruning
+    calls whose automorphism list grew while they ran."""
     grew = [0]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(complex_core, "_orbit_representatives", _lockstep_orbit_representatives(grew))
-        Complex._from_trusted(cx.facets)._canonical_code()
+        Complex._from_trusted(cx.facets).automorphisms()
     return grew[0]
 
 

@@ -253,6 +253,16 @@ class TestManifoldRecognition:
         v = is_closed_manifold(Complex([]))
         assert v.is_no and v.reason == "not-closed-pseudomanifold"
 
+    def test_empty_complex_has_no_link_report(self):
+        report = classify_links(Complex([]))
+        assert (report.status, report.reason, report.entries) == (vd.NO, "empty-complex", ())
+        assert "closed" not in report.to_json()
+
+    def test_empty_complex_is_not_a_pl_manifold(self):
+        v = is_pl_manifold(Complex([]))
+        assert v.is_no and v.reason == "empty-complex"
+        assert "closed" not in v.detail
+
     def test_a_closed_check_walks_the_facet_graph_of_the_input_only(self, monkeypatch):
         # the descent settles every link class of S2 x S2, so no link
         # reaches the pseudomanifold gate

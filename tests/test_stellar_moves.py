@@ -20,6 +20,7 @@ from plmarkov.stellar_moves import (
     Certificate,
     StellarMove,
     _escape_plateau,
+    _link_factor,
     _link_splits,
     apply_certificate,
     apply_flip,
@@ -42,8 +43,10 @@ from oracles import (
     facets_containing_linear,
     flip_candidates_with_vertex_flips,
     has_face_linear,
+    link_factor_by_expected_set,
     link_splits_min_first,
     reduce_with_trace_two_loops,
+    search_equivalence_invariants_first,
     weld_candidates_linear,
     weld_candidates_unpruned,
 )
@@ -383,6 +386,89 @@ class TestSearchEquivalence:
         self.verify(prod, TORUS_9, v)
 
 
+# the octahedron subdivided at {1, 2}, which welds at 7, plus facets of
+# dimension 1 and 3
+NON_PURE = Complex(list(stellar_subdivide(OCTA, [1, 2]).facets) + [[6, 20], [20, 21, 22, 23]])
+
+
+def _disjoint(*cxs):
+    facets, shift = [], 0
+    for cx in cxs:
+        facets += [[v + shift for v in f] for f in cx.facets]
+        shift += cx.vertices[-1] + 1
+    return Complex(facets)
+
+
+def _equivalence_inputs():
+    """The gate-1 corpus, simplex spheres and sphere products with their
+    barycentric subdivisions, and non-pure and disconnected complexes;
+    pairs of one dimension and Euler number reach the descent."""
+    out = {
+        "S4": simplex_sphere(4),
+        "S1xS1": sphere_product(1, 1),
+        "S1xS3": sphere_product(1, 3),
+        "S2xS2": sphere_product(2, 2),
+        "T(2,4)": reference_manifold(2, 4),
+        "S1xS2": sphere_product(1, 2),
+    }
+    for d in (1, 2, 3):
+        out["S%d" % d] = simplex_sphere(d)
+    for name in ("S1", "S2", "S3", "S1xS1", "S1xS2"):
+        out["sd " + name] = barycentric_subdivision(out[name])
+    out["fin"] = Complex([[0, 1, 2], [2, 3]])
+    out["disc"] = standard_simplex(2)
+    out["non-pure"] = NON_PURE
+    out["mobius"] = Complex([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]])
+    out["annulus"] = Complex([[0, 1, 3], [1, 3, 4], [1, 2, 4], [2, 4, 5], [2, 0, 5],
+                              [0, 5, 3]])
+    out["two circles"] = _disjoint(simplex_sphere(1), simplex_sphere(1))
+    out["S1xS1 + S2"] = _disjoint(sphere_product(1, 1), simplex_sphere(2))
+    out["two S2"] = _disjoint(simplex_sphere(2), simplex_sphere(2))
+    return out
+
+
+EQUIVALENCE_INPUTS = _equivalence_inputs()
+
+
+@pytest.mark.parametrize("budget", [1, 10, 200])
+def test_search_matches_the_invariants_first_search(budget):
+    # a certified pair has equal invariants, and the descent is the same
+    # computation on the same budget, so only the order of work changed
+    reached = Counter()
+    for (na, a), (nb, b) in itertools.product(EQUIVALENCE_INPUTS.items(), repeat=2):
+        got = search_equivalence(a, b, budget)
+        want = search_equivalence_invariants_first(a, b, budget)
+        assert got.to_json() == want.to_json(), (na, nb)
+        if got.is_yes:
+            assert format_certificate(got.witness) == format_certificate(want.witness)
+        reached[got.status, got.reason] += 1
+    # both invariant nos that now follow an unsettled descent
+    assert reached["no", "homology-mismatch"] and reached["no", "orientability-mismatch"]
+
+
+def test_a_homology_no_comes_after_the_descent(monkeypatch):
+    # S1 x S2 and the 3-sphere share dimension and Euler number
+    order = []
+    monkeypatch.setattr(stellar_moves, "descend",
+                        lambda a, b, n, real=descend: order.append("descend") or real(a, b, n))
+    monkeypatch.setattr(stellar_moves, "homology",
+                        lambda cx, real=homology: order.append("homology") or real(cx))
+    v = search_equivalence(Complex(sphere_product(1, 2).facets), simplex_sphere(3), 1000)
+    assert v.is_no and v.reason == "homology-mismatch"
+    assert order == ["descend", "homology", "homology"]
+
+
+def test_a_certified_search_computes_no_homology(monkeypatch):
+    calls = []
+    monkeypatch.setattr(stellar_moves, "homology",
+                        lambda cx, real=homology: calls.append(cx) or real(cx))
+    s3 = Complex(simplex_sphere(3).facets)
+    sd = barycentric_subdivision(s3)
+    v = search_equivalence(s3, sd, 100000)
+    assert v.is_yes and apply_certificate(s3, v.witness) == sd
+    assert calls == []
+
+
 MOVE_BASES = [OCTA, simplex_sphere(3), TORUS_9]
 
 
@@ -551,6 +637,39 @@ def test_link_splits_match_the_min_first_oracle(cx):
         assert _link_splits(v, at[v]) == link_splits_min_first(v, at[v])
 
 
+@st.composite
+def link_factor_inputs(draw):
+    """Candidate link facets and a simplex s: the facets of (boundary of
+    s) * L for a drawn s and L, less some of them, plus some others."""
+    s = draw(st.frozensets(st.integers(0, 3), min_size=1))
+    rest = draw(st.sets(st.frozensets(st.integers(4, 7), max_size=3), min_size=1, max_size=4))
+    facets = {(s - {w}) | t for w in s for t in rest}
+    drop = draw(st.sets(st.sampled_from(sorted(facets, key=sorted)), max_size=2))
+    extra = draw(st.sets(st.frozensets(st.integers(0, 7), min_size=1, max_size=5), max_size=2))
+    return (facets - drop) | extra, s
+
+
+def _fs(*facets):
+    return {frozenset(f) for f in facets}
+
+
+@settings(max_examples=300, deadline=None)
+@given(link_factor_inputs())
+# L trivial: the link is exactly the boundary of s
+@example((_fs([0, 1], [0, 2], [1, 2]), frozenset([0, 1, 2])))
+# vertex 2 of s lies in no facet: every facet misses it, but too few
+@example((_fs([0, 1, 4], [0, 1, 5]), frozenset([0, 1, 2])))
+# a facet misses two vertices of s
+@example((_fs([0, 4], [1, 4], [4, 5]), frozenset([0, 1])))
+# every facet misses one vertex of s, one pair (vertex, L facet) absent
+@example((_fs([0, 4], [1, 4], [0, 5]), frozenset([0, 1])))
+def test_link_factor_counts_as_the_expected_set_compares(case):
+    facets, s = case
+    want = link_factor_by_expected_set(facets, s)
+    assert _link_factor(facets, s) == want
+    assert _link_factor(tuple(sorted(facets, key=sorted)), s) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(stellar_subdivisions())
 def test_flip_set_is_the_old_one_without_vertex_flips(cx):
@@ -606,11 +725,6 @@ def assert_children_match_the_sorting_oracle(cx):
     for child, facets in derived_children(cx):
         want = Complex._from_trusted(facets)
         assert (child.facets, child.vertices) == (want.facets, want.vertices)
-
-
-# the octahedron subdivided at {1, 2}, which welds at 7, plus facets of
-# dimension 1 and 3
-NON_PURE = Complex(list(stellar_subdivide(OCTA, [1, 2]).facets) + [[6, 20], [20, 21, 22, 23]])
 
 
 @settings(max_examples=60, deadline=None)
